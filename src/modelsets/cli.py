@@ -12,19 +12,17 @@ interval [-1, 1/tau).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import homometry, reconstruct, spectra
-from .correlations import (correlation_measure, correlations_equal,
+from .correlations import (_coord_text, correlation_measure, correlations_equal,
                            freq_empirical)
 from .errors import (DegenerateInputError, ParameterError, ReconstructionError,
                      ResourceError)
-from .pointsets import generate, save_pointset
-from .schemes import (PERIODIC, IntervalUnion, ResidueSet, parse_scheme,
+from .pointsets import _atomic_write, generate, save_pointset
+from .schemes import (PERIODIC, IntervalUnion, ResidueSet, _split_top, parse_scheme,
                       parse_window)
 
 EXIT_OK = 0
@@ -48,44 +46,7 @@ def _alias_literals():
 def expand_window_literal(text: str) -> str:
     """Replace the documented aliases inside a window literal."""
     table = _alias_literals()
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "[{(":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == "x" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    out = [table.get(p.strip(), p.strip()) for p in parts]
-    return "x".join(out)
-
-
-def _atomic_write(path: str, data: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               prefix=".cli-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get("MODELSETS_WORKERS", "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
+    return "x".join(table.get(p.strip(), p.strip()) for p in _split_top(text, "x"))
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +65,11 @@ def cmd_generate(args) -> int:
 def cmd_correlate(args) -> int:
     scheme = parse_scheme(args.scheme)
     window = parse_window(expand_window_literal(args.window))
-    workers = _workers(args)
-    measure = correlation_measure(scheme, window, args.order, args.cutoff,
-                                  workers=workers)
+    measure = correlation_measure(scheme, window, args.order, args.cutoff)
 
     if args.compare is not None:
         other = parse_window(expand_window_literal(args.compare))
-        other_measure = correlation_measure(scheme, other, args.order, args.cutoff,
-                                            workers=workers)
+        other_measure = correlation_measure(scheme, other, args.order, args.cutoff)
         result = correlations_equal(measure, other_measure, tol=args.tol)
         if result.equal:
             print(f"EQUAL order-{args.order} correlations within cutoff "
@@ -130,20 +88,13 @@ def cmd_correlate(args) -> int:
                           + ["frequency", "empirical"])]
         for key in measure.support():
             emp = freq_empirical(ps, key, R)
-            cells = [_cli_coord(x) for x in key]
+            cells = [_coord_text(x) for x in key]
             lines.append(",".join(cells + [f"{measure.entries[key]:.15g}", f"{emp:.15g}"]))
         _atomic_write(args.output, "\n".join(lines) + "\n")
     else:
         measure.to_csv(args.output)
     print(f"wrote {len(measure.entries)} correlation entries to {args.output}")
     return EXIT_OK
-
-
-def _cli_coord(x):
-    from .schemes import QuadLatticePoint
-    if isinstance(x, QuadLatticePoint):
-        return f"{x.u}{'+' if x.v >= 0 else '-'}{abs(x.v)}*tau"
-    return str(x)
 
 
 def cmd_diffract(args) -> int:
@@ -243,9 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="modelsets",
         description="Cut-and-project model sets: patches, correlations, "
                     "diffraction, window recovery, homometry checks.")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for batch computations "
-                        "(default: MODELSETS_WORKERS or all cores)")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="enumerate a model-set patch into a point file")
@@ -323,6 +271,9 @@ def main(argv=None) -> int:
     except ReconstructionError as e:
         print(f"error: reconstruction failed: {e}", file=sys.stderr)
         return EXIT_VERIFY
+    except OSError as e:  # the only files the CLI touches are its outputs
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

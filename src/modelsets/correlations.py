@@ -10,13 +10,13 @@ checks.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import ParameterError, ResourceError
-from .pointsets import PointSet, generate, symmetric_difference_density, translate_pointset
+from .pointsets import (PointSet, _atomic_write, generate, symmetric_difference_density,
+                        translate_pointset)
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, TAU, TAU_PRIME,
                       QuadLatticePoint, Scheme, Window, star, window_intersect,
                       window_measure, window_translate)
@@ -145,19 +145,6 @@ def _tuple_sort_key(key: tuple):
     return out
 
 
-def _atomic_write(path: str, data: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               prefix=".corr-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     """Lattice differences x with |phys(x)| <= cutoff and freq({0, x}) > 0.
 
@@ -199,17 +186,14 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     return out
 
 
-def _freq_batch(scheme: Scheme, w: Window, tuples: list) -> list:
-    return [freq_exact(scheme, w, tup) for tup in tuples]
-
-
 def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float,
-                        max_entries: int = 2_000_000,
-                        workers: int = 1) -> CorrelationMeasure:
+                        max_entries: int = 2_000_000) -> CorrelationMeasure:
     """All difference tuples within the cutoff carrying positive frequency.
 
-    ``workers`` > 1 evaluates the exact frequencies in that many processes;
-    the result is independent of the worker count.
+    Keys are the ordered tuples of ``support_differences``; a frequency only
+    depends on the set {0, x1, ..., xn}, so each distinct
+    :func:`canonical_pattern` is evaluated once and its value is shared by
+    every ordered tuple that reduces to it.
     """
     if order not in (2, 3, 4):
         raise ParameterError("order must be 2, 3 or 4")
@@ -221,23 +205,15 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float,
         raise ResourceError(
             f"{len(base)}^{n} candidate tuples exceed the budget of {max_entries}; "
             "reduce the cutoff or raise max_entries")
-    from itertools import product
-    tuples = [(x,) for x in base] if n == 1 else list(product(base, repeat=n))
-    if workers > 1 and len(tuples) > 4 * workers:
-        from concurrent.futures import ProcessPoolExecutor
-        chunks = [tuples[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            freq_chunks = list(pool.map(_freq_batch, [scheme] * workers,
-                                        [w] * workers, chunks))
-        freqs = dict(zip((t for ch in chunks for t in ch),
-                         (f for fc in freq_chunks for f in fc)))
-        entries = {tup: freqs[tup] for tup in tuples if freqs[tup] > 0}
-    else:
-        entries = {}
-        for tup in tuples:
-            f = freq_exact(scheme, w, tup)
-            if f > 0:
-                entries[tup] = f
+    freqs = {}
+    entries = {}
+    for tup in product(base, repeat=n):
+        pat = canonical_pattern(scheme, tup)
+        f = freqs.get(pat)
+        if f is None:
+            f = freqs[pat] = freq_exact(scheme, w, pat)
+        if f > 0:
+            entries[tup] = f
     return CorrelationMeasure(scheme, w, order, cutoff, entries)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import ParameterError
-from .pointsets import PointSet, generate
+from .pointsets import PointSet, _atomic_write, generate
 from .schemes import (COMBINED, FIBONACCI, IntervalUnion, ProductWindow,
                       ResidueSet, make_scheme)
 
@@ -85,8 +85,7 @@ class PatternTable:
         for key in sorted(self.counts):
             c = self.counts[key]
             lines.append(f"\"{':'.join(map(str, key))}\",{c},{c}/{self.modulus}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def pattern_table(S: ResidueSet, order: int) -> PatternTable:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -229,6 +229,25 @@ def translate_pointset(ps: PointSet, t) -> PointSet:
 # file format: one point per line ("u v" or "n"), single header line
 # ---------------------------------------------------------------------------
 
+def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a sibling temp file and a rename.
+
+    Readers see the old file or the new one, never a partial write.  On any
+    failure the temp file is removed and an existing ``path`` keeps its bytes.
+    Every output file of the package is written here.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x")  # exclusive create; mode bits follow the umask
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_pointset(ps: PointSet, path: str) -> None:
     """Write the patch; the write is atomic (temp file + rename)."""
     lines = [f"# modelsets pointset scheme={ps.scheme.label()} "
@@ -237,17 +256,7 @@ def save_pointset(ps: PointSet, path: str) -> None:
         lines.extend(str(n) for n in ps.points)
     else:
         lines.extend(f"{p.u} {p.v}" for p in ps.points)
-    data = "\n".join(lines) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               prefix=".pointset-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_pointset(path: str) -> PointSet:

@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError, ResourceError
+from .pointsets import _atomic_write
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, IntervalUnion,
                       ProductWindow, QuadNum, QUAD_SQRT5, ResidueSet, Scheme,
                       Window, window_measure)
@@ -185,8 +186,7 @@ class Spectrum:
         for dp, inten in self.peaks:
             cells = [str(x) for x in dp.labels] + [f"{dp.k:.15g}", f"{inten:.15g}"]
             lines.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _atomic_write(path, "\n".join(lines) + "\n")
 
     def to_svg(self, path: str, width: int = 640, height: int = 320) -> None:
         """Stick plot: one vertical line per peak, height proportional to intensity."""
@@ -229,8 +229,7 @@ class Spectrum:
             parts.append(f'<line x1="{xx:.2f}" y1="{mtop + ph}" x2="{xx:.2f}" '
                          f'y2="{y(inten):.2f}" stroke="black" stroke-width="1.5"/>')
         parts.append("</svg>")
-        with open(path, "w") as fh:
-            fh.write("\n".join(parts) + "\n")
+        _atomic_write(path, "\n".join(parts) + "\n")
 
 
 def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1e-4,

@@ -154,6 +154,12 @@ def test_homometry_same_set(capsys):
     assert "rigid equivalence: (1, 0)" in capsys.readouterr().out
 
 
+def test_workers_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        run("--workers", "2", "homometry")
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_alias_expansion():
     assert expand_window_literal("fib") == "[-1,1/tau)"
     expanded = expand_window_literal("fib x A")

@@ -1,6 +1,7 @@
 """Exact vs empirical frequencies, correlation measures, almost periods."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,9 @@ from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, RealPoin
                        correlation_measure, correlations_equal, freq_empirical,
                        freq_exact, generate, make_scheme, parse_window,
                        support_differences, window_measure, window_translate)
-from modelsets.schemes import QuadNum
+from modelsets import correlations
+from modelsets.cli import expand_window_literal
+from modelsets.schemes import QuadNum, parse_scheme
 
 FIB = make_scheme("fibonacci")
 W = parse_window("[-1,1/tau)")
@@ -130,10 +133,47 @@ def test_product_factorization_combined():
         assert whole == pytest.approx(interval * count / 32, abs=1e-12)
 
 
-def test_workers_do_not_change_results():
-    serial = correlation_measure(FIB, W, 2, 4.0, workers=1)
-    parallel = correlation_measure(FIB, W, 2, 4.0, workers=2)
-    assert serial.entries == parallel.entries
+ORACLE_CASES = [  # (scheme, window, cutoff per order 2, 3, 4)
+    ("fibonacci", "[-1,1/tau)", (5.0, 4.0, 3.0)),
+    ("fibonacci", "[0,1)u[1.5,2.25)", (4.0, 3.0, 2.0)),
+    ("combined:32", "fib x A", (5.0, 3.0, 2.0)),
+    ("periodic:32", "A", (8.0, 5.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("scheme_text,window_text,cutoffs", ORACLE_CASES)
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_correlation_measure_matches_ordered_tuple_oracle(scheme_text, window_text,
+                                                          cutoffs, order):
+    scheme = parse_scheme(scheme_text)
+    w = parse_window(expand_window_literal(window_text))
+    cutoff = cutoffs[order - 2]
+    base = support_differences(scheme, w, cutoff)
+    oracle = {}
+    for tup in product(base, repeat=order - 1):
+        f = freq_exact(scheme, w, tup)
+        if f > 0:
+            oracle[tup] = f
+    assert oracle
+    assert correlation_measure(scheme, w, order, cutoff).entries == oracle
+
+
+def test_correlation_measure_evaluates_each_pattern_once(monkeypatch):
+    w = parse_window("[0,1)u[1.5,2.25)")
+    base = support_differences(FIB, w, 4.0)
+    calls = []
+    exact = correlations.freq_exact
+
+    def counting(scheme, window, pattern):
+        calls.append(canonical_pattern(scheme, pattern))
+        return exact(scheme, window, pattern)
+
+    monkeypatch.setattr(correlations, "support_differences", lambda *a: base)
+    monkeypatch.setattr(correlations, "freq_exact", counting)
+    correlation_measure(FIB, w, 4, 4.0)
+    assert len(base) ** 3 == 4913
+    assert len(calls) == len(set(calls)) == 697
+    assert set(calls) == {canonical_pattern(FIB, t) for t in product(base, repeat=3)}
 
 
 def test_csv_deterministic(tmp_path):

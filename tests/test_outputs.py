@@ -1,0 +1,89 @@
+"""Output files: pinned bytes of the README examples, atomic writes, write errors."""
+
+import hashlib
+import os
+
+import pytest
+
+from modelsets import (correlation_measure, diffraction, generate, make_scheme,
+                       parse_scheme, parse_window, pattern_table, save_pointset)
+from modelsets.cli import EXIT_OK, EXIT_USAGE, expand_window_literal, main
+
+# the "Command line" examples of the README, with the sha256 of every file they write
+README_EXAMPLES = [
+    ["generate", "--scheme", "fibonacci", "--window", "[-1,1/tau)", "--region", "-2", "2",
+     "-o", "points.txt"],
+    ["generate", "--scheme", "periodic:32", "--window", "A", "--region", "0", "31",
+     "-o", "a.txt"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--order", "2",
+     "--cutoff", "5", "-o", "corr.csv"],
+    ["correlate", "--scheme", "combined:32", "--window", "fib x A", "--compare", "fib x B",
+     "--order", "3", "--cutoff", "4", "-o", "corr3.csv"],
+    ["diffract", "--scheme", "periodic:32", "--window", "A", "-o", "spectrum.csv",
+     "--svg", "spectrum.svg"],
+    ["reconstruct", "--selftest", "--window", "[0,1)u[1.5,2.25)", "--grid", "512",
+     "-o", "report.json"],
+    ["homometry"],
+]
+README_DIGESTS = {
+    "a.txt": "a168cf89fa80b3b098612490a98a6bde1b97685193dfe10d1a3afd58cb07065a",
+    "corr.csv": "cb96654538646b8b9728128e9a08d5df89d691d338012011ee0520c7c776a97a",
+    "corr3.csv": "971aa02daa29df821bb7b4e252465cddcea7d588ec72a755c12d70f4a1c3c426",
+    "points.txt": "e9bc3c49c24b41e1972810de2a7b88f3779702865d2c63e4216e0a860eaad0aa",
+    "report.json": "9e893307aa993677f2427127808aebbba4d5cdcb54708e99315768118b5abb04",
+    "spectrum.csv": "0d9e71c3b4a51ff6bfb0d3c098dcef5cc05be2bc6216ac7dcbc26a51c81455d2",
+    "spectrum.svg": "220446d13cebef1a46be8bcda57c043b4e1fb7e25e877c233dcec1dff4590f91",
+}
+
+
+def test_readme_examples_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in README_EXAMPLES:
+        assert main(argv) == EXIT_OK, argv
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == README_DIGESTS
+
+
+FIB = make_scheme("fibonacci")
+W = parse_window("[-1,1/tau)")
+P32 = parse_scheme("periodic:32")
+A = parse_window(expand_window_literal("A"))
+
+WRITERS = {
+    "save_pointset": lambda path: save_pointset(generate(FIB, W, (-2, 2)), path),
+    "CorrelationMeasure.to_csv": lambda path: correlation_measure(FIB, W, 2, 2.0).to_csv(path),
+    "Spectrum.to_csv": lambda path: diffraction(P32, A, 1.0).to_csv(path),
+    "Spectrum.to_svg": lambda path: diffraction(P32, A, 1.0).to_svg(path),
+    "PatternTable.to_csv": lambda path: pattern_table(A, 2).to_csv(path),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+def test_failed_write_keeps_old_file(writer, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.write_bytes(b"old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        writer(str(out))
+    assert out.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "-2", "2"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "2"],
+    ["diffract", "--scheme", "periodic:32", "--window", "A"],
+    ["reconstruct", "--selftest", "--window", "[0,1)", "--grid", "64"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+    code = main(argv + ["-o", str(tmp_path / "missing" / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
