@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import ParameterError, ResourceError
-from .pointsets import (PointSet, _atomic_write, generate, symmetric_difference_density,
-                        translate_pointset)
+import numpy as np
+
+from .errors import ParameterError, ResourceError, check_real
+from .pointsets import (PointSet, _atomic_write, _lattice_coords, _restrict, generate,
+                        symmetric_difference_density, translate_pointset)
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, TAU, TAU_PRIME,
                       QuadLatticePoint, Scheme, Window, star, window_intersect,
                       window_measure, window_translate)
@@ -51,22 +53,15 @@ def freq_exact(scheme: Scheme, w: Window, pattern: Sequence) -> float:
     return window_measure(scheme, cut)
 
 
-def _pattern_phys(scheme: Scheme, pat: tuple) -> list[float]:
-    if scheme.kind == PERIODIC:
-        return [float(x) for x in pat]
-    return [x.phys for x in pat]
-
-
 def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
     """Occurrences per unit length over the centred interval (-R/2, R/2).
 
     The patch must cover that interval inflated by the pattern's extent, so
     membership of every translated point is decided by the patch alone.
     """
-    if R <= 0:
-        raise ParameterError("averaging radius must be positive")
+    check_real("averaging radius R", R, positive=True)
     pat = canonical_pattern(ps.scheme, pattern)
-    ph = _pattern_phys(ps.scheme, pat)
+    ph = [float(x) if ps.scheme.kind == PERIODIC else x.phys for x in pat]
     lo_need = -R / 2 + min([0.0] + ph)
     hi_need = R / 2 + max([0.0] + ph)
     lo, hi = ps.region
@@ -74,19 +69,12 @@ def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
         raise ParameterError(
             f"patch region [{lo}, {hi}] too small; need at least [{lo_need}, {hi_need}]")
 
-    members = ps.coord_set()
-    count = 0
-    if ps.scheme.kind == PERIODIC:
-        for y in ps.points:
-            if -R / 2 < y < R / 2 and all((y + x) in members for x in pat):
-                count += 1
-    else:
-        offs = [(x.u, x.v) for x in pat]
-        for p in ps.points:
-            if -R / 2 < p.phys < R / 2 and \
-                    all((p.u + du, p.v + dv) in members for du, dv in offs):
-                count += 1
-    return count / R
+    # points y with -R/2 < y < R/2 that have every y + x in the patch
+    phys = ps.physical()
+    found = ps.coords[:, np.searchsorted(phys, -R / 2, "right"):np.searchsorted(phys, R / 2)]
+    for off in _lattice_coords(ps.scheme, pat):
+        found = found[:, ps.contains(found + off)]
+    return found.shape[1] / R
 
 
 @dataclass(frozen=True)
@@ -152,8 +140,7 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     positive-frequency difference can be missed (a patch-based harvest could
     miss tuples of arbitrarily small frequency).
     """
-    if cutoff < 0:
-        raise ParameterError("cutoff must be nonnegative")
+    check_real("cutoff", cutoff, 0)
     out = []
     if scheme.kind == PERIODIC:
         for x in range(-math.floor(cutoff), math.floor(cutoff) + 1):
@@ -197,8 +184,7 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float,
     """
     if order not in (2, 3, 4):
         raise ParameterError("order must be 2, 3 or 4")
-    if cutoff < 0:
-        raise ParameterError("cutoff must be nonnegative")
+    check_real("cutoff", cutoff, 0)
     base = support_differences(scheme, w, cutoff)
     n = order - 1
     if len(base) ** n > max_entries:
@@ -231,6 +217,7 @@ def correlations_equal(c1: CorrelationMeasure, c2: CorrelationMeasure,
     """Support and value comparison; tol = 0 is allowed for exact rational cases."""
     if c1.order != c2.order or c1.cutoff != c2.cutoff:
         raise ParameterError("correlation measures differ in order or cutoff")
+    check_real("tol", tol, 0)
     keys = sorted(set(c1.entries) | set(c2.entries), key=_tuple_sort_key)
     for key in keys:
         v1, v2 = c1.entry(key), c2.entry(key)
@@ -249,8 +236,7 @@ def almost_periods(scheme: Scheme, w: Window, eps: float, candidates: Sequence,
     dens = window_measure(scheme, w)
     if not 0 < eps < 2 * dens + 1e-15:
         raise ParameterError("eps must lie in (0, 2*density)")
-    if R <= 0:
-        raise ParameterError("R must be positive")
+    check_real("R", R, positive=True)
     phys = [0.0]
     for t in candidates:
         phys.append(abs(t) if scheme.kind == PERIODIC else abs(t.phys))
@@ -265,12 +251,3 @@ def almost_periods(scheme: Scheme, w: Window, eps: float, candidates: Sequence,
         if est < eps:
             out.append((t, est))
     return out
-
-
-def _restrict(ps: PointSet, region: tuple[float, float]) -> PointSet:
-    lo, hi = region
-    if ps.scheme.kind == PERIODIC:
-        pts = tuple(x for x in ps.points if lo <= x <= hi)
-    else:
-        pts = tuple(p for p in ps.points if lo <= p.phys <= hi)
-    return PointSet(ps.scheme, ps.window, pts, region)

@@ -3,22 +3,31 @@
 Generation enumerates the lattice exactly: for the golden-ratio schemes the
 conjugate coordinate is bounded by the window hull and the physical coordinate
 by the requested region, so every admissible (u, v) pair is visited.  A float
-prefilter does the bulk of the membership testing; candidates within a small
-guard band of any interval endpoint are re-checked with exact arithmetic.
+prefilter does the bulk of the membership testing; candidates within a guard
+band of any interval endpoint are re-checked with exact arithmetic.  The band
+grows with the size of the coordinates, so the prefilter stays sound wherever
+int64 coordinates reach.
+
+A patch is stored as an int64 array with one column per point and one row
+per lattice coordinate: rows u and v for the golden-ratio schemes, the single
+row n for ``periodic:N``.  Lattice-point objects are built only when a caller
+asks for them.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
+from .errors import ParameterError, ResourceError, check_real
 from .schemes import (FLOAT_GUARD, TAU, TAU_PRIME, FIBONACCI, PERIODIC,
                       IntervalUnion, QuadLatticePoint, QuadNum, ResidueSet, Scheme,
                       Window, format_window, parse_scheme, parse_window, star,
@@ -29,68 +38,179 @@ LatticeCoord = Union[QuadLatticePoint, int]
 #: default budget on enumeration candidates (soft memory guard)
 MAX_CANDIDATES = 50_000_000
 
+#: lattice coordinates stay below this in magnitude, so the sum of a point
+#: and a translation (both bounded by it) cannot overflow int64
+COORD_LIMIT = 2 ** 62
 
-@dataclass(frozen=True)
+#: relative float error bound: for int64 u, v the float value of u + v*tau or
+#: u + v*tau' is within FLOAT_REL * (|u| + |v|) of the exact one (a few
+#: roundings of at most 2^-53 each; 2^-48 leaves a wide margin)
+FLOAT_REL = 2.0 ** -48
+
+
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """Finite patch of a model set on a closed physical region [lo, hi].
 
-    Points are stored in exact lattice coordinates, sorted by physical
-    position.  The generating window and region travel with the patch so that
-    densities and symmetric differences never mix supports silently.
+    ``coords`` holds the exact lattice coordinates as a read-only int64
+    array of shape (2, len) with rows u and v for the golden-ratio schemes,
+    or (1, len) with the row n for ``periodic:N``; points are sorted by
+    physical position.  The generating window and region travel with the
+    patch so that densities and symmetric differences never mix supports
+    silently.
     """
 
     scheme: Scheme
     window: Window
-    points: tuple
+    coords: np.ndarray
     region: tuple[float, float]
+    _phys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lo, hi = self.region
-        if not lo < hi:
-            raise ParameterError(f"region [{lo}, {hi}] is empty")
-        ph = self.physical()
+        lo, hi = _check_region(self.region)
+        c = np.array(self.coords, dtype=np.int64, order="C")  # a private, read-only copy
+        c = c.reshape(1 if self.scheme.kind == PERIODIC else 2, c.shape[-1])
+        if c.size and not (c.min() > -COORD_LIMIT and c.max() < COORD_LIMIT):
+            raise ParameterError("lattice coordinates must stay below 2^62 in magnitude")
+        c.flags.writeable = False
+        ph = _physical(c)
+        ph.flags.writeable = False
         if len(ph) > 1 and not np.all(np.diff(ph) > 0):
             raise ParameterError("physical positions must be strictly increasing")
+        object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "region", (lo, hi))
+        object.__setattr__(self, "_phys", ph)
 
     def __len__(self):
-        return len(self.points)
+        return self.coords.shape[1]
+
+    @cached_property
+    def points(self) -> tuple:
+        """The points as ``QuadLatticePoint``s (ints for ``periodic:N``), built on first access."""
+        if self.scheme.kind == PERIODIC:
+            return tuple(self.coords[0].tolist())
+        return tuple(map(QuadLatticePoint, self.coords[0].tolist(), self.coords[1].tolist()))
 
     def physical(self) -> np.ndarray:
-        if self.scheme.kind == PERIODIC:
-            return np.asarray(self.points, dtype=float)
-        return np.array([p.phys for p in self.points], dtype=float)
+        """Physical positions, increasing (read-only, computed once)."""
+        return self._phys
 
     def density(self) -> float:
         lo, hi = self.region
-        return len(self.points) / (hi - lo)
+        return len(self) / (hi - lo)
 
-    def coord_set(self) -> set:
-        """Hashable lattice coordinates, for O(1) membership tests."""
-        if self.scheme.kind == PERIODIC:
-            return set(self.points)
-        return {(p.u, p.v) for p in self.points}
+    def contains(self, coords: np.ndarray) -> np.ndarray:
+        """Exact membership in the patch of each column of ``coords`` (laid out as ``self.coords``).
+
+        A point's physical position is computed by the same float operations
+        wherever it appears, and the positions are strictly increasing, so a
+        binary search lands on the only candidate; an integer comparison of
+        the coordinates then decides.
+        """
+        if len(self) == 0:
+            return np.zeros(coords.shape[1], dtype=bool)
+        i = np.minimum(np.searchsorted(self._phys, _physical(coords)), len(self) - 1)
+        return (self.coords.take(i, axis=1) == coords).all(axis=0)
 
     def validate_stars(self) -> None:
         """Exact check that every point's star lies in the window (used by loaders)."""
-        for p in self.points:
-            if not _star_in_window(self.scheme, self.window, p):
-                raise ParameterError(f"point {p} has star outside the window")
+        bad = np.nonzero(~_in_window(self.scheme, self.window, self.coords))[0]
+        if len(bad):
+            raise ParameterError(
+                f"point {tuple(self.coords[:, bad[0]].tolist())} has star outside the window")
 
 
-def _star_in_window(scheme: Scheme, w: Window, p) -> bool:
-    if scheme.kind == FIBONACCI:
-        return w.contains(p.star_quad())
+def _physical(coords: np.ndarray) -> np.ndarray:
+    """Float physical positions u + v*tau (or n) of int64 lattice coordinates."""
+    if len(coords) == 1:
+        return coords[0].astype(float)
+    return coords[0] + coords[1] * TAU
+
+
+def _check_region(region) -> tuple[float, float]:
+    lo, hi = (check_real("region endpoint", x) for x in region)
+    if not lo < hi:
+        raise ParameterError(f"region [{lo}, {hi}] is empty")
+    if max(-lo, hi) >= COORD_LIMIT:
+        raise ParameterError("region endpoints must stay below 2^62 in magnitude")
+    return lo, hi
+
+
+def _lattice_coords(scheme: Scheme, pts) -> list[np.ndarray]:
+    """Lattice points given as objects (ints for periodic:N), each as an int64 column."""
+    cols = [(int(x),) if scheme.kind == PERIODIC else (x.u, x.v) for x in pts]
+    if any(not -COORD_LIMIT < c < COORD_LIMIT for col in cols for c in col):
+        raise ParameterError("lattice coordinates must stay below 2^62 in magnitude")
+    return [np.array(col, dtype=np.int64).reshape(-1, 1) for col in cols]
+
+
+# ---------------------------------------------------------------------------
+# exact membership: float masks, Q(tau) only inside the guard band
+# ---------------------------------------------------------------------------
+
+def _bands(x, g, bounds):
+    """Masks (sure, possible) of x in a union of intervals with QuadNum endpoints.
+
+    ``x`` is within ``g`` of the exact values; the float error of each
+    endpoint is added to the band.  ``sure`` is exact for [a, b) and [a, b]
+    alike; ``possible & ~sure`` is the guard band, which needs an exact test.
+    """
+    sure = np.zeros(len(x), dtype=bool)
+    possible = np.zeros(len(x), dtype=bool)
+    for a, b in bounds:
+        ga = g + FLOAT_REL * sum(abs(float(c)) for c in (a.a, a.b, b.a, b.b))
+        af, bf = float(a), float(b)
+        sure |= (x >= af + ga) & (x <= bf - ga)
+        possible |= (x >= af - ga) & (x <= bf + ga)
+    return sure, possible
+
+
+def _quad_mask(iu: IntervalUnion, coords: np.ndarray, region=None) -> np.ndarray:
+    """Exact mask of u + v*tau' in ``iu`` (and of u + v*tau in the closed ``region``).
+
+    Floats decide every point outside the guard band; the band, whose width
+    grows with |u| + |v|, is decided in Q(tau).
+    """
+    u, v = coords
+    g = FLOAT_GUARD + FLOAT_REL * (np.abs(u.astype(float)) + np.abs(v.astype(float)))
+    sure, possible = _bands(u + v * TAU_PRIME, g, iu.intervals)
+    if region is not None:
+        region = tuple(QuadNum.coerce(Fraction(x)) for x in region)
+        in_sure, in_possible = _bands(u + v * TAU, g, [region])
+        sure &= in_sure
+        possible &= in_possible
+    for i in np.nonzero(possible & ~sure)[0]:
+        a, b = int(u[i]), int(v[i])
+        if region is None or region[0] <= QuadNum(a, b) <= region[1]:
+            sure[i] = iu.contains(QuadNum(a + b, -b))
+    return sure
+
+
+def _residue_mask(rs: ResidueSet, n) -> np.ndarray:
+    return np.isin(n % rs.modulus, np.array(rs.elems, dtype=np.int64))
+
+
+def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np.ndarray:
+    """Exact mask: the star of each point (column of ``coords``) lies in ``w``.
+
+    With a ``region`` (golden-ratio schemes) the physical position must also
+    lie in that closed interval.
+    """
     if scheme.kind == PERIODIC:
-        return w.contains(p)
-    return w.intervals.contains(p.star_quad()) and w.residues.contains(p.u)
+        return _residue_mask(w, coords[0])
+    if scheme.kind == FIBONACCI:
+        return _quad_mask(w, coords, region)
+    keep = _residue_mask(w.residues, coords[0])
+    keep[keep] = _quad_mask(w.intervals, coords[:, keep], region)
+    return keep
 
 
-def _enumerate_quad(window_iu: IntervalUnion, lo: float, hi: float,
-                    residues: ResidueSet | None, max_candidates: int):
-    """All (u, v) with u+v*tau in [lo, hi], u+v*tau' in window (and u mod N in S)."""
+def _quad_candidates(window_iu: IntervalUnion, lo: float, hi: float,
+                     max_candidates: int) -> np.ndarray:
+    """Columns (u, v) covering every u+v*tau in [lo, hi] with u+v*tau' in the window hull."""
     hull = window_iu.hull()
     if hull is None:
-        return []
+        return np.zeros((2, 0), dtype=np.int64)
     wlo_f, whi_f = float(hull[0]), float(hull[1])
 
     vmin = math.floor((lo - whi_f) / math.sqrt(5)) - 2
@@ -100,6 +220,9 @@ def _enumerate_quad(window_iu: IntervalUnion, lo: float, hi: float,
         raise ResourceError(
             f"enumeration would visit ~{int(est)} candidates (> {max_candidates}); "
             "shrink the region or raise max_candidates")
+    # |u| <= |u*| + |v| + 1 with u* in the window hull
+    if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
+        raise ParameterError("region or window too far from the origin for int64 coordinates")
     vs = np.arange(vmin, vmax + 1, dtype=np.int64)
     u_lo = np.ceil(wlo_f - vs * TAU_PRIME).astype(np.int64) - 1
     u_hi = np.floor(whi_f - vs * TAU_PRIME).astype(np.int64) + 1
@@ -109,74 +232,29 @@ def _enumerate_quad(window_iu: IntervalUnion, lo: float, hi: float,
         raise ResourceError(
             f"enumeration would visit {total} candidates (> {max_candidates}); "
             "shrink the region or raise max_candidates")
-    if total == 0:
-        return []
 
-    vflat = np.repeat(vs, counts)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     uflat = np.repeat(u_lo, counts) + (np.arange(total) - np.repeat(starts, counts))
-
-    star_f = uflat + vflat * TAU_PRIME
-    phys_f = uflat + vflat * TAU
-
-    g = FLOAT_GUARD
-    in_region_loose = (phys_f >= lo - g) & (phys_f <= hi + g)
-    in_region_strict = (phys_f >= lo + g) & (phys_f <= hi - g)
-    in_win_loose = np.zeros(total, dtype=bool)
-    in_win_strict = np.zeros(total, dtype=bool)
-    for a, b in window_iu.intervals:
-        af, bf = float(a), float(b)
-        in_win_loose |= (star_f >= af - g) & (star_f < bf + g)
-        in_win_strict |= (star_f >= af + g) & (star_f < bf - g)
-
-    if residues is not None:
-        rmask = np.isin(uflat % residues.modulus, np.array(residues.elems, dtype=np.int64))
-        in_region_loose &= rmask
-        in_region_strict &= rmask
-
-    sure = in_win_strict & in_region_strict
-    maybe = in_win_loose & in_region_loose & ~sure
-    keep = sure.copy()
-    if maybe.any():
-        lo_q, hi_q = QuadNum.coerce(Fraction(lo)), QuadNum.coerce(Fraction(hi))
-        for i in np.nonzero(maybe)[0]:
-            u, v = int(uflat[i]), int(vflat[i])
-            x = QuadNum(u, v)
-            if not (lo_q <= x <= hi_q):
-                continue
-            if window_iu.contains(QuadNum(u + v, -v)):
-                keep[i] = True
-
-    order = np.argsort(phys_f[keep], kind="stable")
-    uu, vv = uflat[keep][order], vflat[keep][order]
-    return [QuadLatticePoint(int(u), int(v)) for u, v in zip(uu, vv)]
+    return np.stack((uflat, np.repeat(vs, counts)))
 
 
 def generate(scheme: Scheme, w: Window, region: tuple[float, float],
              max_candidates: int = MAX_CANDIDATES) -> PointSet:
     """All lattice points with physical position in the closed region and star in w."""
-    lo, hi = float(region[0]), float(region[1])
-    if not lo < hi:
-        raise ParameterError(f"region [{lo}, {hi}] is empty")
+    lo, hi = _check_region(region)
     if not scheme.window_kind_ok(w):
         raise ParameterError(f"window incompatible with scheme {scheme.label()}")
 
     if scheme.kind == PERIODIC:
         if hi - lo > max_candidates:
             raise ResourceError(f"region holds ~{int(hi - lo)} integers (> {max_candidates})")
-        ns = np.arange(math.ceil(lo - FLOAT_GUARD), math.floor(hi + FLOAT_GUARD) + 1,
-                       dtype=np.int64)
-        ns = ns[(ns >= lo) & (ns <= hi)]
-        keep = np.isin(ns % scheme.modulus, np.array(w.elems, dtype=np.int64)) \
-            if w.elems else np.zeros(len(ns), dtype=bool)
-        pts = tuple(int(n) for n in ns[keep])
-        return PointSet(scheme, w, pts, (lo, hi))
-
-    if scheme.kind == FIBONACCI:
-        pts = _enumerate_quad(w, lo, hi, None, max_candidates)
+        cand = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)[None]
     else:
-        pts = _enumerate_quad(w.intervals, lo, hi, w.residues, max_candidates)
-    return PointSet(scheme, w, tuple(pts), (lo, hi))
+        iu = w if scheme.kind == FIBONACCI else w.intervals
+        cand = _quad_candidates(iu, lo, hi, max_candidates)
+    coords = cand[:, _in_window(scheme, w, cand, (lo, hi))]
+    order = np.argsort(_physical(coords), kind="stable")
+    return PointSet(scheme, w, coords[:, order], (lo, hi))
 
 
 def gap_sequence(ps: PointSet, absent_sites: bool = False, cyclic: bool = False):
@@ -191,15 +269,14 @@ def gap_sequence(ps: PointSet, absent_sites: bool = False, cyclic: bool = False)
     if absent_sites or cyclic:
         if ps.scheme.kind != PERIODIC:
             raise ParameterError("site-count/cyclic gap conventions need the periodic scheme")
-        pts = list(ps.points)
-        gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
+        ns = ps.coords[0]
+        gaps = np.diff(ns).tolist()
         if cyclic:
-            gaps.append(ps.scheme.modulus + pts[0] - pts[-1])
+            gaps.append(ps.scheme.modulus + int(ns[0]) - int(ns[-1]))
         if absent_sites:
             gaps = [g - 1 for g in gaps]
         return gaps
-    ph = ps.physical()
-    return list(np.diff(ph))
+    return list(np.diff(ps.physical()))
 
 
 def symmetric_difference_density(p: PointSet, q: PointSet) -> float:
@@ -209,20 +286,26 @@ def symmetric_difference_density(p: PointSet, q: PointSet) -> float:
     if p.scheme != q.scheme:
         raise ParameterError("scheme mismatch")
     lo, hi = p.region
-    return len(p.coord_set() ^ q.coord_set()) / (hi - lo)
+    common = int(p.contains(q.coords).sum())
+    return (len(p) + len(q) - 2 * common) / (hi - lo)
+
+
+def _restrict(ps: PointSet, region: tuple[float, float]) -> PointSet:
+    """The points of ``ps`` with physical position in the closed ``region``."""
+    lo, hi = region
+    ph = ps.physical()
+    inside = slice(np.searchsorted(ph, lo, "left"), np.searchsorted(ph, hi, "right"))
+    return PointSet(ps.scheme, ps.window, ps.coords[:, inside], region)
 
 
 def translate_pointset(ps: PointSet, t) -> PointSet:
     """The patch t + ps, restricted to ps.region; window is translated to match."""
     lo, hi = ps.region
-    st = star(ps.scheme, t)
-    new_window = window_translate(ps.window, st)
-    if ps.scheme.kind == PERIODIC:
-        pts = tuple(x + t for x in ps.points if lo <= x + t <= hi)
-    else:
-        shifted = (p + t for p in ps.points)
-        pts = tuple(p for p in shifted if lo <= p.phys <= hi)
-    return PointSet(ps.scheme, new_window, pts, ps.region)
+    new_window = window_translate(ps.window, star(ps.scheme, t))
+    [shift] = _lattice_coords(ps.scheme, [t])
+    tp = float(_physical(shift)[0])
+    moved = PointSet(ps.scheme, new_window, ps.coords + shift, (lo + tp, hi + tp))
+    return _restrict(moved, ps.region)
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +333,38 @@ def _atomic_write(path: str, text: str) -> None:
 
 def save_pointset(ps: PointSet, path: str) -> None:
     """Write the patch; the write is atomic (temp file + rename)."""
-    lines = [f"# modelsets pointset scheme={ps.scheme.label()} "
-             f"window={format_window(ps.window)} region=[{ps.region[0]!r},{ps.region[1]!r}]"]
-    if ps.scheme.kind == PERIODIC:
-        lines.extend(str(n) for n in ps.points)
-    else:
-        lines.extend(f"{p.u} {p.v}" for p in ps.points)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    header = (f"# modelsets pointset scheme={ps.scheme.label()} "
+              f"window={format_window(ps.window)} region=[{ps.region[0]!r},{ps.region[1]!r}]")
+    line = " ".join(["%d"] * len(ps.coords)) + "\n"
+    body = (line * len(ps)) % tuple(ps.coords.T.ravel().tolist())
+    _atomic_write(path, header + "\n" + body)
+
+
+def _bad_line(path: str, body: str, width: int) -> ParameterError:
+    """The error for the first malformed body line (line numbers count the header)."""
+    for lineno, line in enumerate(body.splitlines(), 2):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != width:
+            return ParameterError(f"{path}:{lineno}: expected {width} integer(s), "
+                                  f"got {len(fields)} fields")
+        for tok in fields:
+            try:
+                c = int(tok)
+            except ValueError:
+                return ParameterError(f"{path}:{lineno}: {tok!r} is not an integer")
+            if not -COORD_LIMIT < c < COORD_LIMIT:
+                return ParameterError(f"{path}:{lineno}: coordinate {tok} is not below "
+                                      "2^62 in magnitude")
+    return ParameterError(f"{path}: malformed point data")
 
 
 def load_pointset(path: str) -> PointSet:
     """Read a patch written by :func:`save_pointset`; validates stars exactly."""
     with open(path) as fh:
         header = fh.readline().strip()
-        body = [ln.strip() for ln in fh if ln.strip()]
+        body = fh.read()
     prefix = "# modelsets pointset "
     if not header.startswith(prefix):
         raise ParameterError(f"{path}: not a modelsets point-set file")
@@ -274,16 +375,25 @@ def load_pointset(path: str) -> PointSet:
     try:
         scheme = parse_scheme(fields["scheme"])
         window = parse_window(fields["window"])
-        reg = fields["region"]
-        lo, hi = reg.strip("[]").split(",")
+        lo, hi = fields["region"].strip("[]").split(",")
         region = (float(lo), float(hi))
     except KeyError as e:
         raise ParameterError(f"{path}: header missing {e}") from None
-    if scheme.kind == PERIODIC:
-        pts = tuple(int(ln) for ln in body)
-    else:
-        pairs = [ln.split() for ln in body]
-        pts = tuple(QuadLatticePoint(int(u), int(v)) for u, v in pairs)
-    ps = PointSet(scheme, window, pts, region)
-    ps.validate_stars()
+    except ValueError as e:
+        raise ParameterError(f"{path}: bad header: {e}") from None
+    width = 1 if scheme.kind == PERIODIC else 2
+    rows = np.zeros((0, width), dtype=np.int64)
+    if body.strip():
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            raise _bad_line(path, body, width) from None
+        if rows.shape[1] != width or not (rows.min() > -COORD_LIMIT
+                                          and rows.max() < COORD_LIMIT):
+            raise _bad_line(path, body, width)
+    try:
+        ps = PointSet(scheme, window, rows.T, region)
+        ps.validate_stars()
+    except ParameterError as e:
+        raise ParameterError(f"{path}: {e}") from None
     return ps

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
+from .errors import ParameterError, ResourceError, check_count, check_real
 from .pointsets import _atomic_write
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, IntervalUnion,
                       ProductWindow, QuadNum, QUAD_SQRT5, ResidueSet, Scheme,
@@ -242,8 +242,8 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     The bound on the internal frequency follows from
     |FT| <= n_intervals / (pi sqrt5 |kappa|).
     """
-    if kmax < 0:
-        raise ParameterError("kmax must be nonnegative")
+    check_real("kmax", kmax, 0)
+    check_real("min_intensity", min_intensity)
     if not scheme.window_kind_ok(w):
         raise ParameterError("window incompatible with scheme")
 
@@ -447,6 +447,8 @@ class DeckGrid:
 
 def sample_window(iu: IntervalUnion, M: int, l_half) -> np.ndarray:
     """Exact 0/1 sampling of the window on the grid -L + j*(2L/M)."""
+    check_count("grid size M", M)
+    check_real("half-length L", l_half, positive=True)
     L = Fraction(l_half)
     h = 2 * L / M
     f = np.zeros(M, dtype=np.int64)
@@ -463,6 +465,8 @@ def deck_functions(f: np.ndarray, M: int, l_half: float,
     Precondition: the support diameter must stay below l_half/2 so circular
     correlations agree with correlations on the line.
     """
+    check_count("grid size M", M)
+    check_real("half-length L", l_half, positive=True)
     f = np.asarray(f)
     if f.shape != (M,):
         raise ParameterError(f"indicator must have shape ({M},)")

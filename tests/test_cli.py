@@ -165,3 +165,28 @@ def test_alias_expansion():
     expanded = expand_window_literal("fib x A")
     assert expanded.startswith("[-1,1/tau)x{0,7,8,9,")
     assert expand_window_literal("[0,1)") == "[0,1)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "0", "inf"],
+    ["generate", "--scheme", "periodic:32", "--window", "A", "--region", "0", "inf"],
+    ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "nan", "1"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "inf"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "0"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "inf"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "nan"],
+    ["correlate", "--scheme", "periodic:32", "--window", "A", "--compare", "B",
+     "--tol", "nan"],
+    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "nan"],
+    ["diffract", "--scheme", "periodic:32", "--window", "A", "--kmax", "inf"],
+    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--min-intensity", "nan"],
+    ["reconstruct", "--window", "[0,1)", "--grid", "0"],
+    ["reconstruct", "--window", "[0,1)", "--halflength", "-8"],
+    ["reconstruct", "--window", "[0,1)", "--halflength", "inf"],
+], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))
+def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys):
+    code = run(*argv, "-o", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -44,6 +44,27 @@ def test_readme_examples_golden_bytes(tmp_path, monkeypatch):
     assert got == README_DIGESTS
 
 
+# patch-sized outputs: a 72,361-point file and empirical counts over R = 9e4
+PATCH_EXAMPLES = [
+    ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "-50000", "50000",
+     "-o", "fib.txt"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--order", "2", "--cutoff", "5",
+     "--empirical", "9e4", "-o", "emp.csv"],
+]
+PATCH_DIGESTS = {
+    "fib.txt": "2778b1c7aed0084ea9d1a07ee5c51f14d784b080e8467f77ae64c2cf65bfca9a",
+    "emp.csv": "7792db9276c740f05cde9b5e1b7f29aed647e93c5f36cfacfc40e872791baba9",
+}
+
+
+def test_patch_outputs_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in PATCH_EXAMPLES:
+        assert main(argv) == EXIT_OK, argv
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == PATCH_DIGESTS
+
+
 FIB = make_scheme("fibonacci")
 W = parse_window("[-1,1/tau)")
 P32 = parse_scheme("periodic:32")

@@ -1,5 +1,7 @@
 """Patch generation, gaps, densities, and the point-set file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -154,4 +156,37 @@ def test_load_rejects_corrupt_star(tmp_path):
     lines.append("3 0")  # physical 3, star 3: far outside the window
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParameterError):
+        load_pointset(str(path))
+
+
+def test_load_rejects_corrupt_star_in_guard_band(tmp_path):
+    # star(0, -1) = 1/tau is the open endpoint of the window: its float star
+    # equals the float endpoint, so only the exact fallback can reject it
+    ps = generate(FIB, FIB_WINDOW, (-5, 5))
+    path = tmp_path / "pts.txt"
+    save_pointset(ps, str(path))
+    header = path.read_text().splitlines()[0]
+    pts = sorted([(p.u, p.v) for p in ps.points] + [(0, -1)], key=lambda p: p[0] + p[1] * TAU)
+    path.write_text("\n".join([header] + [f"{u} {v}" for u, v in pts]) + "\n")
+    with pytest.raises(ParameterError, match="star outside the window"):
+        load_pointset(str(path))
+
+
+@pytest.mark.parametrize("scheme, window, line, why", [
+    (FIB, FIB_WINDOW, "1.5 0", "'1.5' is not an integer"),
+    (FIB, FIB_WINDOW, "x 0", "'x' is not an integer"),
+    (FIB, FIB_WINDOW, "3", "expected 2 integer(s), got 1 fields"),
+    (FIB, FIB_WINDOW, "1 2 3", "expected 2 integer(s), got 3 fields"),
+    (FIB, FIB_WINDOW, "99999999999999999999 0", "is not below 2^62"),  # beyond int64
+    (FIB, FIB_WINDOW, "4611686018427387904 0", "is not below 2^62"),   # 2^62
+    (make_scheme("periodic", 32), SET_A, "7 8", "expected 1 integer(s), got 2 fields"),
+], ids=["float", "word", "one-column", "three-columns", "beyond-int64", "2^62",
+        "periodic-two-columns"])
+def test_load_rejects_malformed_line(tmp_path, scheme, window, line, why):
+    path = tmp_path / "pts.txt"
+    save_pointset(generate(scheme, window, (0, 31)), str(path))
+    lines = path.read_text().splitlines()
+    lines.insert(2, line)  # after the header and the first point: line 3 of the file
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(why)):
         load_pointset(str(path))
