@@ -20,7 +20,7 @@ from . import homometry, reconstruct, spectra
 from .correlations import (_coord_text, correlation_measure, correlations_equal,
                            freq_empirical)
 from .errors import (DegenerateInputError, ParameterError, ReconstructionError,
-                     ResourceError)
+                     ResourceError, check_real)
 from .pointsets import _atomic_write, generate, save_pointset
 from .schemes import (PERIODIC, IntervalUnion, ResidueSet, _split_top, parse_scheme,
                       parse_window)
@@ -81,7 +81,7 @@ def cmd_correlate(args) -> int:
         return EXIT_OK if result.equal else EXIT_VERIFY
 
     if args.empirical is not None:
-        R = args.empirical
+        R = check_real("averaging radius R", args.empirical, positive=True)
         pad = args.cutoff * (args.order - 1) + 2
         ps = generate(scheme, window, (-R / 2 - pad, R / 2 + pad))
         lines = [",".join([f"diff{i + 1}" for i in range(args.order - 1)]

@@ -113,11 +113,22 @@ class PointSet:
         return (self.coords.take(i, axis=1) == coords).all(axis=0)
 
     def validate_stars(self) -> None:
-        """Exact check that every point's star lies in the window (used by loaders)."""
-        bad = np.nonzero(~_in_window(self.scheme, self.window, self.coords))[0]
-        if len(bad):
-            raise ParameterError(
-                f"point {tuple(self.coords[:, bad[0]].tolist())} has star outside the window")
+        """Exact check that every point lies in the region and its star in the window."""
+        bad = _first_misplaced(self)
+        if bad is not None:
+            raise ParameterError(bad[1])
+
+
+def _first_misplaced(ps: PointSet):
+    """(index, reason) of the first point outside the region or with star outside the window."""
+    bad = np.nonzero(~_in_window(ps.scheme, ps.window, ps.coords, ps.region))[0]
+    if not len(bad):
+        return None
+    i = int(bad[0])
+    col = ps.coords[:, i:i + 1]
+    where = ("has star outside the window" if not _in_window(ps.scheme, ps.window, col)[0]
+             else f"lies outside the region [{ps.region[0]!r}, {ps.region[1]!r}]")
+    return i, f"point {tuple(col[:, 0].tolist())} {where}"
 
 
 def _physical(coords: np.ndarray) -> np.ndarray:
@@ -193,11 +204,15 @@ def _residue_mask(rs: ResidueSet, n) -> np.ndarray:
 def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np.ndarray:
     """Exact mask: the star of each point (column of ``coords``) lies in ``w``.
 
-    With a ``region`` (golden-ratio schemes) the physical position must also
-    lie in that closed interval.
+    With a ``region`` the physical position must also lie in that closed
+    interval.
     """
     if scheme.kind == PERIODIC:
-        return _residue_mask(w, coords[0])
+        n = coords[0]
+        keep = _residue_mask(w, n)
+        if region is not None:
+            keep &= (n >= math.ceil(region[0])) & (n <= math.floor(region[1]))
+        return keep
     if scheme.kind == FIBONACCI:
         return _quad_mask(w, coords, region)
     keep = _residue_mask(w.residues, coords[0])
@@ -238,6 +253,20 @@ def _quad_candidates(window_iu: IntervalUnion, lo: float, hi: float,
     return np.stack((uflat, np.repeat(vs, counts)))
 
 
+def _check_float_positions(lo: float, hi: float, gap: float) -> None:
+    """Refuse a region where float positions can no longer tell neighbouring points apart.
+
+    ``gap`` is a lower bound on the distance between two points: 1 for
+    ``periodic:N``, and 1/w for a window of hull width w, since two points
+    differ by z in Z[tau] with |z*| < w and |z z*| >= 1.
+    """
+    spacing = float(np.spacing(max(-lo, hi)))
+    if spacing > gap:
+        raise ParameterError(
+            f"region [{lo}, {hi}] is too far out for float positions: their spacing "
+            f"there ({spacing:g}) exceeds the smallest gap between points ({gap:.3g})")
+
+
 def generate(scheme: Scheme, w: Window, region: tuple[float, float],
              max_candidates: int = MAX_CANDIDATES) -> PointSet:
     """All lattice points with physical position in the closed region and star in w."""
@@ -246,11 +275,15 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float],
         raise ParameterError(f"window incompatible with scheme {scheme.label()}")
 
     if scheme.kind == PERIODIC:
+        _check_float_positions(lo, hi, 1.0)
         if hi - lo > max_candidates:
             raise ResourceError(f"region holds ~{int(hi - lo)} integers (> {max_candidates})")
         cand = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)[None]
     else:
         iu = w if scheme.kind == FIBONACCI else w.intervals
+        if not iu.is_empty():
+            wlo, whi = iu.hull()
+            _check_float_positions(lo, hi, 1 / float(whi - wlo))
         cand = _quad_candidates(iu, lo, hi, max_candidates)
     coords = cand[:, _in_window(scheme, w, cand, (lo, hi))]
     order = np.argsort(_physical(coords), kind="stable")
@@ -361,7 +394,11 @@ def _bad_line(path: str, body: str, width: int) -> ParameterError:
 
 
 def load_pointset(path: str) -> PointSet:
-    """Read a patch written by :func:`save_pointset`; validates stars exactly."""
+    """Read a patch written by :func:`save_pointset`.
+
+    Checks exactly that every point lies in the header's region with its star
+    in the window; an error names the file line of the first point that does not.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         body = fh.read()
@@ -393,7 +430,11 @@ def load_pointset(path: str) -> PointSet:
             raise _bad_line(path, body, width)
     try:
         ps = PointSet(scheme, window, rows.T, region)
-        ps.validate_stars()
     except ParameterError as e:
         raise ParameterError(f"{path}: {e}") from None
+    bad = _first_misplaced(ps)
+    if bad is not None:
+        i, reason = bad
+        data_lines = [n for n, line in enumerate(body.splitlines(), 2) if line.split()]
+        raise ParameterError(f"{path}:{data_lines[i]}: {reason}")
     return ps

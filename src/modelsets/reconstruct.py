@@ -13,9 +13,10 @@ solver here constructs one solution:
 * phi(0) = 1, and the smallest usable frequency is seeded with phase 1
   (a pure gauge choice; without a seed nothing propagates, since every
   relation needs two already-known phases);
-* frequencies are assigned in order of increasing |k|, each from the known
-  decomposition maximizing the smallest modulus in the triple (divisions by
-  near-extinct values are avoided);
+* frequencies are swept in order of increasing |k|, and the sweep repeats
+  until it assigns nothing new; each frequency is assigned once, from the
+  known decomposition k1 + k2 maximizing the smallest modulus of the pair
+  (divisions by near-extinct values are avoided), the first such k1 on ties;
 * each assignment tracks an integer grading (net seed usage), and at the end
   a single holonomy measurement rescales the seed so the solution becomes
   phi_true * (exact grid character).  After that the functional equation
@@ -24,6 +25,11 @@ solver here constructs one solution:
 
 Frequencies with no admissible decomposition stay unknown and are counted;
 a partial result is legitimate output.
+
+The M x M work (psi2 and the gauge measurement) runs in row blocks that read
+X[(k1 + k2) % M] as a sliding window over the doubled vector, so no M x M
+index grid is built.  The recovered grid is aligned with the input by one FFT
+cross-correlation.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ReconstructionError
-from .spectra import DeckGrid
+from .spectra import DeckGrid, row_blocks, wrapped_rows
 
 #: default extinction threshold, as a fraction of the largest |F|
 EPS_ZERO_FACTOR = 1e-4
@@ -89,11 +95,13 @@ def phase_quotient(deck: DeckGrid, eps_zero: float | None = None) -> PhaseQuotie
     if np.count_nonzero(D) <= 1:
         raise DegenerateInputError("no usable frequencies beyond k = 0")
     M = deck.M
-    idx = (np.arange(M)[:, None] + np.arange(M)[None, :]) % M
-    mask = D[:, None] & D[None, :] & D[idx]
-    denom = absF[:, None] * absF[None, :] * absF[idx]
+    Dsum, Asum = wrapped_rows(D), wrapped_rows(absF)
+    mask = np.empty((M, M), dtype=bool)
     values = np.zeros((M, M), dtype=complex)
-    values[mask] = deck.I2hat[mask] / denom[mask]
+    for r in row_blocks(M, M):
+        np.logical_and(D[r, None] & D[None, :], Dsum[r], out=mask[r])
+        denom = absF[r, None] * absF[None, :] * Asum[r]
+        np.divide(deck.I2hat[r], denom, out=values[r], where=mask[r])
     return PhaseQuotient(M, deck.l_half, absF, values, mask, float(eps_zero))
 
 
@@ -101,15 +109,21 @@ def _order_by_abs_k(M: int) -> np.ndarray:
     """Frequency indices sorted by (|signed index|, -signed index): 0, 1, -1, 2, ..."""
     m = np.arange(M)
     s = np.where(m <= M // 2, m, m - M)
-    return np.array(sorted(m, key=lambda i: (abs(int(s[i])), -int(s[i]))))
+    return np.lexsort((-s, np.abs(s)))
+
+
+def _wrapped_reversed(v: np.ndarray) -> np.ndarray:
+    """Array R with R[M - 1 - m + j] = v[(m - j) % M]: slice m of it lines up v[m - j] with j."""
+    return np.concatenate((v, v))[::-1].copy()
 
 
 def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient,
                     eps_zero: float | None = None) -> PhaseField:
     """Solve the phase functional equation by ordered assignment.
 
-    Deterministic: fixed processing order (increasing |k|), fixed tie-breaks.
-    Returns a partial field when some frequencies admit no decomposition.
+    Deterministic: sweeps in a fixed order (increasing |k|) until a sweep
+    assigns nothing, with fixed tie-breaks.  Returns a partial field when
+    some frequencies admit no decomposition.
     """
     M = psi2.M
     if eps_zero is None:
@@ -121,37 +135,44 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient,
     phi = np.zeros(M, dtype=complex)
     known = np.zeros(M, dtype=bool)
     grading = np.zeros(M, dtype=np.int64)
-    phi[0] = 1.0
-    known[0] = True
-
     order = _order_by_abs_k(M)
     seed = next((int(m) for m in order if m != 0 and D[m]), None)
-    if seed is not None:
-        phi[seed] = 1.0
-        known[seed] = True
-        grading[seed] = 1
+    # psi2.mask[k1, k2] = Dq[k1] & Dq[k2] & Dq[k1 + k2] with Dq = psi2.D, so
+    # for m in Dq the split m = j + (m - j) is admissible iff j and m - j are
+    # both in Dq; ``usable`` marks the known frequencies in Dq
+    Dq = psi2.D
+    usable = np.zeros(M, dtype=bool)
+    usable_rev = _wrapped_reversed(usable)
+    absF_rev = _wrapped_reversed(absF)
 
-    all_m1 = np.arange(M)
+    def assign(m: int, value: complex, grade: int) -> None:
+        phi[m] = value
+        known[m] = True
+        grading[m] = grade
+        if Dq[m]:
+            usable[m] = True
+            usable_rev[M - 1 - m] = usable_rev[2 * M - 1 - m] = True
+
+    assign(0, 1.0, 0)
+    if seed is not None:
+        assign(seed, 1.0, 1)
+
     changed = True
     while changed:
         changed = False
         for m in order:
             m = int(m)
-            if known[m] or not D[m]:
+            if known[m] or not D[m] or not Dq[m]:
                 continue
-            m2 = (m - all_m1) % M
-            ok = known & known[m2] & psi2.mask[all_m1, m2]
+            s = M - 1 - m
+            ok = usable & usable_rev[s:s + M]
             if not ok.any():
                 continue
-            cand = all_m1[ok]
-            score = np.minimum(absF[cand], absF[m2[cand]])
-            j = int(np.argmax(score))  # first maximizer: deterministic tie-break
-            m1 = int(cand[j])
-            mm2 = int(m2[m1])
-            phi[m] = phi[m1] * phi[mm2] * psi2.values[m1, mm2]
-            phi[m] /= abs(phi[m])
-            grading[m] = grading[m1] + grading[mm2]
-            known[m] = True
+            score = np.where(ok, np.minimum(absF, absF_rev[s:s + M]), -np.inf)
+            m1 = int(np.argmax(score))  # first maximizer: deterministic tie-break
+            mm2 = (m - m1) % M
+            value = phi[m1] * phi[mm2] * psi2.values[m1, mm2]
+            assign(m, value / abs(value), grading[m1] + grading[mm2])
             changed = True
 
     phi = _normalize_gauge(phi, known, grading, absF, psi2)
@@ -163,30 +184,34 @@ def _normalize_gauge(phi, known, grading, absF, psi2: PhaseQuotient):
 
     Relations whose gradings do not add up expose the holonomy w^dc of the
     seed value w around the frequency circle; dc is always a multiple of the
-    grid order along reachable relations.  One measurement fixes it.
+    grid order along reachable relations.  One measurement fixes it: the
+    relation with the smallest nonzero |dc|, then the best-conditioned one,
+    then the first in row-major order over (k1, k2).
     """
     M = len(phi)
-    kd = np.nonzero(known)[0]
-    if len(kd) < 2:
+    if np.count_nonzero(known) < 2:
         return phi
-    g = grading[kd]
-    sums = (kd[:, None] + kd[None, :]) % M
-    valid = known[sums] & psi2.mask[kd[:, None], kd[None, :]]
-    dc = g[:, None] + g[None, :] - grading[sums]
-    valid &= dc != 0
-    if not valid.any():
+    known_sum, grading_sum, absF_sum = (wrapped_rows(v) for v in (known, grading, absF))
+    best = None   # (|dc|, score, m1, m2, dc)
+    for r in row_blocks(M, M):
+        valid = known[r, None] & known[None, :] & known_sum[r] & psi2.mask[r]
+        dc = grading[r, None] + grading[None, :] - grading_sum[r]
+        valid &= dc != 0
+        if not valid.any():
+            continue
+        absdc = np.where(valid, np.abs(dc), np.iinfo(np.int64).max)
+        block_abs = absdc.min()
+        if best is not None and block_abs > best[0]:
+            continue
+        score = np.minimum(np.minimum(absF[r, None], absF[None, :]), absF_sum[r])
+        score = np.where(absdc == block_abs, score, -1.0)
+        i, m2 = np.unravel_index(int(np.argmax(score)), score.shape)
+        if best is None or block_abs < best[0] or score[i, m2] > best[1]:
+            best = (block_abs, score[i, m2], r.start + int(i), int(m2), int(dc[i, m2]))
+    if best is None:
         return phi
-    score = np.minimum(np.minimum(absF[kd][:, None], absF[kd][None, :]), absF[sums])
-    score = np.where(valid, score, -1.0)
-    # smallest |dc| first, then the best-conditioned relation
-    absdc = np.where(valid, np.abs(dc), np.iinfo(np.int64).max)
-    best_abs = absdc.min()
-    cand = absdc == best_abs
-    score = np.where(cand, score, -1.0)
-    i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-    m1, m2 = int(kd[i]), int(kd[j])
+    _, _, m1, m2, delta = best
     m = (m1 + m2) % M
-    delta = int(dc[i, j])
     defect = phi[m1] * phi[m2] * psi2.values[m1, m2] / phi[m]
     # defect = w^delta with w^M a root of unity to be absorbed; principal root
     eta = np.exp(-1j * np.angle(defect) / delta)
@@ -229,21 +254,24 @@ def uncertain_cells(raw: np.ndarray) -> int:
 
 
 def align_up_to_translation(f: np.ndarray, g: np.ndarray) -> tuple[int, float]:
-    """Circular shift of g minimizing the cell mismatch against f.
+    """Circular shift of g minimizing the cell mismatch against f (0/1 grids).
 
-    Returns (shift, mismatch fraction); the smallest optimal shift wins.
+    The overlap of f with every shift of g comes from one FFT circular
+    cross-correlation, rounded to integer counts.  Returns (shift, mismatch
+    fraction); the smallest optimal shift wins.
     """
-    f = np.asarray(f).astype(np.int64)
-    g = np.asarray(g).astype(np.int64)
-    if f.shape != g.shape:
-        raise ParameterError("grids must have equal size")
+    f, g = np.asarray(f), np.asarray(g)
+    if f.shape != g.shape or f.ndim != 1 or len(f) == 0:
+        raise ParameterError("grids must be nonempty, one-dimensional and of equal size")
+    if not (np.isin(f, (0, 1)).all() and np.isin(g, (0, 1)).all()):
+        raise ParameterError("grids must be 0/1 valued")
     M = len(f)
-    best_shift, best_mis = 0, M + 1
-    for s in range(M):
-        mis = int(np.count_nonzero(f != np.roll(g, s)))
-        if mis < best_mis:
-            best_shift, best_mis = s, mis
-    return best_shift, best_mis / M
+    fb, gb = f.astype(float), g.astype(float)
+    # overlap[s] = sum_t f[t] g[t - s] = cells where f and roll(g, s) are both 1
+    overlap = np.rint(np.fft.irfft(np.fft.rfft(fb) * np.conj(np.fft.rfft(gb)), n=M))
+    mismatch = fb.sum() + gb.sum() - 2 * overlap
+    shift = int(np.argmin(mismatch))
+    return shift, int(mismatch[shift]) / M
 
 
 @dataclass(frozen=True)
@@ -280,6 +308,6 @@ def roundtrip(f: np.ndarray, M: int, l_half: float,
     phase = propagate_phase(psi2.absF, psi2)
     raw = _raw_reconstruction(psi2.absF, phase)
     recovered = (raw >= 0.5).astype(np.int64)
-    shift, mismatch = align_up_to_translation(np.asarray(f).astype(np.int64), recovered)
+    shift, mismatch = align_up_to_translation(f, recovered)
     return ReconstructionReport(M, float(l_half), psi2.eps_zero, phase.unknown_count,
                                 shift, mismatch, uncertain_cells(raw), recovered)

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ResourceError, check_count, check_real
 from .pointsets import _atomic_write
@@ -446,15 +448,24 @@ class DeckGrid:
 
 
 def sample_window(iu: IntervalUnion, M: int, l_half) -> np.ndarray:
-    """Exact 0/1 sampling of the window on the grid -L + j*(2L/M)."""
+    """Exact 0/1 sampling of the window on the grid -L + j*(2L/M).
+
+    Each half-open interval [a, b) covers the cells from the first grid point
+    >= a up to the first grid point >= b; both are found by bisection with
+    exact Q(tau) comparisons.
+    """
     check_count("grid size M", M)
     check_real("half-length L", l_half, positive=True)
     L = Fraction(l_half)
     h = 2 * L / M
+    cells = range(M)
+
+    def x(j: int) -> QuadNum:
+        return QuadNum(-L + j * h, 0)
+
     f = np.zeros(M, dtype=np.int64)
-    for j in range(M):
-        if iu.contains(QuadNum(-L + j * h, 0)):
-            f[j] = 1
+    for a, b in iu.intervals:
+        f[bisect_left(cells, a, key=x):bisect_left(cells, b, key=x)] = 1
     return f
 
 
@@ -491,34 +502,63 @@ def deck_functions(f: np.ndarray, M: int, l_half: float,
 
     fb = f.astype(float)
     Ff = np.fft.fft(fb)
-    cFf = np.conj(Ff)
-    n1 = np.rint(np.fft.ifft(Ff * cFf).real).astype(np.int64)
-    n2 = np.empty((M, M), dtype=np.int64)
-    for j1 in range(M):
-        g = fb * np.roll(fb, j1)
-        n2[j1] = np.rint(np.fft.ifft(np.fft.fft(g) * cFf).real)
+    n1 = np.rint(np.fft.ifft(Ff * np.conj(Ff)).real).astype(np.int64)
+    # I2 row j1 counts f * roll(f, j1) correlated with f; that product
+    # vanishes unless the shift j1 keeps an overlap, i.e. n1[j1] > 0
+    rows = np.nonzero(n1)[0]
+    shifted = sliding_window_view(np.concatenate((fb, fb)), M)   # [i] = roll(fb, M - i)
+    cRf = np.conj(np.fft.rfft(fb))
+    I2 = np.zeros((M, M))
+    I2hat = np.zeros((M, M), dtype=complex)
+    for block in row_blocks(len(rows), M):
+        r = rows[block]
+        g = fb * shifted[M - r]
+        counts = np.rint(np.fft.irfft(np.fft.rfft(g, axis=1) * cRf, n=M, axis=1))
+        I2[r] = h * counts.astype(np.int64)
+        # the 2-D transform of I2 axis by axis, as fft2 does: rows first
+        I2hat[r] = np.fft.fft(I2[r], axis=1)
+    I2hat = np.fft.fft(I2hat, axis=0, out=I2hat)
+    I2hat *= h * h
     I1 = h * n1
-    I2 = h * n2
     F = h * Ff
     I1hat = h * np.fft.fft(I1)
-    I2hat = h * h * np.fft.fft2(I2)
 
     deck = DeckGrid(M, float(l_half), f.astype(np.int64), I1, I2, F, I1hat, I2hat)
     _verify_deck(deck)
     return deck
 
 
+#: cells per row block in the M x M deck and phase computations
+BLOCK_CELLS = 1 << 15
+
+
+def row_blocks(n: int, width: int):
+    """Slices cutting range(n) into blocks of about BLOCK_CELLS / width rows."""
+    step = max(1, BLOCK_CELLS // width)
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
+
+
+def wrapped_rows(v: np.ndarray) -> np.ndarray:
+    """Read-only view W with W[k1, k2] = v[(k1 + k2) % M] for k1, k2 < M."""
+    return sliding_window_view(np.concatenate((v, v)), len(v))
+
+
 def _verify_deck(deck: DeckGrid) -> None:
+    """Full-grid check I2hat[k1, k2] = conj(F[k1]) conj(F[k2]) F[k1 + k2] to 1e-8."""
     M = deck.M
     n1 = np.rint(deck.I1 / deck.cell).astype(np.int64)
     if not np.array_equal(n1, n1[(-np.arange(M)) % M]):
         raise AssertionError("I1 lost its reflection symmetry")
     if deck.I1hat.real.min() < -1e-10 * max(1.0, deck.I1hat.real.max()):
         raise AssertionError("I1hat is significantly negative")
-    idx = (np.arange(M)[:, None] + np.arange(M)[None, :]) % M
-    pred = np.conj(deck.F)[:, None] * np.conj(deck.F)[None, :] * deck.F[idx]
-    scale = np.abs(deck.I2hat).max()
-    if scale > 0 and np.abs(deck.I2hat - pred).max() > 1e-8 * scale:
+    cF = np.conj(deck.F)
+    Fsum = wrapped_rows(deck.F)
+    scale = err = 0.0
+    for r in row_blocks(M, M):
+        I2hat = deck.I2hat[r]
+        scale = max(scale, np.abs(I2hat).max())
+        err = max(err, np.abs(I2hat - cF[r, None] * cF[None, :] * Fsum[r]).max())
+    if scale > 0 and err > 1e-8 * scale:
         raise AssertionError("I2hat does not factor through the indicator transform")
 
 

@@ -171,8 +171,10 @@ def test_alias_expansion():
     ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "0", "inf"],
     ["generate", "--scheme", "periodic:32", "--window", "A", "--region", "0", "inf"],
     ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "nan", "1"],
+    ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "6e15", "6.0000000001e15"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "inf"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "0"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "nan"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "inf"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "nan"],
     ["correlate", "--scheme", "periodic:32", "--window", "A", "--compare", "B",
@@ -190,3 +192,5 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if "--empirical" in argv:
+        assert "averaging radius R" in err

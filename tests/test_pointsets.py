@@ -172,6 +172,45 @@ def test_load_rejects_corrupt_star_in_guard_band(tmp_path):
         load_pointset(str(path))
 
 
+@pytest.mark.parametrize("scheme, window", [(FIB, FIB_WINDOW), (make_scheme("periodic", 32), SET_A)],
+                         ids=["fibonacci", "periodic"])
+def test_load_rejects_points_outside_header_region(tmp_path, scheme, window):
+    # a [-50, 50] patch relabelled [-5, 5]: its first point (line 2) lies outside
+    path = tmp_path / "pts.txt"
+    save_pointset(generate(scheme, window, (-50, 50)), str(path))
+    path.write_text(path.read_text().replace("region=[-50.0,50.0]", "region=[-5.0,5.0]"))
+    with pytest.raises(ParameterError, match=re.escape(f"{path}:2: point (")
+                       + r".*\) lies outside the region \[-5\.0, 5\.0\]"):
+        load_pointset(str(path))
+
+
+def test_load_names_the_line_of_a_star_outside_the_window(tmp_path):
+    ps = generate(FIB, FIB_WINDOW, (-5, 5))
+    path = tmp_path / "pts.txt"
+    save_pointset(ps, str(path))
+    lines = path.read_text().splitlines()
+    lines.append("")
+    lines.append("5 0")  # physical 5, star 5; the blank line before it is skipped
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match=re.escape(
+            f"{path}:{len(lines)}: point (5, 0) has star outside the window")):
+        load_pointset(str(path))
+
+
+def test_generate_refuses_regions_beyond_float_resolution():
+    # beyond 2^52 neighbouring float positions are 1 apart, more than the 1/tau
+    # lower bound on the gap between points of [-1, 1/tau)
+    for region in [(6e15, 6e15 + 100), (-6e15 - 100, -6e15)]:
+        with pytest.raises(ParameterError, match="too far out for float positions"):
+            generate(FIB, FIB_WINDOW, region)
+    ps = generate(FIB, FIB_WINDOW, (3e15, 3e15 + 100))
+    assert len(ps) > 50 and np.all(np.diff(ps.physical()) > 0)
+    # integers stay exact floats up to 2^53
+    assert len(generate(make_scheme("periodic", 32), SET_A, (6e15, 6e15 + 63))) == 32
+    with pytest.raises(ParameterError, match="too far out for float positions"):
+        generate(make_scheme("periodic", 32), SET_A, (1e16, 1e16 + 64))
+
+
 @pytest.mark.parametrize("scheme, window, line, why", [
     (FIB, FIB_WINDOW, "1.5 0", "'1.5' is not an integer"),
     (FIB, FIB_WINDOW, "x 0", "'x' is not an integer"),
