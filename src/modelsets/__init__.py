@@ -8,11 +8,10 @@ problem), and the exact homometric counterexamples over Z/32Z.
 
 from .errors import (DegenerateInputError, ParameterError, ReconstructionError,
                      ResourceError)
-from .schemes import (COMBINED, FIBONACCI, PERIODIC, IntervalUnion, ProductPoint,
-                      ProductWindow, QuadLatticePoint, QuadNum, RealPoint,
-                      ResiduePoint, ResidueSet, Scheme, format_window, make_scheme,
-                      parse_scheme, parse_window, star, window_intersect,
-                      window_measure, window_translate, window_union)
+from .schemes import (COMBINED, FIBONACCI, PERIODIC, IntervalUnion, ProductWindow,
+                      QuadLatticePoint, QuadNum, ResidueSet, Scheme, format_window,
+                      make_scheme, parse_scheme, parse_window, star, window_intersect,
+                      window_measure)
 from .pointsets import (PointSet, gap_sequence, generate, load_pointset,
                         save_pointset, symmetric_difference_density,
                         translate_pointset)

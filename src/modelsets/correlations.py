@@ -21,7 +21,7 @@ from .pointsets import (PointSet, _atomic_write, _lattice_coords, _restrict, gen
                         symmetric_difference_density, translate_pointset)
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, TAU, TAU_PRIME,
                       QuadLatticePoint, Scheme, Window, star, window_intersect,
-                      window_measure, window_translate)
+                      window_measure)
 
 
 def canonical_pattern(scheme: Scheme, points: Iterable) -> tuple:
@@ -49,7 +49,7 @@ def freq_exact(scheme: Scheme, w: Window, pattern: Sequence) -> float:
     pat = canonical_pattern(scheme, pattern)
     cut = w
     for x in pat:
-        cut = window_intersect(cut, window_translate(w, -star(scheme, x)))
+        cut = window_intersect(cut, w.translate(star(scheme, -x)))
     return window_measure(scheme, cut)
 
 
@@ -173,8 +173,11 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     return out
 
 
-def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float,
-                        max_entries: int = 2_000_000) -> CorrelationMeasure:
+#: budget on the ordered difference tuples one correlation measure may enumerate
+MAX_ENTRIES = 2_000_000
+
+
+def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) -> CorrelationMeasure:
     """All difference tuples within the cutoff carrying positive frequency.
 
     Keys are the ordered tuples of ``support_differences``; a frequency only
@@ -187,10 +190,10 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float,
     check_real("cutoff", cutoff, 0)
     base = support_differences(scheme, w, cutoff)
     n = order - 1
-    if len(base) ** n > max_entries:
+    if len(base) ** n > MAX_ENTRIES:
         raise ResourceError(
-            f"{len(base)}^{n} candidate tuples exceed the budget of {max_entries}; "
-            "reduce the cutoff or raise max_entries")
+            f"{len(base)}^{n} candidate tuples exceed the budget of {MAX_ENTRIES}; "
+            "reduce the cutoff")
     freqs = {}
     entries = {}
     for tup in product(base, repeat=n):

@@ -30,8 +30,7 @@ import numpy as np
 from .errors import ParameterError, ResourceError, check_real
 from .schemes import (FLOAT_GUARD, TAU, TAU_PRIME, FIBONACCI, PERIODIC,
                       IntervalUnion, QuadLatticePoint, QuadNum, ResidueSet, Scheme,
-                      Window, format_window, parse_scheme, parse_window, star,
-                      window_translate)
+                      Window, format_window, parse_scheme, parse_window, star)
 
 LatticeCoord = Union[QuadLatticePoint, int]
 
@@ -111,12 +110,6 @@ class PointSet:
             return np.zeros(coords.shape[1], dtype=bool)
         i = np.minimum(np.searchsorted(self._phys, _physical(coords)), len(self) - 1)
         return (self.coords.take(i, axis=1) == coords).all(axis=0)
-
-    def validate_stars(self) -> None:
-        """Exact check that every point lies in the region and its star in the window."""
-        bad = _first_misplaced(self)
-        if bad is not None:
-            raise ParameterError(bad[1])
 
 
 def _first_misplaced(ps: PointSet):
@@ -334,7 +327,7 @@ def _restrict(ps: PointSet, region: tuple[float, float]) -> PointSet:
 def translate_pointset(ps: PointSet, t) -> PointSet:
     """The patch t + ps, restricted to ps.region; window is translated to match."""
     lo, hi = ps.region
-    new_window = window_translate(ps.window, star(ps.scheme, t))
+    new_window = ps.window.translate(star(ps.scheme, t))
     [shift] = _lattice_coords(ps.scheme, [t])
     tp = float(_physical(shift)[0])
     moved = PointSet(ps.scheme, new_window, ps.coords + shift, (lo + tp, hi + tp))
@@ -428,13 +421,21 @@ def load_pointset(path: str) -> PointSet:
         if rows.shape[1] != width or not (rows.min() > -COORD_LIMIT
                                           and rows.max() < COORD_LIMIT):
             raise _bad_line(path, body, width)
+
+    def at_point(i: int, reason: str) -> ParameterError:
+        data_lines = [n for n, line in enumerate(body.splitlines(), 2) if line.split()]
+        return ParameterError(f"{path}:{data_lines[i]}: {reason}")
+
     try:
         ps = PointSet(scheme, window, rows.T, region)
     except ParameterError as e:
+        late = np.nonzero(np.diff(_physical(rows.T)) <= 0)[0]
+        if len(late):
+            i = int(late[0]) + 1
+            raise at_point(i, f"point {tuple(rows[i].tolist())} is out of order: "
+                              "physical positions must be strictly increasing") from None
         raise ParameterError(f"{path}: {e}") from None
     bad = _first_misplaced(ps)
     if bad is not None:
-        i, reason = bad
-        data_lines = [n for n, line in enumerate(body.splitlines(), 2) if line.split()]
-        raise ParameterError(f"{path}:{data_lines[i]}: {reason}")
+        raise at_point(*bad)
     return ps

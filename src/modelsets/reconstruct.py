@@ -48,6 +48,9 @@ EPS_ZERO_FACTOR = 1e-4
 #: rounding band counted as "uncertain" cells in reports
 UNCERTAIN_BAND = (0.35, 0.65)
 
+#: share of the usable frequencies that must carry a phase before inverting
+MIN_KNOWN_FRAC = 0.9
+
 
 @dataclass(frozen=True)
 class PhaseQuotient:
@@ -117,18 +120,16 @@ def _wrapped_reversed(v: np.ndarray) -> np.ndarray:
     return np.concatenate((v, v))[::-1].copy()
 
 
-def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient,
-                    eps_zero: float | None = None) -> PhaseField:
+def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
     """Solve the phase functional equation by ordered assignment.
 
     Deterministic: sweeps in a fixed order (increasing |k|) until a sweep
     assigns nothing, with fixed tie-breaks.  Returns a partial field when
-    some frequencies admit no decomposition.
+    some frequencies admit no decomposition.  The usable frequencies are
+    ``psi2.D``; ``absF`` ranks the candidate decompositions.
     """
     M = psi2.M
-    if eps_zero is None:
-        eps_zero = psi2.eps_zero
-    D = absF >= eps_zero
+    D = psi2.D
     if not D[0]:
         raise DegenerateInputError("the zero frequency is below eps_zero")
 
@@ -137,10 +138,9 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient,
     grading = np.zeros(M, dtype=np.int64)
     order = _order_by_abs_k(M)
     seed = next((int(m) for m in order if m != 0 and D[m]), None)
-    # psi2.mask[k1, k2] = Dq[k1] & Dq[k2] & Dq[k1 + k2] with Dq = psi2.D, so
-    # for m in Dq the split m = j + (m - j) is admissible iff j and m - j are
-    # both in Dq; ``usable`` marks the known frequencies in Dq
-    Dq = psi2.D
+    # psi2.mask[k1, k2] = D[k1] & D[k2] & D[k1 + k2], so for m in D the split
+    # m = j + (m - j) is admissible iff j and m - j are both in D; ``usable``
+    # marks the known frequencies in D
     usable = np.zeros(M, dtype=bool)
     usable_rev = _wrapped_reversed(usable)
     absF_rev = _wrapped_reversed(absF)
@@ -149,7 +149,7 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient,
         phi[m] = value
         known[m] = True
         grading[m] = grade
-        if Dq[m]:
+        if D[m]:
             usable[m] = True
             usable_rev[M - 1 - m] = usable_rev[2 * M - 1 - m] = True
 
@@ -162,7 +162,7 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient,
         changed = False
         for m in order:
             m = int(m)
-            if known[m] or not D[m] or not Dq[m]:
+            if known[m] or not D[m]:
                 continue
             s = M - 1 - m
             ok = usable & usable_rev[s:s + M]
@@ -176,7 +176,7 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient,
             changed = True
 
     phi = _normalize_gauge(phi, known, grading, absF, psi2)
-    return PhaseField(M, psi2.l_half, phi, known, float(eps_zero), grading)
+    return PhaseField(M, psi2.l_half, phi, known, psi2.eps_zero, grading)
 
 
 def _normalize_gauge(phi, known, grading, absF, psi2: PhaseQuotient):
@@ -221,31 +221,26 @@ def _normalize_gauge(phi, known, grading, absF, psi2: PhaseQuotient):
     return out
 
 
-def reconstruct_window(absF: np.ndarray, phase: PhaseField,
-                       min_known_frac: float = 0.9) -> np.ndarray:
+def reconstruct_window(absF: np.ndarray, phase: PhaseField) -> np.ndarray:
     """Inverse transform of |F| * phi, thresholded at 1/2 into a 0/1 grid.
 
     Unknown frequencies are zero-filled.  Requires the phase to be known on at
-    least ``min_known_frac`` of the usable frequencies D.
+    least ``MIN_KNOWN_FRAC`` of the usable frequencies D.
     """
-    raw = _raw_reconstruction(absF, phase, min_known_frac)
-    return (raw >= 0.5).astype(np.int64)
+    return (_raw_reconstruction(absF, phase) >= 0.5).astype(np.int64)
 
 
-def _raw_reconstruction(absF: np.ndarray, phase: PhaseField,
-                        min_known_frac: float = 0.9) -> np.ndarray:
+def _raw_reconstruction(absF: np.ndarray, phase: PhaseField) -> np.ndarray:
     D = absF >= phase.eps_zero
     nD = int(np.count_nonzero(D))
     covered = int(np.count_nonzero(phase.known & D))
-    if nD and covered < min_known_frac * nD:
-        h = 2 * phase.l_half / phase.M
-        partial = np.fft.ifft(np.where(phase.known, absF * phase.phi, 0)).real / h
+    h = 2 * phase.l_half / phase.M
+    raw = np.fft.ifft(np.where(phase.known, absF * phase.phi, 0)).real / h
+    if nD and covered < MIN_KNOWN_FRAC * nD:
         raise ReconstructionError(
             f"phase known on {covered}/{nD} usable frequencies "
-            f"(< {min_known_frac:.0%})", partial=partial)
-    h = 2 * phase.l_half / phase.M
-    F_rec = np.where(phase.known, absF * phase.phi, 0)
-    return np.fft.ifft(F_rec).real / h
+            f"(< {MIN_KNOWN_FRAC:.0%})", partial=raw)
+    return raw
 
 
 def uncertain_cells(raw: np.ndarray) -> int:
@@ -299,12 +294,11 @@ class ReconstructionReport:
         }, indent=2, sort_keys=True)
 
 
-def roundtrip(f: np.ndarray, M: int, l_half: float,
-              eps_zero: float | None = None) -> ReconstructionReport:
+def roundtrip(f: np.ndarray, M: int, l_half: float) -> ReconstructionReport:
     """Compute deck data from an indicator, forget it, reconstruct, align, report."""
     from .spectra import deck_functions
     deck = deck_functions(f, M, l_half)
-    psi2 = phase_quotient(deck, eps_zero)
+    psi2 = phase_quotient(deck)
     phase = propagate_phase(psi2.absF, psi2)
     raw = _raw_reconstruction(psi2.absF, phase)
     recovered = (raw >= 0.5).astype(np.int64)

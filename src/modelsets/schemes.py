@@ -9,8 +9,13 @@ Three schemes are supported:
 * ``combined:N`` -- internal space R x Z/NZ, star map x -> (x', u mod N),
   internal measure = (Lebesgue/sqrt5) x (counting/N).
 
-With these normalizations the density of a model set equals the internal
+With these measures the density of a model set equals the internal
 measure of its window, with no prefactor.
+
+Each window class (``IntervalUnion``, ``ResidueSet``, ``ProductWindow``)
+implements its own ``translate``, ``intersect`` and ``union``; :func:`star`
+returns the plain coordinate that ``translate`` takes (a QuadNum, an int mod
+N, or the pair of both).
 
 Interval endpoints are kept exact in the quadratic field Q(tau); membership
 tests and interval arithmetic never round.  Floating-point inputs are
@@ -176,7 +181,6 @@ class QuadNum:
 
 
 QUAD_TAU = QuadNum(0, 1)
-QUAD_SQRT5 = QuadNum(-1, 2)  # 2*tau - 1 = sqrt5
 
 
 @dataclass(frozen=True, order=True)
@@ -205,65 +209,6 @@ class QuadLatticePoint:
     def star_quad(self) -> QuadNum:
         """Conjugate u + v*tau' as an exact QuadNum."""
         return QuadNum(self.u + self.v, -self.v)
-
-
-# ---------------------------------------------------------------------------
-# internal points
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RealPoint:
-    y: QuadNum
-
-    def __neg__(self):
-        return RealPoint(-self.y)
-
-    def __add__(self, other: "RealPoint"):
-        return RealPoint(self.y + other.y)
-
-    @property
-    def value(self) -> float:
-        return float(self.y)
-
-
-@dataclass(frozen=True)
-class ResiduePoint:
-    r: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ParameterError("modulus must be positive")
-        object.__setattr__(self, "r", self.r % self.modulus)
-
-    def __neg__(self):
-        return ResiduePoint(-self.r, self.modulus)
-
-    def __add__(self, other: "ResiduePoint"):
-        if other.modulus != self.modulus:
-            raise ParameterError("modulus mismatch")
-        return ResiduePoint(self.r + other.r, self.modulus)
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    y: QuadNum
-    r: int
-    modulus: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", self.r % self.modulus)
-
-    def __neg__(self):
-        return ProductPoint(-self.y, -self.r, self.modulus)
-
-    def __add__(self, other: "ProductPoint"):
-        if other.modulus != self.modulus:
-            raise ParameterError("modulus mismatch")
-        return ProductPoint(self.y + other.y, self.r + other.r, self.modulus)
-
-
-InternalPoint = Union[RealPoint, ResiduePoint, ProductPoint]
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +278,6 @@ class IntervalUnion:
         q = QuadNum.coerce(t)
         return IntervalUnion((a + q, b + q) for a, b in self.intervals)
 
-    def reflect(self) -> "IntervalUnion":
-        """The reflected set -W (half-open orientation flips to (-b, -a] ~ [-b, -a) up to endpoints).
-
-        Endpoint conventions change on a measure-zero set only, which is
-        irrelevant for every measure-level computation in this package.
-        """
-        return IntervalUnion((-b, -a) for a, b in self.intervals)
-
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         out = []
         for a, b in self.intervals:
@@ -353,14 +290,6 @@ class IntervalUnion:
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(tuple(self.intervals) + tuple(other.intervals))
-
-    def minkowski_diff_hull(self):
-        """Hull of W - W, or None when empty."""
-        h = self.hull()
-        if h is None:
-            return None
-        lo, hi = h
-        return lo - hi, hi - lo
 
     def __eq__(self, other):
         return isinstance(other, IntervalUnion) and self.intervals == other.intervals
@@ -405,13 +334,10 @@ class ResidueSet:
         return iter(self.elems)
 
     def contains(self, r: int) -> bool:
-        return (r % self.modulus) in set(self.elems)
+        return (r % self.modulus) in self.elems
 
     def translate(self, t: int) -> "ResidueSet":
         return ResidueSet(self.modulus, (e + t for e in self.elems))
-
-    def reflect(self) -> "ResidueSet":
-        return ResidueSet(self.modulus, (-e for e in self.elems))
 
     def intersect(self, other: "ResidueSet") -> "ResidueSet":
         if other.modulus != self.modulus:
@@ -442,13 +368,26 @@ class ResidueSet:
 
 @dataclass(frozen=True)
 class ProductWindow:
-    """Window W x S for the combined scheme."""
+    """Window W x S for the combined scheme; each operation acts factor by factor."""
 
     intervals: IntervalUnion
     residues: ResidueSet
 
     def is_empty(self) -> bool:
         return self.intervals.is_empty() or self.residues.is_empty()
+
+    def translate(self, t: tuple) -> "ProductWindow":
+        """Translate by t = (y, r), a real shift and a residue."""
+        y, r = t
+        return ProductWindow(self.intervals.translate(y), self.residues.translate(r))
+
+    def intersect(self, other: "ProductWindow") -> "ProductWindow":
+        return ProductWindow(self.intervals.intersect(other.intervals),
+                             self.residues.intersect(other.residues))
+
+    def union(self, other: "ProductWindow") -> "ProductWindow":
+        return ProductWindow(self.intervals.union(other.intervals),
+                             self.residues.union(other.residues))
 
     def literal(self) -> str:
         return f"{self.intervals.literal()}x{self.residues.literal()}"
@@ -469,19 +408,10 @@ _KINDS = (FIBONACCI, PERIODIC, COMBINED)
 
 @dataclass(frozen=True)
 class Scheme:
-    """Cut-and-project scheme descriptor with its measure normalization baked in."""
+    """Cut-and-project scheme descriptor; its kind fixes the internal measure."""
 
     kind: str
     modulus: int | None = None
-
-    @property
-    def normalization(self) -> float:
-        """Constant c with internal measure = reference measure / c."""
-        if self.kind == FIBONACCI:
-            return SQRT5
-        if self.kind == PERIODIC:
-            return float(self.modulus)
-        return SQRT5 * self.modulus
 
     def window_kind_ok(self, w: Window) -> bool:
         if self.kind == FIBONACCI:
@@ -519,23 +449,25 @@ def parse_scheme(text: str) -> Scheme:
     return make_scheme(text)
 
 
-def star(scheme: Scheme, p) -> InternalPoint:
-    """Internal-space image of a lattice point under the scheme's star map."""
-    if scheme.kind == FIBONACCI:
-        if not isinstance(p, QuadLatticePoint):
-            raise ParameterError("fibonacci star expects a QuadLatticePoint")
-        return RealPoint(p.star_quad())
+def star(scheme: Scheme, p):
+    """Internal-space image of a lattice point: the shift its window's ``translate`` takes.
+
+    fibonacci: the conjugate u + v*tau' as a QuadNum; periodic:N: the integer
+    n mod N; combined:N: the pair (u + v*tau', u mod N).
+    """
     if scheme.kind == PERIODIC:
         if not isinstance(p, int):
             raise ParameterError("periodic star expects a plain integer")
-        return ResiduePoint(p, scheme.modulus)
+        return p % scheme.modulus
     if not isinstance(p, QuadLatticePoint):
-        raise ParameterError("combined star expects a QuadLatticePoint")
-    return ProductPoint(p.star_quad(), p.u, scheme.modulus)
+        raise ParameterError(f"{scheme.kind} star expects a QuadLatticePoint")
+    if scheme.kind == FIBONACCI:
+        return p.star_quad()
+    return p.star_quad(), p.u % scheme.modulus
 
 
 def window_measure(scheme: Scheme, w: Window) -> float:
-    """Internal measure of the window under the scheme's normalization."""
+    """Internal measure of the window, scaled as in the module docstring."""
     if not scheme.window_kind_ok(w):
         raise ParameterError(f"window {type(w).__name__} incompatible with scheme {scheme.label()}")
     if scheme.kind == FIBONACCI:
@@ -545,45 +477,11 @@ def window_measure(scheme: Scheme, w: Window) -> float:
     return (float(w.intervals.length()) / SQRT5) * float(w.residues.measure())
 
 
-def window_translate(w: Window, t: InternalPoint) -> Window:
-    """Translate t + w, restoring canonical form."""
-    if isinstance(w, IntervalUnion):
-        if not isinstance(t, RealPoint):
-            raise ParameterError("interval window needs a RealPoint translation")
-        return w.translate(t.y)
-    if isinstance(w, ResidueSet):
-        if not isinstance(t, ResiduePoint) or t.modulus != w.modulus:
-            raise ParameterError("residue window needs a ResiduePoint translation mod N")
-        return w.translate(t.r)
-    if isinstance(w, ProductWindow):
-        if not isinstance(t, ProductPoint) or t.modulus != w.residues.modulus:
-            raise ParameterError("product window needs a ProductPoint translation")
-        return ProductWindow(w.intervals.translate(t.y), w.residues.translate(t.r))
-    raise ParameterError(f"not a window: {w!r}")
-
-
 def window_intersect(w1: Window, w2: Window) -> Window:
-    """Exact set intersection; may be empty."""
-    if isinstance(w1, IntervalUnion) and isinstance(w2, IntervalUnion):
-        return w1.intersect(w2)
-    if isinstance(w1, ResidueSet) and isinstance(w2, ResidueSet):
-        return w1.intersect(w2)
-    if isinstance(w1, ProductWindow) and isinstance(w2, ProductWindow):
-        return ProductWindow(w1.intervals.intersect(w2.intervals),
-                             w1.residues.intersect(w2.residues))
-    raise ParameterError("window kinds do not match")
-
-
-def window_union(w1: Window, w2: Window) -> Window:
-    """Exact set union (same kinds)."""
-    if isinstance(w1, IntervalUnion) and isinstance(w2, IntervalUnion):
-        return w1.union(w2)
-    if isinstance(w1, ResidueSet) and isinstance(w2, ResidueSet):
-        return w1.union(w2)
-    if isinstance(w1, ProductWindow) and isinstance(w2, ProductWindow):
-        return ProductWindow(w1.intervals.union(w2.intervals),
-                             w1.residues.union(w2.residues))
-    raise ParameterError("window kinds do not match")
+    """Exact set intersection of two windows of the same kind; may be empty."""
+    if type(w1) is not type(w2):
+        raise ParameterError("window kinds do not match")
+    return w1.intersect(w2)
 
 
 # ---------------------------------------------------------------------------

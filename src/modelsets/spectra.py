@@ -27,8 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ResourceError, check_count, check_real
 from .pointsets import _atomic_write
-from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, IntervalUnion,
-                      ProductWindow, QuadNum, QUAD_SQRT5, ResidueSet, Scheme,
+from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
+                      IntervalUnion, ProductWindow, QuadNum, ResidueSet, Scheme,
                       Window, window_measure)
 
 TWO_PI = 2 * math.pi
@@ -38,13 +38,21 @@ TWO_PI = 2 * math.pi
 # dual lattice
 # ---------------------------------------------------------------------------
 
+def _over_sqrt5(x: Fraction, y: Fraction) -> QuadNum:
+    """(x + y*tau)/sqrt5 = ((2y - x) + (2x + y)*tau)/5, as sqrt5 = 2*tau - 1."""
+    return QuadNum((2 * y - x) / 5, (2 * x + y) / 5)
+
+
 @dataclass(frozen=True)
 class DualPoint:
     """Dual-lattice point with exact integer labels.
 
-    fibonacci:  labels (m, n),    k = (m + n*tau)/sqrt5
     periodic:   labels (j,),      k = j/N
-    combined:   labels (m, n, b), k = (m + n*tau + (b/N)*tau')/sqrt5
+    combined:   labels (m, n, b), k = (m + n*tau + beta*tau')/sqrt5, beta = b/N
+    fibonacci:  labels (m, n),    the combined case beta = 0
+
+    ``k_exact`` and ``kstar`` are exact; ``kstar`` is the frequency that
+    :func:`window_ft` takes (a QuadNum, b mod N, or the pair on combined).
     """
 
     scheme: Scheme
@@ -54,31 +62,32 @@ class DualPoint:
     def k(self) -> float:
         return float(self.k_exact())
 
+    def _golden(self) -> tuple:
+        """(m, n, b, N) of a golden-ratio dual point; fibonacci is the case b = 0, N = 1."""
+        m, n, *b = self.labels
+        return (m, n, b[0], self.scheme.modulus) if b else (m, n, 0, 1)
+
     def k_exact(self):
-        kind = self.scheme.kind
-        if kind == PERIODIC:
+        if self.scheme.kind == PERIODIC:
             (j,) = self.labels
             return Fraction(j, self.scheme.modulus)
-        if kind == FIBONACCI:
-            m, n = self.labels
-            return QuadNum(m, n) / QUAD_SQRT5
-        m, n, b = self.labels
-        frac = QuadNum(Fraction(b, self.scheme.modulus), 0)
-        return (QuadNum(m, n) + frac * QuadNum(1, -1)) / QUAD_SQRT5  # tau' = 1 - tau
+        m, n, b, N = self._golden()
+        beta = Fraction(b, N)
+        return _over_sqrt5(m + beta, n - beta)  # tau' = 1 - tau
+
+    def _kappa(self) -> QuadNum:
+        """Real internal component: kappa*sqrt5 = -(m + n*tau' + beta*tau)."""
+        m, n, b, N = self._golden()
+        return _over_sqrt5(-m - n, n - Fraction(b, N))
 
     def kstar(self):
         """Internal component of the dual point (exact)."""
-        kind = self.scheme.kind
-        if kind == PERIODIC:
+        if self.scheme.kind == PERIODIC:
             (j,) = self.labels
             return (-j) % self.scheme.modulus
-        if kind == FIBONACCI:
-            m, n = self.labels
-            return -(QuadNum(m, n).conj()) / QUAD_SQRT5
-        m, n, b = self.labels
-        frac = QuadNum(Fraction(b, self.scheme.modulus), 0)
-        kappa = -(QuadNum(m, n).conj() + frac * QuadNum(0, 1)) / QUAD_SQRT5
-        return kappa, b % self.scheme.modulus
+        if self.scheme.kind == FIBONACCI:
+            return self._kappa()
+        return self._kappa(), self.labels[2] % self.scheme.modulus
 
 
 @dataclass(frozen=True)
@@ -94,22 +103,16 @@ class DualLattice:
         return DualPoint(self.scheme, tuple(int(x) for x in labels))
 
     def pairing(self, dp: DualPoint, p) -> Fraction:
-        """Exact value of k*x + k**x* (+ b*u/N); integrality certifies duality."""
-        kind = self.scheme.kind
-        if kind == PERIODIC:
+        """Exact value of k*x + k**x* (+ b*u/N, b mod N); integrality certifies duality."""
+        if self.scheme.kind == PERIODIC:
+            N = self.scheme.modulus
             (j,) = dp.labels
-            return Fraction(j * p, self.scheme.modulus) + Fraction((-j % self.scheme.modulus) * p,
-                                                                   self.scheme.modulus)
-        if kind == FIBONACCI:
-            total = dp.k_exact() * p.to_quad() + dp.kstar() * p.star_quad()
-            if total.b != 0:
-                raise AssertionError("pairing left the rationals")
-            return total.a
-        kappa, b = dp.kstar()
-        total = dp.k_exact() * p.to_quad() + kappa * p.star_quad()
+            return Fraction(j * p, N) + Fraction((-j % N) * p, N)
+        _, _, b, N = dp._golden()
+        total = dp.k_exact() * p.to_quad() + dp._kappa() * p.star_quad()
         if total.b != 0:
             raise AssertionError("pairing left the rationals")
-        return total.a + Fraction(b * p.u, self.scheme.modulus)
+        return total.a + Fraction(b % N * p.u, N)
 
 
 def dual_lattice(scheme: Scheme) -> DualLattice:
@@ -164,6 +167,10 @@ def _residue_ft(rs: ResidueSet, b: int) -> complex:
     return sum(cmath.exp(-2j * math.pi * a * b / N) for a in rs.elems) / N
 
 
+#: (width, height) of the stick plot in SVG user units
+SVG_SIZE = (640, 320)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Pure-point diffraction: dual points and their intensities."""
@@ -190,10 +197,11 @@ class Spectrum:
             lines.append(",".join(cells))
         _atomic_write(path, "\n".join(lines) + "\n")
 
-    def to_svg(self, path: str, width: int = 640, height: int = 320) -> None:
+    def to_svg(self, path: str) -> None:
         """Stick plot: one vertical line per peak, height proportional to intensity."""
         if not self.peaks:
             raise ParameterError("empty spectrum")
+        width, height = SVG_SIZE
         ks = [dp.k for dp, _ in self.peaks]
         hs = [inten for _, inten in self.peaks]
         kmin, kmax = min(ks), max(ks)
@@ -265,8 +273,8 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
         n_int = max(1, len(iu.intervals))
         kappa_bound = n_int / (math.pi * SQRT5 * math.sqrt(min_intensity))
         if scheme.kind == FIBONACCI:
-            for labels in _fib_dual_labels(kmax, kappa_bound):
-                dp = DualPoint(scheme, labels)
+            for m, n, _ in _combined_dual_labels(kmax, kappa_bound, 0, 1):
+                dp = DualPoint(scheme, (m, n))
                 inten = abs(window_ft(scheme, w, -dp.kstar())) ** 2
                 if include_zeros or inten >= min_intensity:
                     peaks.append((dp, inten))
@@ -288,23 +296,11 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     return Spectrum(scheme, w, tuple(peaks))
 
 
-def _fib_dual_labels(kmax: float, kappa_bound: float):
-    P = SQRT5 * kmax + 1e-9
-    Q = SQRT5 * kappa_bound + 1e-9
-    from .schemes import TAU, TAU_PRIME
-    nmax = math.floor((P + Q) / SQRT5) + 1
-    for n in range(-nmax, nmax + 1):
-        lo = max(-P - n * TAU, -Q - n * TAU_PRIME)
-        hi = min(P - n * TAU, Q - n * TAU_PRIME)
-        for m in range(math.ceil(lo), math.floor(hi) + 1):
-            yield (m, n)
-
-
 def _combined_dual_labels(kmax: float, kappa_bound: float, b: int, N: int):
-    # k sqrt5 = m + n tau + (b/N) tau',  kappa sqrt5 = -(m + n tau' + (b/N) tau)
+    # k sqrt5 = m + n tau + (b/N) tau',  kappa sqrt5 = -(m + n tau' + (b/N) tau);
+    # fibonacci is the case b = 0
     P = SQRT5 * kmax + 1e-9
     Q = SQRT5 * kappa_bound + 1e-9
-    from .schemes import TAU, TAU_PRIME
     beta = b / N
     nmax = math.floor((P + Q) / SQRT5 + beta) + 1
     for n in range(-nmax, nmax + 1):

@@ -5,11 +5,10 @@ from itertools import product
 
 import pytest
 
-from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, RealPoint,
-                       ResidueSet, almost_periods, canonical_pattern,
-                       correlation_measure, correlations_equal, freq_empirical,
-                       freq_exact, generate, make_scheme, parse_window,
-                       support_differences, window_measure, window_translate)
+from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, ResidueSet,
+                       almost_periods, canonical_pattern, correlation_measure,
+                       correlations_equal, freq_empirical, freq_exact, generate,
+                       make_scheme, parse_window, support_differences, window_measure)
 from modelsets import correlations
 from modelsets.cli import expand_window_literal
 from modelsets.schemes import QuadNum, parse_scheme
@@ -33,8 +32,8 @@ def test_freq_exact_translation_invariance():
     rng = random.Random(5)
     pats = [(TAU_PT,), (TAU_PT, QuadLatticePoint(1, 1)), (QuadLatticePoint(-1, 1),)]
     for _ in range(20):
-        t = RealPoint(QuadNum(rng.randint(-5, 5), rng.randint(-3, 3)))
-        moved = window_translate(W, t)
+        t = QuadNum(rng.randint(-5, 5), rng.randint(-3, 3))
+        moved = W.translate(t)
         for pat in pats:
             assert freq_exact(FIB, moved, pat) == pytest.approx(
                 freq_exact(FIB, W, pat), abs=1e-14)

@@ -197,6 +197,20 @@ def test_load_names_the_line_of_a_star_outside_the_window(tmp_path):
         load_pointset(str(path))
 
 
+@pytest.mark.parametrize("scheme, window, extra, point", [
+    (FIB, FIB_WINDOW, "3 0", "(3, 0)"),   # physical 3, after the point at 1 + 2*tau
+    (make_scheme("periodic", 32), SET_A, "0", "(0,)"),   # a repeat of the last point
+], ids=["fibonacci", "periodic-duplicate"])
+def test_load_names_the_line_of_a_point_out_of_order(tmp_path, scheme, window, extra, point):
+    path = tmp_path / "pts.txt"
+    save_pointset(generate(scheme, window, (-5, 5)), str(path))
+    lines = path.read_text().splitlines() + [extra]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match=re.escape(
+            f"{path}:{len(lines)}: point {point} is out of order")):
+        load_pointset(str(path))
+
+
 def test_generate_refuses_regions_beyond_float_resolution():
     # beyond 2^52 neighbouring float positions are 1 apart, more than the 1/tau
     # lower bound on the gap between points of [-1, 1/tau)

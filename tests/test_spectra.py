@@ -5,12 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, RealPoint,
-                       ResiduePoint, cyclotomic_pair, deck_functions,
-                       diffraction, dual_lattice, extinction_set, generate,
-                       make_scheme, parse_window, residue_deck_tables,
-                       sample_window, window_ft, window_measure, window_translate,
-                       zero_condition)
+from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, cyclotomic_pair,
+                       deck_functions, diffraction, dual_lattice, extinction_set,
+                       generate, make_scheme, parse_window, residue_deck_tables,
+                       sample_window, window_ft, window_measure, zero_condition)
 from modelsets.schemes import SQRT5, TAU
 
 FIB = make_scheme("fibonacci")
@@ -142,7 +140,7 @@ def test_fibonacci_diffraction_central_peak():
 
 def test_intensity_invariant_under_window_translation():
     from modelsets import QuadNum
-    moved = window_translate(W, RealPoint(QuadNum(2, -1)))
+    moved = W.translate(QuadNum(2, -1))
     s1 = diffraction(FIB, W, 2.0, min_intensity=1e-3)
     s2 = diffraction(FIB, moved, 2.0, min_intensity=1e-3)
     m1 = dict((dp.labels, i) for dp, i in s1.peaks)
@@ -151,7 +149,7 @@ def test_intensity_invariant_under_window_translation():
     for lab in m1:
         assert m1[lab] == pytest.approx(m2[lab], abs=1e-10)
     rs1 = diffraction(PER32, SET_A, 1.0, include_zeros=True)
-    rs2 = diffraction(PER32, window_translate(SET_A, ResiduePoint(11, 32)), 1.0,
+    rs2 = diffraction(PER32, SET_A.translate(11), 1.0,
                       include_zeros=True)
     for (da, ia), (db, ib) in zip(rs1.peaks, rs2.peaks):
         assert ia == pytest.approx(ib, abs=1e-14)
