@@ -194,13 +194,16 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) ->
         raise ResourceError(
             f"{len(base)}^{n} candidate tuples exceed the budget of {MAX_ENTRIES}; "
             "reduce the cutoff")
+    # the entries of base are distinct, so a pattern is the set of indices
+    # into base that it uses, less the zero difference
+    zero = {i for i, x in enumerate(base) if not canonical_pattern(scheme, (x,))}
     freqs = {}
     entries = {}
-    for tup in product(base, repeat=n):
-        pat = canonical_pattern(scheme, tup)
-        f = freqs.get(pat)
+    for idx, tup in zip(product(range(len(base)), repeat=n), product(base, repeat=n)):
+        key = tuple(sorted(set(idx) - zero))
+        f = freqs.get(key)
         if f is None:
-            f = freqs[pat] = freq_exact(scheme, w, pat)
+            f = freqs[key] = freq_exact(scheme, w, [base[i] for i in key])
         if f > 0:
             entries[tup] = f
     return CorrelationMeasure(scheme, w, order, cutoff, entries)

@@ -23,7 +23,6 @@ import secrets
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -31,8 +30,6 @@ from .errors import ParameterError, ResourceError, check_real
 from .schemes import (FLOAT_GUARD, TAU, TAU_PRIME, FIBONACCI, PERIODIC,
                       IntervalUnion, QuadLatticePoint, QuadNum, ResidueSet, Scheme,
                       Window, format_window, parse_scheme, parse_window, star)
-
-LatticeCoord = Union[QuadLatticePoint, int]
 
 #: default budget on enumeration candidates (soft memory guard)
 MAX_CANDIDATES = 50_000_000

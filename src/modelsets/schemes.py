@@ -17,8 +17,12 @@ implements its own ``translate``, ``intersect`` and ``union``; :func:`star`
 returns the plain coordinate that ``translate`` takes (a QuadNum, an int mod
 N, or the pair of both).
 
-Interval endpoints are kept exact in the quadratic field Q(tau); membership
-tests and interval arithmetic never round.  Floating-point inputs are
+Interval endpoints are kept exact in the quadratic field Q(tau) as
+:class:`QuadNum` integer triples (p, q, d) meaning (p + q*tau)/d, reduced by
+their gcd with d > 0; membership tests and interval arithmetic never round.
+Only the ``IntervalUnion`` constructor, which the parser uses, sorts and
+merges intervals; ``translate`` and ``intersect`` keep canonical unions
+canonical without re-sorting.  Floating-point inputs are
 converted exactly (binary floats are rationals), so comparisons stay
 deterministic; a 1e-9 guard band is used only to decide when fast float
 prefilters must fall back to exact arithmetic.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 from .errors import ParameterError
@@ -39,7 +44,6 @@ SQRT5 = 5**0.5
 #: guard band inside which float prefilters defer to exact comparisons
 FLOAT_GUARD = 1e-9
 
-Rational = Union[int, Fraction]
 Real = Union[int, float, Fraction, "QuadNum"]
 
 
@@ -55,19 +59,44 @@ def _as_fraction(x) -> Fraction:
     raise ParameterError(f"cannot interpret {x!r} as a rational number")
 
 
-class QuadNum:
-    """Exact element a + b*tau of the field Q(tau), tau = (1+sqrt5)/2.
+def _sgn(p: int, q: int) -> int:
+    """Exact sign of p + q*tau for integers p, q."""
+    # p + q(1+sqrt5)/2 has the sign of s + q*sqrt5, s = 2p + q
+    s = 2 * p + q
+    if q == 0:
+        return (s > 0) - (s < 0)
+    if s == 0 or (s > 0) == (q > 0):
+        return 1 if q > 0 else -1
+    # opposite signs: compare s^2 with 5 q^2 (equality impossible)
+    return (1 if s > 0 else -1) if s * s > 5 * q * q else (1 if q > 0 else -1)
 
-    The coefficients are rationals; arithmetic, comparisons and conjugation
-    are exact.  Since tau' = 1 - tau, the whole ring Z[tau] and its field of
-    fractions are closed under the star (conjugation) map.
+
+def _cmp(x: "QuadNum", y: "QuadNum") -> int:
+    """Exact sign of x - y, read off the integers of the difference."""
+    return _sgn(x.p * y.d - y.p * x.d, x.q * y.d - y.q * x.d)
+
+
+class QuadNum:
+    """Exact element (p + q*tau)/d of the field Q(tau), tau = (1+sqrt5)/2.
+
+    ``p``, ``q`` and ``d`` are ints with d > 0 and gcd(p, q, d) = 1, so equal
+    numbers have equal triples; lattice points and their stars have d = 1.
+    ``_norm`` is the one place that brings a triple to this form.  ``a`` and
+    ``b`` give the rational coefficients of a + b*tau as Fractions.
+    Arithmetic, comparisons and conjugation are exact; a sign is decided on
+    the integers of the difference.  Since tau' = 1 - tau, the ring Z[tau]
+    and its field of fractions are closed under the star (conjugation) map.
+    A rational QuadNum equals and hashes like the rational it is.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
-    def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+    def __new__(cls, a=0, b=0):
+        if type(a) is int and type(b) is int:
+            return _make(a, b, 1)
+        fa, fb = _as_fraction(a), _as_fraction(b)
+        da, db = fa.denominator, fb.denominator
+        return _norm(fa.numerator * db, fb.numerator * da, da * db)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadNum is immutable")
@@ -75,109 +104,144 @@ class QuadNum:
     def __reduce__(self):
         return (QuadNum, (self.a, self.b))
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
+
     @staticmethod
     def coerce(x: Real) -> "QuadNum":
         if isinstance(x, QuadNum):
             return x
+        if type(x) is int:
+            return _make(x, 0, 1)
         return QuadNum(_as_fraction(x), 0)
 
     # -- ring/field operations -------------------------------------------
     def __add__(self, other):
         o = QuadNum.coerce(other)
-        return QuadNum(self.a + o.a, self.b + o.b)
+        return _norm(self.p * o.d + o.p * self.d, self.q * o.d + o.q * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = QuadNum.coerce(other)
-        return QuadNum(self.a - o.a, self.b - o.b)
+        return _norm(self.p * o.d - o.p * self.d, self.q * o.d - o.q * self.d, self.d * o.d)
 
     def __rsub__(self, other):
         return QuadNum.coerce(other) - self
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b)
+        return _make(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
         o = QuadNum.coerce(other)
+        p, q, r, s = self.p, self.q, o.p, o.q
         # tau^2 = tau + 1
-        return QuadNum(self.a * o.a + self.b * o.b,
-                       self.a * o.b + self.b * o.a + self.b * o.b)
+        return _norm(p * r + q * s, p * s + q * r + q * s, self.d * o.d)
 
     __rmul__ = __mul__
 
     def norm(self) -> Fraction:
         """Field norm (a + b*tau)(a + b*tau') = a^2 + ab - b^2."""
-        return self.a * self.a + self.a * self.b - self.b * self.b
+        p, q = self.p, self.q
+        return Fraction(p * p + p * q - q * q, self.d * self.d)
 
     def conj(self) -> "QuadNum":
         """Algebraic conjugate a + b*tau', written in the tau basis."""
-        return QuadNum(self.a + self.b, -self.b)
+        # gcd(p + q, -q, d) = gcd(p, q, d) = 1: already canonical
+        return _make(self.p + self.q, -self.q, self.d)
 
     def __truediv__(self, other):
         o = QuadNum.coerce(other)
-        n = o.norm()
+        r, s = o.p, o.q
+        n = r * r + r * s - s * s  # o = (r + s*tau)/e has norm n/e^2
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(tau)")
-        return self * o.conj() * QuadNum(Fraction(1, 1) / n, 0)
+        # x/o = x * conj(o) * e^2 / n, conj(o) = (r + s - s*tau)/e
+        p, q, t = self.p, self.q, r + s
+        return _norm((p * t - q * s) * o.d, (q * t - p * s - q * s) * o.d, self.d * n)
 
     def __rtruediv__(self, other):
         return QuadNum.coerce(other) / self
 
     # -- order ------------------------------------------------------------
     def sign(self) -> int:
-        """Exact sign of the real value a + b*tau."""
-        # a + b(1+sqrt5)/2 has the sign of s + t*sqrt5, s = 2a+b, t = b
-        s = 2 * self.a + self.b
-        t = self.b
-        if t == 0:
-            return (s > 0) - (s < 0)
-        if s == 0:
-            return (t > 0) - (t < 0)
-        if (s > 0) == (t > 0):
-            return 1 if s > 0 else -1
-        # opposite signs: compare s^2 with 5 t^2 (equality impossible)
-        return (1 if s > 0 else -1) if s * s > 5 * t * t else (1 if t > 0 else -1)
+        """Exact sign of the real value (p + q*tau)/d."""
+        return _sgn(self.p, self.q)
 
     def __eq__(self, other):
-        if not isinstance(other, (QuadNum, int, float, Fraction)):
+        if isinstance(other, QuadNum):
+            return self.p == other.p and self.q == other.q and self.d == other.d
+        if not isinstance(other, (int, float, Fraction)):
             return NotImplemented
-        o = QuadNum.coerce(other)
-        return self.a == o.a and self.b == o.b
+        return self.q == 0 and self.a == other
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        if self.q == 0:
+            return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
+        return hash((self.p, self.q, self.d))
 
     def __lt__(self, other):
-        return (self - QuadNum.coerce(other)).sign() < 0
+        return _cmp(self, QuadNum.coerce(other)) < 0
 
     def __le__(self, other):
-        return (self - QuadNum.coerce(other)).sign() <= 0
+        return _cmp(self, QuadNum.coerce(other)) <= 0
 
     def __gt__(self, other):
-        return (self - QuadNum.coerce(other)).sign() > 0
+        return _cmp(self, QuadNum.coerce(other)) > 0
 
     def __ge__(self, other):
-        return (self - QuadNum.coerce(other)).sign() >= 0
+        return _cmp(self, QuadNum.coerce(other)) >= 0
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def __float__(self):
-        return float(self.a) + float(self.b) * TAU
+        # int / int rounds correctly, as float(Fraction) does
+        return self.p / self.d + (self.q / self.d) * TAU
 
     def __repr__(self):
         return f"QuadNum({self.a!r}, {self.b!r})"
 
     def literal(self) -> str:
         """Canonical text form, parseable by :func:`parse_expr`."""
-        if self.b == 0:
-            return str(self.a)
-        bterm = f"{self.b}*tau" if self.b >= 0 else f"-{-self.b}*tau"
-        if self.a == 0:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        bterm = f"{b}*tau" if b >= 0 else f"-{-b}*tau"
+        if a == 0:
             return bterm
-        joiner = "+" if self.b >= 0 else "-"
-        return f"{self.a}{joiner}{abs(self.b)}*tau"
+        joiner = "+" if b >= 0 else "-"
+        return f"{a}{joiner}{abs(b)}*tau"
+
+
+_set_p = QuadNum.p.__set__
+_set_q = QuadNum.q.__set__
+_set_d = QuadNum.d.__set__
+
+
+def _make(p: int, q: int, d: int) -> QuadNum:
+    """QuadNum from a triple already in canonical form."""
+    x = object.__new__(QuadNum)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
+
+
+def _norm(p: int, q: int, d: int) -> QuadNum:
+    """The QuadNum (p + q*tau)/d, with the gcd divided out and d made positive."""
+    if d != 1:
+        g = gcd(p, q, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+    return _make(p, q, d)
 
 
 QUAD_TAU = QuadNum(0, 1)
@@ -220,7 +284,8 @@ class IntervalUnion:
 
     Canonical form: intervals sorted, pairwise disjoint, touching intervals
     merged, every a < b.  The empty union is allowed (it has measure zero and
-    selects no points).
+    selects no points).  Only the constructor, the parser's path, sorts and
+    merges; ``translate`` and ``intersect`` build canonical results directly.
     """
 
     __slots__ = ("intervals",)
@@ -275,18 +340,30 @@ class IntervalUnion:
         return any(a <= q < b for a, b in self.intervals)
 
     def translate(self, t: Real) -> "IntervalUnion":
+        # a translate of a canonical union is canonical
         q = QuadNum.coerce(t)
-        return IntervalUnion((a + q, b + q) for a, b in self.intervals)
+        return _interval_union(tuple((a + q, b + q) for a, b in self.intervals))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
+        # one merge of two sorted lists; the pieces come out sorted, and they
+        # cannot touch, because no interval of either union contains the end
+        # of one of its neighbours
+        mine, theirs = self.intervals, other.intervals
         out = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo = a if a >= c else c
-                hi = b if b <= d else d
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalUnion(out)
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            a, b = mine[i]
+            c, d = theirs[j]
+            lo = a if _cmp(a, c) >= 0 else c
+            if _cmp(b, d) <= 0:
+                hi = b
+                i += 1
+            else:
+                hi = d
+                j += 1
+            if _cmp(lo, hi) < 0:
+                out.append((lo, hi))
+        return _interval_union(tuple(out))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(tuple(self.intervals) + tuple(other.intervals))
@@ -304,6 +381,13 @@ class IntervalUnion:
         if not self.intervals:
             return "[)"
         return "u".join(f"[{a.literal()},{b.literal()})" for a, b in self.intervals)
+
+
+def _interval_union(intervals: tuple) -> IntervalUnion:
+    """IntervalUnion from intervals already in canonical form."""
+    iu = object.__new__(IntervalUnion)
+    object.__setattr__(iu, "intervals", intervals)
+    return iu
 
 
 class ResidueSet:

@@ -29,7 +29,7 @@ from .errors import ParameterError, ResourceError, check_count, check_real
 from .pointsets import _atomic_write
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
                       IntervalUnion, ProductWindow, QuadNum, ResidueSet, Scheme,
-                      Window, window_measure)
+                      Window, _norm, make_scheme, window_measure)
 
 TWO_PI = 2 * math.pi
 
@@ -38,9 +38,9 @@ TWO_PI = 2 * math.pi
 # dual lattice
 # ---------------------------------------------------------------------------
 
-def _over_sqrt5(x: Fraction, y: Fraction) -> QuadNum:
-    """(x + y*tau)/sqrt5 = ((2y - x) + (2x + y)*tau)/5, as sqrt5 = 2*tau - 1."""
-    return QuadNum((2 * y - x) / 5, (2 * x + y) / 5)
+def _over_sqrt5(x: int, y: int, N: int) -> QuadNum:
+    """(x + y*tau)/(N*sqrt5) = ((2y - x) + (2x + y)*tau)/(5N), as sqrt5 = 2*tau - 1."""
+    return _norm(2 * y - x, 2 * x + y, 5 * N)
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,12 @@ class DualPoint:
             (j,) = self.labels
             return Fraction(j, self.scheme.modulus)
         m, n, b, N = self._golden()
-        beta = Fraction(b, N)
-        return _over_sqrt5(m + beta, n - beta)  # tau' = 1 - tau
+        return _over_sqrt5(m * N + b, n * N - b, N)  # tau' = 1 - tau
 
     def _kappa(self) -> QuadNum:
         """Real internal component: kappa*sqrt5 = -(m + n*tau' + beta*tau)."""
         m, n, b, N = self._golden()
-        return _over_sqrt5(-m - n, n - Fraction(b, N))
+        return _over_sqrt5(-(m + n) * N, n * N - b, N)
 
     def kstar(self):
         """Internal component of the dual point (exact)."""
@@ -280,16 +279,18 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
                     peaks.append((dp, inten))
         else:
             N = scheme.modulus
+            fib = make_scheme(FIBONACCI)
             for b in range(N):
-                # residue factor caps the achievable intensity for this b
-                rfac = abs(_residue_ft(w.residues, (-b) % N))
-                cap = (rfac * float(iu.length()) / SQRT5) ** 2
+                # window_ft of W x S is (fibonacci transform of W) * (residue
+                # factor); that factor is shared by every label with this b and
+                # caps the achievable intensity
+                rft = _residue_ft(w.residues, (-b) % N)
+                cap = (abs(rft) * float(iu.length()) / SQRT5) ** 2
                 if not include_zeros and cap < min_intensity:
                     continue
                 for labels in _combined_dual_labels(kmax, kappa_bound, b, N):
                     dp = DualPoint(scheme, labels)
-                    kappa, bb = dp.kstar()
-                    inten = abs(window_ft(scheme, w, (-kappa, (-bb) % N))) ** 2
+                    inten = abs(window_ft(fib, iu, -dp._kappa()) * rft) ** 2
                     if include_zeros or inten >= min_intensity:
                         peaks.append((dp, inten))
     peaks.sort(key=lambda t: (abs(t[0].k), t[0].labels))

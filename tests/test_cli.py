@@ -194,3 +194,15 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys):
     assert "Traceback" not in err
     if "--empirical" in argv:
         assert "averaging radius R" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e6"],
+    ["homometry", "--sets", "{0,1,5}@128", "{0,2,5}@128", "--order", "4"],
+], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))
+def test_resource_limit_is_one_line_error(argv, tmp_path, capsys):
+    code = run(*argv, "-o", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE
+    assert err.startswith("error: resource limit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
