@@ -12,21 +12,17 @@ from .schemes import (COMBINED, FIBONACCI, PERIODIC, IntervalUnion, ProductWindo
                       QuadLatticePoint, QuadNum, ResidueSet, Scheme, format_window,
                       make_scheme, parse_scheme, parse_window, star, window_intersect,
                       window_measure)
-from .pointsets import (PointSet, gap_sequence, generate, load_pointset,
-                        save_pointset, symmetric_difference_density,
-                        translate_pointset)
-from .correlations import (CorrelationMeasure, almost_periods, canonical_pattern,
-                           correlation_measure, correlations_equal, freq_empirical,
-                           freq_exact, support_differences)
+from .pointsets import PointSet, gap_sequence, generate, load_pointset, save_pointset
+from .correlations import (CorrelationMeasure, canonical_pattern, correlation_measure,
+                           correlations_equal, freq_empirical, freq_exact,
+                           support_differences)
 from .spectra import (DeckGrid, DualLattice, DualPoint, Spectrum, deck_functions,
-                      diffraction, dual_lattice, extinction_set,
-                      residue_deck_tables, sample_window, window_ft,
-                      zero_condition)
+                      diffraction, dual_lattice, residue_deck_tables, sample_window,
+                      window_ft, zero_condition)
 from .reconstruct import (PhaseField, PhaseQuotient, ReconstructionReport,
                           align_up_to_translation, phase_quotient,
                           propagate_phase, reconstruct_window, roundtrip)
-from .homometry import (PatternTable, cyclotomic_pair, pattern_table,
-                        product_correlation_check, rigid_equivalent,
+from .homometry import (PatternTable, cyclotomic_pair, pattern_table, rigid_equivalent,
                         tables_equal, thinned_model_set)
 
 __version__ = "0.1.0"

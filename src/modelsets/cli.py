@@ -116,6 +116,7 @@ def cmd_diffract(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    max_mismatch = check_real("max mismatch", args.max_mismatch, positive=True)
     window = parse_window(expand_window_literal(args.window))
     if not isinstance(window, IntervalUnion):
         raise ParameterError("reconstruction works on interval-union windows")
@@ -127,7 +128,7 @@ def cmd_reconstruct(args) -> int:
         lines = ["cell,x,recovered"]
         lines.extend(f"{i},{x[i]:.15g},{int(v)}" for i, v in enumerate(report.recovered))
         _atomic_write(args.csv, "\n".join(lines) + "\n")
-    ok = report.mismatch < args.max_mismatch
+    ok = report.mismatch < max_mismatch
     print(f"selftest mismatch {report.mismatch:.4%} (shift {report.shift}, "
           f"{report.unknown_count} unknown frequencies) -> {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY

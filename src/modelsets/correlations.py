@@ -17,8 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError, ResourceError, check_real
-from .pointsets import (PointSet, _atomic_write, _lattice_coords, _restrict, generate,
-                        symmetric_difference_density, translate_pointset)
+from .pointsets import PointSet, _atomic_write, _lattice_coords
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, TAU, TAU_PRIME,
                       QuadLatticePoint, Scheme, Window, star, window_intersect,
                       window_measure)
@@ -141,6 +140,8 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     miss tuples of arbitrarily small frequency).
     """
     check_real("cutoff", cutoff, 0)
+    if not scheme.window_kind_ok(w):
+        raise ParameterError(f"window {type(w).__name__} incompatible with scheme {scheme.label()}")
     out = []
     if scheme.kind == PERIODIC:
         for x in range(-math.floor(cutoff), math.floor(cutoff) + 1):
@@ -230,30 +231,3 @@ def correlations_equal(c1: CorrelationMeasure, c2: CorrelationMeasure,
         if abs(v1 - v2) > tol:
             return ComparisonResult(False, (key, v1, v2))
     return ComparisonResult(True, None)
-
-
-def almost_periods(scheme: Scheme, w: Window, eps: float, candidates: Sequence,
-                   R: float) -> list[tuple]:
-    """Candidates t whose estimated density of (t + L) symdiff L is below eps.
-
-    The estimate counts the symmetric difference of the patch and its
-    translate on [-R, R]; it is an estimator, not a certificate.
-    """
-    dens = window_measure(scheme, w)
-    if not 0 < eps < 2 * dens + 1e-15:
-        raise ParameterError("eps must lie in (0, 2*density)")
-    check_real("R", R, positive=True)
-    phys = [0.0]
-    for t in candidates:
-        phys.append(abs(t) if scheme.kind == PERIODIC else abs(t.phys))
-    pad = max(phys) + 1
-    base = generate(scheme, w, (-R - pad, R + pad))
-    lo, hi = -R, R
-    inner = _restrict(base, (lo, hi))
-    out = []
-    for t in candidates:
-        shifted = _restrict(translate_pointset(base, t), (lo, hi))
-        est = symmetric_difference_density(inner, shifted)
-        if est < eps:
-            out.append((t, est))
-    return out

@@ -10,15 +10,13 @@ exact integer arithmetic; no tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import ParameterError, ResourceError
 from .pointsets import PointSet, _atomic_write, generate
-from .schemes import (COMBINED, FIBONACCI, IntervalUnion, ProductWindow,
-                      ResidueSet, make_scheme)
+from .schemes import COMBINED, IntervalUnion, ProductWindow, ResidueSet, make_scheme
 
 CYCLOTOMIC_MODULUS = 32
 
@@ -78,9 +76,6 @@ class PatternTable:
 
     def count(self, key: tuple) -> int:
         return self.counts.get(tuple(sorted(r % self.modulus for r in key)), 0)
-
-    def frequency(self, key: tuple) -> Fraction:
-        return Fraction(self.count(key), self.modulus)
 
     def to_csv(self, path: str) -> None:
         lines = ["tuple,count,frequency"]
@@ -153,67 +148,3 @@ def thinned_model_set(w: IntervalUnion, S: ResidueSet,
         raise ParameterError("thinning residue set must be nonempty")
     scheme = make_scheme(COMBINED, S.modulus)
     return generate(scheme, ProductWindow(w, S), region)
-
-
-@dataclass(frozen=True)
-class ProductCheckRow:
-    pattern: tuple          # (x, y) lattice differences
-    residues: tuple         # (r, s) their residue classes
-    interval_factor: float
-    freq_1: float
-    freq_2: float
-    empirical_1: float | None
-    empirical_2: float | None
-
-
-@dataclass(frozen=True)
-class ProductCheckReport:
-    rows: list
-    all_equal: bool
-    max_exact_gap: float
-    max_empirical_gap: float
-
-
-def product_correlation_check(w: IntervalUnion, S1: ResidueSet, S2: ResidueSet,
-                              patterns, R_empirical: float | None = None) -> ProductCheckReport:
-    """Compare 3-point frequencies of the two thinned sets pattern by pattern.
-
-    Each frequency splits as (interval factor) * (residue count)/N; the
-    interval factor is common, so equality reduces to the residue tables.
-    When ``R_empirical`` is given, occurrences are also counted in patches and
-    compared against the exact values.
-    """
-    if S1.modulus != S2.modulus:
-        raise ParameterError("modulus mismatch")
-    N = S1.modulus
-    fib = make_scheme(FIBONACCI)
-    t1 = pattern_table(S1, 3)
-    t2 = pattern_table(S2, 3)
-
-    ps1 = ps2 = None
-    if R_empirical is not None:
-        pats = list(patterns)
-        pad = max([1.0] + [max(abs(x.phys), abs(y.phys)) for x, y in pats]) + 2
-        reg = (-R_empirical / 2 - pad, R_empirical / 2 + pad)
-        ps1 = thinned_model_set(w, S1, reg)
-        ps2 = thinned_model_set(w, S2, reg)
-        patterns = pats
-
-    from .correlations import freq_empirical, freq_exact
-
-    rows = []
-    max_exact_gap = 0.0
-    max_emp_gap = 0.0
-    for x, y in patterns:
-        r, s = x.u % N, y.u % N
-        interval_factor = freq_exact(fib, w, (x, y))
-        f1 = interval_factor * t1.count((r, s)) / N
-        f2 = interval_factor * t2.count((r, s)) / N
-        e1 = e2 = None
-        if ps1 is not None:
-            e1 = freq_empirical(ps1, (x, y), R_empirical)
-            e2 = freq_empirical(ps2, (x, y), R_empirical)
-            max_emp_gap = max(max_emp_gap, abs(e1 - f1), abs(e2 - f2))
-        max_exact_gap = max(max_exact_gap, abs(f1 - f2))
-        rows.append(ProductCheckRow((x, y), (r, s), interval_factor, f1, f2, e1, e2))
-    return ProductCheckReport(rows, max_exact_gap == 0.0, max_exact_gap, max_emp_gap)

@@ -29,9 +29,9 @@ import numpy as np
 from .errors import ParameterError, ResourceError, check_real
 from .schemes import (FLOAT_GUARD, TAU, TAU_PRIME, FIBONACCI, PERIODIC,
                       IntervalUnion, QuadLatticePoint, QuadNum, ResidueSet, Scheme,
-                      Window, format_window, parse_scheme, parse_window, star)
+                      Window, format_window, parse_scheme, parse_window)
 
-#: default budget on enumeration candidates (soft memory guard)
+#: budget on enumeration candidates (soft memory guard)
 MAX_CANDIDATES = 50_000_000
 
 #: lattice coordinates stay below this in magnitude, so the sum of a point
@@ -52,8 +52,8 @@ class PointSet:
     array of shape (2, len) with rows u and v for the golden-ratio schemes,
     or (1, len) with the row n for ``periodic:N``; points are sorted by
     physical position.  The generating window and region travel with the
-    patch so that densities and symmetric differences never mix supports
-    silently.
+    patch, so densities and empirical frequencies know the support they
+    average over.
     """
 
     scheme: Scheme
@@ -210,8 +210,7 @@ def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np
     return keep
 
 
-def _quad_candidates(window_iu: IntervalUnion, lo: float, hi: float,
-                     max_candidates: int) -> np.ndarray:
+def _quad_candidates(window_iu: IntervalUnion, lo: float, hi: float) -> np.ndarray:
     """Columns (u, v) covering every u+v*tau in [lo, hi] with u+v*tau' in the window hull."""
     hull = window_iu.hull()
     if hull is None:
@@ -221,10 +220,10 @@ def _quad_candidates(window_iu: IntervalUnion, lo: float, hi: float,
     vmin = math.floor((lo - whi_f) / math.sqrt(5)) - 2
     vmax = math.ceil((hi - wlo_f) / math.sqrt(5)) + 2
     est = (vmax - vmin + 1) * (whi_f - wlo_f + 4)
-    if est > max_candidates:  # estimate before any allocation
+    if est > MAX_CANDIDATES:  # estimate before any allocation
         raise ResourceError(
-            f"enumeration would visit ~{int(est)} candidates (> {max_candidates}); "
-            "shrink the region or raise max_candidates")
+            f"enumeration would visit ~{int(est)} candidates (> {MAX_CANDIDATES}); "
+            "shrink the region")
     # |u| <= |u*| + |v| + 1 with u* in the window hull
     if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
         raise ParameterError("region or window too far from the origin for int64 coordinates")
@@ -233,10 +232,10 @@ def _quad_candidates(window_iu: IntervalUnion, lo: float, hi: float,
     u_hi = np.floor(whi_f - vs * TAU_PRIME).astype(np.int64) + 1
     counts = np.clip(u_hi - u_lo + 1, 0, None)
     total = int(counts.sum())
-    if total > max_candidates:
+    if total > MAX_CANDIDATES:
         raise ResourceError(
-            f"enumeration would visit {total} candidates (> {max_candidates}); "
-            "shrink the region or raise max_candidates")
+            f"enumeration would visit {total} candidates (> {MAX_CANDIDATES}); "
+            "shrink the region")
 
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     uflat = np.repeat(u_lo, counts) + (np.arange(total) - np.repeat(starts, counts))
@@ -257,8 +256,7 @@ def _check_float_positions(lo: float, hi: float, gap: float) -> None:
             f"there ({spacing:g}) exceeds the smallest gap between points ({gap:.3g})")
 
 
-def generate(scheme: Scheme, w: Window, region: tuple[float, float],
-             max_candidates: int = MAX_CANDIDATES) -> PointSet:
+def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet:
     """All lattice points with physical position in the closed region and star in w."""
     lo, hi = _check_region(region)
     if not scheme.window_kind_ok(w):
@@ -266,15 +264,15 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float],
 
     if scheme.kind == PERIODIC:
         _check_float_positions(lo, hi, 1.0)
-        if hi - lo > max_candidates:
-            raise ResourceError(f"region holds ~{int(hi - lo)} integers (> {max_candidates})")
+        if hi - lo > MAX_CANDIDATES:
+            raise ResourceError(f"region holds ~{int(hi - lo)} integers (> {MAX_CANDIDATES})")
         cand = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)[None]
     else:
         iu = w if scheme.kind == FIBONACCI else w.intervals
         if not iu.is_empty():
             wlo, whi = iu.hull()
             _check_float_positions(lo, hi, 1 / float(whi - wlo))
-        cand = _quad_candidates(iu, lo, hi, max_candidates)
+        cand = _quad_candidates(iu, lo, hi)
     coords = cand[:, _in_window(scheme, w, cand, (lo, hi))]
     order = np.argsort(_physical(coords), kind="stable")
     return PointSet(scheme, w, coords[:, order], (lo, hi))
@@ -300,35 +298,6 @@ def gap_sequence(ps: PointSet, absent_sites: bool = False, cyclic: bool = False)
             gaps = [g - 1 for g in gaps]
         return gaps
     return list(np.diff(ps.physical()))
-
-
-def symmetric_difference_density(p: PointSet, q: PointSet) -> float:
-    """Density of the symmetric difference of two patches on a shared region."""
-    if p.region != q.region:
-        raise ParameterError(f"region mismatch: {p.region} vs {q.region}")
-    if p.scheme != q.scheme:
-        raise ParameterError("scheme mismatch")
-    lo, hi = p.region
-    common = int(p.contains(q.coords).sum())
-    return (len(p) + len(q) - 2 * common) / (hi - lo)
-
-
-def _restrict(ps: PointSet, region: tuple[float, float]) -> PointSet:
-    """The points of ``ps`` with physical position in the closed ``region``."""
-    lo, hi = region
-    ph = ps.physical()
-    inside = slice(np.searchsorted(ph, lo, "left"), np.searchsorted(ph, hi, "right"))
-    return PointSet(ps.scheme, ps.window, ps.coords[:, inside], region)
-
-
-def translate_pointset(ps: PointSet, t) -> PointSet:
-    """The patch t + ps, restricted to ps.region; window is translated to match."""
-    lo, hi = ps.region
-    new_window = ps.window.translate(star(ps.scheme, t))
-    [shift] = _lattice_coords(ps.scheme, [t])
-    tp = float(_physical(shift)[0])
-    moved = PointSet(ps.scheme, new_window, ps.coords + shift, (lo + tp, hi + tp))
-    return _restrict(moved, ps.region)
 
 
 # ---------------------------------------------------------------------------

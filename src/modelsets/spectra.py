@@ -19,8 +19,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,9 +29,7 @@ from .errors import ParameterError, ResourceError, check_count, check_real
 from .pointsets import _atomic_write
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
                       IntervalUnion, ProductWindow, QuadNum, ResidueSet, Scheme,
-                      Window, _norm, make_scheme, window_measure)
-
-TWO_PI = 2 * math.pi
+                      Window, _norm, make_scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +56,7 @@ class DualPoint:
     scheme: Scheme
     labels: tuple
 
-    @property
+    @cached_property
     def k(self) -> float:
         return float(self.k_exact())
 
@@ -311,24 +309,6 @@ def _combined_dual_labels(kmax: float, kappa_bound: float, b: int, N: int):
             yield (m, n, b)
 
 
-@dataclass(frozen=True)
-class ExtinctionReport:
-    points: tuple          # sampled internal frequencies with |FT| < eps
-    zero_at_origin: bool   # must be False for any window of positive measure
-
-
-def extinction_set(scheme: Scheme, w: Window, sample: Sequence, eps: float) -> ExtinctionReport:
-    """Sampled internal frequencies where the window transform (nearly) vanishes."""
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    if window_measure(scheme, w) == 0:
-        raise ParameterError("window has zero measure; its transform vanishes identically")
-    hits = tuple(k for k in sample if abs(window_ft(scheme, w, k)) < eps)
-    origin = {FIBONACCI: 0.0, PERIODIC: 0, COMBINED: (0.0, 0)}[scheme.kind]
-    zero_at_origin = abs(window_ft(scheme, w, origin)) < eps
-    return ExtinctionReport(hits, zero_at_origin)
-
-
 # ---------------------------------------------------------------------------
 # finite-group zero condition
 # ---------------------------------------------------------------------------
@@ -435,14 +415,6 @@ class DeckGrid:
     def cell(self) -> float:
         return 2 * self.l_half / self.M
 
-    def grid(self) -> np.ndarray:
-        return -self.l_half + np.arange(self.M) * self.cell
-
-    def frequencies(self) -> np.ndarray:
-        """Signed frequency index per DFT bin; physical k = index / (2*l_half)."""
-        m = np.arange(self.M)
-        return np.where(m <= self.M // 2, m, m - self.M)
-
 
 def sample_window(iu: IntervalUnion, M: int, l_half) -> np.ndarray:
     """Exact 0/1 sampling of the window on the grid -L + j*(2L/M).
@@ -466,8 +438,7 @@ def sample_window(iu: IntervalUnion, M: int, l_half) -> np.ndarray:
     return f
 
 
-def deck_functions(f: np.ndarray, M: int, l_half: float,
-                   allow_large: bool = False) -> DeckGrid:
+def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     """Deck data of a sampled indicator; verifies the grid identities.
 
     Precondition: the support diameter must stay below l_half/2 so circular
@@ -480,8 +451,8 @@ def deck_functions(f: np.ndarray, M: int, l_half: float,
         raise ParameterError(f"indicator must have shape ({M},)")
     if not np.isin(f, (0, 1)).all():
         raise ParameterError("indicator must be 0/1 valued")
-    if M > 2048 and not allow_large:
-        raise ResourceError("M > 2048 stores a large dense I2; pass allow_large=True")
+    if M > 2048:
+        raise ResourceError("M > 2048 stores a large dense I2")
     support = np.nonzero(f)[0]
     if len(support) == 0:
         raise ParameterError("empty indicator")

@@ -179,12 +179,17 @@ def test_alias_expansion():
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "nan"],
     ["correlate", "--scheme", "periodic:32", "--window", "A", "--compare", "B",
      "--tol", "nan"],
+    ["correlate", "--scheme", "fibonacci", "--window", "A"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--compare", "A"],
+    ["correlate", "--scheme", "combined:32", "--window", "fib"],
     ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "nan"],
     ["diffract", "--scheme", "periodic:32", "--window", "A", "--kmax", "inf"],
     ["diffract", "--scheme", "fibonacci", "--window", "fib", "--min-intensity", "nan"],
     ["reconstruct", "--window", "[0,1)", "--grid", "0"],
     ["reconstruct", "--window", "[0,1)", "--halflength", "-8"],
     ["reconstruct", "--window", "[0,1)", "--halflength", "inf"],
+    ["reconstruct", "--window", "[0,1)", "--max-mismatch", "nan"],
+    ["reconstruct", "--window", "[0,1)", "--max-mismatch", "-1"],
 ], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))
 def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys):
     code = run(*argv, "-o", str(tmp_path / "out"))
@@ -199,6 +204,7 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e6"],
     ["homometry", "--sets", "{0,1,5}@128", "{0,2,5}@128", "--order", "4"],
+    ["reconstruct", "--window", "[0,1)", "--grid", "4096"],
 ], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))
 def test_resource_limit_is_one_line_error(argv, tmp_path, capsys):
     code = run(*argv, "-o", str(tmp_path / "out"))

@@ -1,4 +1,4 @@
-"""Exact vs empirical frequencies, correlation measures, almost periods."""
+"""Exact vs empirical frequencies and correlation measures."""
 
 import random
 from itertools import product
@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, ResidueSet,
-                       almost_periods, canonical_pattern, correlation_measure,
+                       canonical_pattern, correlation_measure,
                        correlations_equal, freq_empirical, freq_exact, generate,
                        make_scheme, parse_window, support_differences, window_measure)
 from modelsets import correlations
@@ -183,27 +183,3 @@ def test_csv_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "diff1,frequency"
-
-
-def test_almost_periods():
-    cands = [QuadLatticePoint(0, 0), QuadLatticePoint(13, 21), QuadLatticePoint(3, 0)]
-    hits = almost_periods(FIB, W, 0.1, cands, 10_000)
-    got = {(t.u, t.v): est for t, est in hits}
-    assert got[(0, 0)] == 0.0
-    assert (13, 21) in got and got[(13, 21)] < 0.1
-    assert (3, 0) not in got  # star = 3 clears the window entirely
-    # the excluded translate loses essentially every point
-    from modelsets import symmetric_difference_density, translate_pointset
-    from modelsets.correlations import _restrict
-    base = generate(FIB, W, (-2010, 2010))
-    inner = _restrict(base, (-2000, 2000))
-    moved = _restrict(translate_pointset(base, QuadLatticePoint(3, 0)), (-2000, 2000))
-    est = symmetric_difference_density(inner, moved)
-    assert est == pytest.approx(2 * window_measure(FIB, W), rel=0.02)
-
-
-def test_almost_periods_eps_range():
-    with pytest.raises(ParameterError):
-        almost_periods(FIB, W, 0.0, [], 100)
-    with pytest.raises(ParameterError):
-        almost_periods(FIB, W, 10.0, [], 100)

@@ -5,10 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from modelsets import (ParameterError, QuadLatticePoint, ResidueSet, cyclotomic_pair,
-                       gap_sequence, generate, make_scheme, parse_window,
-                       pattern_table, product_correlation_check, rigid_equivalent,
-                       tables_equal, thinned_model_set, window_measure)
+from modelsets import (ParameterError, ResidueSet, cyclotomic_pair, gap_sequence,
+                       generate, make_scheme, parse_window, pattern_table,
+                       rigid_equivalent, tables_equal, thinned_model_set, window_measure)
 SET_A, SET_B = cyclotomic_pair()
 W = parse_window("[-1,1/tau)")
 
@@ -128,21 +127,3 @@ def test_thinned_gap_multisets_differ():
     ga = sorted(np.round(gap_sequence(ta), 9))
     gb = sorted(np.round(gap_sequence(tb), 9))
     assert ga != gb
-
-
-def test_product_correlation_check_pair():
-    pats = [(QuadLatticePoint(0, 1), QuadLatticePoint(1, 1)),
-            (QuadLatticePoint(1, 0), QuadLatticePoint(-1, 1)),
-            (QuadLatticePoint(1, 1), QuadLatticePoint(2, 1))]
-    rep = product_correlation_check(W, SET_A, SET_B, pats)
-    assert rep.all_equal and rep.max_exact_gap == 0.0
-    same = product_correlation_check(W, SET_A, SET_A, pats)
-    assert same.all_equal
-
-
-def test_product_correlation_check_empirical():
-    pats = [(QuadLatticePoint(0, 1), QuadLatticePoint(1, 1))]
-    rep = product_correlation_check(W, SET_A, SET_B, pats, R_empirical=10_000)
-    row = rep.rows[0]
-    assert row.empirical_1 == pytest.approx(row.freq_1, abs=0.02 * row.freq_1 + 1e-3)
-    assert row.empirical_2 == pytest.approx(row.freq_2, abs=0.02 * row.freq_2 + 1e-3)

@@ -63,6 +63,20 @@ def test_combined_dual_point_matches_division(m, n, b, N):
 
 
 @SETTINGS
+@given(st.sampled_from(["fibonacci", "periodic", "combined"]), labels, labels,
+       st.integers(-10**3, 10**3), moduli)
+def test_cached_k_keeps_value_equality_and_hash(kind, m, n, b, N):
+    scheme = make_scheme(kind, None if kind == "fibonacci" else N)
+    lab = {"fibonacci": (m, n), "periodic": (m,), "combined": (m, n, b)}[kind]
+    dp, twin = dual_lattice(scheme).point(*lab), dual_lattice(scheme).point(*lab)
+    h = hash(dp)
+    assert dp.k == float(dp.k_exact())
+    assert dp.k == float(dp.k_exact())  # the cached value
+    assert hash(dp) == hash(twin) == h
+    assert dp == twin and len({dp, twin}) == 1
+
+
+@SETTINGS
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-100, 100), moduli,
        lattice_points)
 def test_pairing_is_integral_and_matches_the_oracle(m, n, b, N, p):

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from modelsets import (IntervalUnion, ProductWindow, QuadLatticePoint, QuadNum,
                        ResidueSet, canonical_pattern, freq_empirical, generate,
-                       load_pointset, make_scheme, parse_window, save_pointset,
-                       symmetric_difference_density, translate_pointset)
-from modelsets.correlations import _restrict
+                       load_pointset, make_scheme, parse_window, save_pointset)
 from modelsets.schemes import COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME
 
 FIB = make_scheme("fibonacci")
@@ -171,25 +169,3 @@ def test_freq_empirical_counts_known_pattern():
     ps = PATCHES["fib"]
     assert freq_empirical(ps, (QuadLatticePoint(0, 1),), R) == \
         freq_loop(ps, (QuadLatticePoint(0, 1),), R) > 0
-
-
-# -- translation, restriction, symmetric difference ---------------------------
-
-@SETTINGS
-@given(st.sampled_from(sorted(PATCHES)), st.integers(-8, 8), st.integers(-5, 5),
-       st.floats(-R / 2, R / 2 - 1))
-def test_translate_restrict_and_symdiff_match_sets(name, tu, tv, a):
-    ps = PATCHES[name]
-    periodic = ps.scheme.kind == PERIODIC
-    t = tu if periodic else QuadLatticePoint(tu, tv)
-    lo, hi = ps.region
-    moved = translate_pointset(ps, t)
-    shifted = [p + t for p in ps.points]
-    assert moved.points == tuple(p for p in shifted if lo <= phys(ps.scheme, p) <= hi)
-
-    sub = (a, a + 300.0)
-    inner = _restrict(ps, sub)
-    assert inner.points == tuple(p for p in ps.points if a <= phys(ps.scheme, p) <= a + 300)
-    other = _restrict(moved, sub)
-    expected = len(set(inner.points) ^ set(other.points)) / (sub[1] - sub[0])
-    assert symmetric_difference_density(inner, other) == expected

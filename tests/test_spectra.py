@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, cyclotomic_pair,
-                       deck_functions, diffraction, dual_lattice, extinction_set,
+                       deck_functions, diffraction, dual_lattice,
                        generate, make_scheme, parse_window, residue_deck_tables,
                        sample_window, window_ft, window_measure, zero_condition)
 from modelsets.schemes import SQRT5, TAU
@@ -71,23 +71,12 @@ def test_window_ft_half_period_vanishes():
     assert abs(window_ft(PER32, SET_A, 16)) < 1e-12
 
 
-def test_extinctions_of_unit_interval_at_integers():
+def test_window_ft_of_unit_interval_vanishes_at_nonzero_integers():
     w = parse_window("[0,1)")
-    sample = [1.0, 2.0, 3.0, -1.0, 0.5, 1.5, 0.0]
-    rep = extinction_set(FIB, w, sample, eps=1e-9)
-    assert set(rep.points) == {1.0, 2.0, 3.0, -1.0}
-    assert rep.zero_at_origin is False
-
-
-def test_extinction_zero_measure_window_rejected():
-    from modelsets import IntervalUnion
-    with pytest.raises(ParameterError):
-        extinction_set(FIB, IntervalUnion.empty(), [0.0], 1e-6)
-
-
-def test_extinction_zero_free_sample():
-    rep = extinction_set(FIB, parse_window("[0,1)"), [0.3, 0.7, 1.2], eps=1e-12)
-    assert rep.points == ()
+    for k in (1.0, -1.0, 2.0, 3.0):
+        assert abs(window_ft(FIB, w, k)) < 1e-12
+    for k in (0.0, 0.3, 0.5, 0.7, 1.2, 1.5):
+        assert abs(window_ft(FIB, w, k)) > 1e-2
 
 
 # ---------------------------------------------------------------------------
