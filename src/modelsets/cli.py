@@ -63,6 +63,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    if args.compare is not None and args.empirical is not None:
+        raise ParameterError("--compare and --empirical cannot be combined")
     scheme = parse_scheme(args.scheme)
     window = parse_window(expand_window_literal(args.window))
     measure = correlation_measure(scheme, window, args.order, args.cutoff)
@@ -76,7 +78,7 @@ def cmd_correlate(args) -> int:
                   f"{args.cutoff} (tol {args.tol:g})")
         else:
             key, v1, v2 = result.witness
-            print(f"DIFFER at {key}: {v1:.15g} vs {v2:.15g}")
+            print(f"DIFFER at {','.join(map(_coord_text, key))}: {v1:.15g} vs {v2:.15g}")
         measure.to_csv(args.output)
         return EXIT_OK if result.equal else EXIT_VERIFY
 

@@ -132,6 +132,16 @@ def _tuple_sort_key(key: tuple):
     return out
 
 
+#: budget on the lattice candidates one difference enumeration may visit
+MAX_DIFFERENCE_CANDIDATES = 500_000
+
+
+def _check_candidates(est: float) -> None:
+    if est > MAX_DIFFERENCE_CANDIDATES:
+        raise ResourceError(f"difference enumeration would visit ~{int(est)} candidates; "
+                            "reduce the cutoff")
+
+
 def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     """Lattice differences x with |phys(x)| <= cutoff and freq({0, x}) > 0.
 
@@ -142,12 +152,10 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     check_real("cutoff", cutoff, 0)
     if not scheme.window_kind_ok(w):
         raise ParameterError(f"window {type(w).__name__} incompatible with scheme {scheme.label()}")
-    out = []
     if scheme.kind == PERIODIC:
-        for x in range(-math.floor(cutoff), math.floor(cutoff) + 1):
-            if freq_exact(scheme, w, (x,)) > 0:
-                out.append(x)
-        return out
+        top = math.floor(cutoff)
+        _check_candidates(2 * top + 1)
+        return [x for x in range(-top, top + 1) if freq_exact(scheme, w, (x,)) > 0]
 
     iu = w if scheme.kind == FIBONACCI else w.intervals
     hull = iu.hull()
@@ -157,10 +165,8 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     # enumerate x = u + v*tau with phys in [-cutoff, cutoff], star in the hull of W-W
     vmin = math.floor((-cutoff - diff_hi) / math.sqrt(5)) - 2
     vmax = math.ceil((cutoff - diff_lo) / math.sqrt(5)) + 2
-    est = (vmax - vmin + 1) * (diff_hi - diff_lo + 4)
-    if est > 500_000:
-        raise ResourceError(f"difference enumeration would visit ~{int(est)} candidates; "
-                            "reduce the cutoff")
+    _check_candidates((vmax - vmin + 1) * (diff_hi - diff_lo + 4))
+    out = []
     for v in range(vmin, vmax + 1):
         ulo = math.floor(diff_lo - v * TAU_PRIME) - 1
         uhi = math.ceil(diff_hi - v * TAU_PRIME) + 1

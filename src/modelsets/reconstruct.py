@@ -26,10 +26,10 @@ solver here constructs one solution:
 Frequencies with no admissible decomposition stay unknown and are counted;
 a partial result is legitimate output.
 
-The M x M work (psi2 and the gauge measurement) runs in row blocks that read
-X[(k1 + k2) % M] as a sliding window over the doubled vector, so no M x M
-index grid is built.  The recovered grid is aligned with the input by one FFT
-cross-correlation.
+psi2 is not stored; each entry is computed from I2hat when read.  The gauge
+measurement scans the pairs in row blocks that read X[(k1 + k2) % M] from the
+doubled vector, so no M x M index grid is built.  The recovered grid is
+aligned with the input by one FFT cross-correlation.
 """
 
 from __future__ import annotations
@@ -54,21 +54,25 @@ MIN_KNOWN_FRAC = 0.9
 
 @dataclass(frozen=True)
 class PhaseQuotient:
-    """psi2 on the admissible pairs D2, plus the moduli it was built from.
+    """psi2 on the admissible pairs D2, read from the deck transforms on demand.
 
     Built from deck transforms only: |F| = sqrt(I1hat), never the true phase.
+    ``I2hat`` is the deck's array, not a copy.  D2: k1, k2 and k1 + k2 in ``D``.
     """
 
     M: int
     l_half: float
     absF: np.ndarray
-    values: np.ndarray   # complex, meaningful where mask is True
-    mask: np.ndarray     # D2 as a boolean M x M grid
+    I2hat: np.ndarray
     eps_zero: float
 
     @property
     def D(self) -> np.ndarray:
         return self.absF >= self.eps_zero
+
+    def at(self, k1, k2):
+        """psi2(k1, k2) = I2hat[k1, k2] / (|F|[k1] |F|[k2] |F|[k1 + k2]), ints or index arrays."""
+        return self.I2hat[k1, k2] / (self.absF[k1] * self.absF[k2] * self.absF[(k1 + k2) % self.M])
 
 
 @dataclass(frozen=True)
@@ -94,18 +98,9 @@ def phase_quotient(deck: DeckGrid, eps_zero: float | None = None) -> PhaseQuotie
         eps_zero = EPS_ZERO_FACTOR * absF.max()
     if eps_zero <= 0:
         raise ParameterError("eps_zero must be positive")
-    D = absF >= eps_zero
-    if np.count_nonzero(D) <= 1:
+    if np.count_nonzero(absF >= eps_zero) <= 1:
         raise DegenerateInputError("no usable frequencies beyond k = 0")
-    M = deck.M
-    Dsum, Asum = wrapped_rows(D), wrapped_rows(absF)
-    mask = np.empty((M, M), dtype=bool)
-    values = np.zeros((M, M), dtype=complex)
-    for r in row_blocks(M, M):
-        np.logical_and(D[r, None] & D[None, :], Dsum[r], out=mask[r])
-        denom = absF[r, None] * absF[None, :] * Asum[r]
-        np.divide(deck.I2hat[r], denom, out=values[r], where=mask[r])
-    return PhaseQuotient(M, deck.l_half, absF, values, mask, float(eps_zero))
+    return PhaseQuotient(deck.M, deck.l_half, absF, deck.I2hat, float(eps_zero))
 
 
 def _order_by_abs_k(M: int) -> np.ndarray:
@@ -138,9 +133,8 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
     grading = np.zeros(M, dtype=np.int64)
     order = _order_by_abs_k(M)
     seed = next((int(m) for m in order if m != 0 and D[m]), None)
-    # psi2.mask[k1, k2] = D[k1] & D[k2] & D[k1 + k2], so for m in D the split
-    # m = j + (m - j) is admissible iff j and m - j are both in D; ``usable``
-    # marks the known frequencies in D
+    # (k1, k2) is in D2 iff k1, k2, k1 + k2 are in D: for m in D, m = j + (m - j)
+    # is admissible iff j and m - j are in D; ``usable`` marks known frequencies in D
     usable = np.zeros(M, dtype=bool)
     usable_rev = _wrapped_reversed(usable)
     absF_rev = _wrapped_reversed(absF)
@@ -171,7 +165,7 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
             score = np.where(ok, np.minimum(absF, absF_rev[s:s + M]), -np.inf)
             m1 = int(np.argmax(score))  # first maximizer: deterministic tie-break
             mm2 = (m - m1) % M
-            value = phi[m1] * phi[mm2] * psi2.values[m1, mm2]
+            value = phi[m1] * phi[mm2] * psi2.at(m1, mm2)
             assign(m, value / abs(value), grading[m1] + grading[mm2])
             changed = True
 
@@ -193,8 +187,9 @@ def _normalize_gauge(phi, known, grading, absF, psi2: PhaseQuotient):
         return phi
     known_sum, grading_sum, absF_sum = (wrapped_rows(v) for v in (known, grading, absF))
     best = None   # (|dc|, score, m1, m2, dc)
+    # known frequencies all lie in D, so a known pair with known sum is in D2
     for r in row_blocks(M, M):
-        valid = known[r, None] & known[None, :] & known_sum[r] & psi2.mask[r]
+        valid = known[r, None] & known[None, :] & known_sum[r]
         dc = grading[r, None] + grading[None, :] - grading_sum[r]
         valid &= dc != 0
         if not valid.any():
@@ -212,7 +207,7 @@ def _normalize_gauge(phi, known, grading, absF, psi2: PhaseQuotient):
         return phi
     _, _, m1, m2, delta = best
     m = (m1 + m2) % M
-    defect = phi[m1] * phi[m2] * psi2.values[m1, m2] / phi[m]
+    defect = phi[m1] * phi[m2] * psi2.at(m1, m2) / phi[m]
     # defect = w^delta with w^M a root of unity to be absorbed; principal root
     eta = np.exp(-1j * np.angle(defect) / delta)
     out = np.where(known, phi * eta**grading, 0.0)

@@ -220,8 +220,9 @@ def test_criterion_7_deck_transform_identity():
 
     psi2 = phase_quotient(deck)
     pairs = rng.integers(0, M512, size=(10_000, 2))
-    sel = psi2.mask[pairs[:, 0], pairs[:, 1]]
-    mags = np.abs(psi2.values[pairs[sel, 0], pairs[sel, 1]])
+    D = psi2.D
+    sel = D[pairs[:, 0]] & D[pairs[:, 1]] & D[pairs.sum(1) % M512]
+    mags = np.abs(psi2.at(pairs[sel, 0], pairs[sel, 1]))
     dev = np.abs(mags - 1).max()
     ok &= dev < 1e-8
     _report(7, ok, f"factorization residual {res64:.1e} (M=64), spot {spot:.1e} "

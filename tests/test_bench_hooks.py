@@ -36,6 +36,7 @@ def test_tracer_records_the_wrapped_hot_paths(tmp_path):
     assert codes == [0, 0, 0]
     names = {span[0] for span in tracer.spans}
     assert {"schemes.window_intersect", "schemes.window_measure", "spectra.window_ft",
-            "spectra.deck_functions", "reconstruct.propagate_phase"} <= names
+            "spectra.deck_functions", "reconstruct.phase_quotient",
+            "reconstruct.propagate_phase", "reconstruct.align"} <= names
     # leaving the context restores the module attributes
     assert correlations.window_intersect is schemes.window_intersect

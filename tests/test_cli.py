@@ -78,6 +78,22 @@ def test_correlate_compare_detects_difference(tmp_path):
     assert code == EXIT_VERIFY
 
 
+def test_correlate_differ_prints_csv_key(tmp_path, capsys):
+    code = run("correlate", "--scheme", "fibonacci", "--window", "[0,1)",
+               "--compare", "[0,1.5)", "--cutoff", "2", "-o", str(tmp_path / "c.csv"))
+    assert code == EXIT_VERIFY
+    assert capsys.readouterr().out == "DIFFER at -1+0*tau: 0 vs 0.223606797749979\n"
+
+
+def test_correlate_compare_with_empirical_is_refused(tmp_path, capsys):
+    code = run("correlate", "--scheme", "fibonacci", "--window", "fib", "--compare", "fib",
+               "--empirical", "100", "-o", str(tmp_path / "c.csv"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == "error: --compare and --empirical cannot be combined\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_diffract_outputs_and_reproducibility(tmp_path):
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     svg = tmp_path / "s.svg"
@@ -203,6 +219,7 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e6"],
+    ["correlate", "--scheme", "periodic:32", "--window", "A", "--cutoff", "1e9"],
     ["homometry", "--sets", "{0,1,5}@128", "{0,2,5}@128", "--order", "4"],
     ["reconstruct", "--window", "[0,1)", "--grid", "4096"],
 ], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))

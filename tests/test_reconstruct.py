@@ -1,5 +1,7 @@
 """Phase quotient, propagation, window recovery, and alignment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,16 +19,29 @@ def _deck(literal, M=M, L=L):
     return f, deck_functions(f, M, L)
 
 
+def _admissible(psi2, k1, k2):
+    """D2 membership: k1, k2 and k1 + k2 all usable."""
+    D = psi2.D
+    return D[k1] & D[k2] & D[(k1 + k2) % psi2.M]
+
+
+def _admissible_pairs(psi2):
+    """Index arrays (k1, k2) of every pair in D2."""
+    k = np.arange(psi2.M)
+    return np.nonzero(_admissible(psi2, k[:, None], k))
+
+
 def test_phase_quotient_unit_modulus():
     _, deck = _deck("[0,1)u[1.5,2.25)")
     psi2 = phase_quotient(deck)
-    assert psi2.values[0, 0] == pytest.approx(1.0, abs=1e-10)
-    mags = np.abs(psi2.values[psi2.mask])
+    assert psi2.at(0, 0) == pytest.approx(1.0, abs=1e-10)
+    k1, k2 = _admissible_pairs(psi2)
+    mags = np.abs(psi2.at(k1, k2))
     assert np.abs(mags - 1).max() < 1e-8
     rng = np.random.default_rng(0)
     pairs = rng.integers(0, M, size=(10_000, 2))
-    sel = psi2.mask[pairs[:, 0], pairs[:, 1]]
-    mags = np.abs(psi2.values[pairs[sel, 0], pairs[sel, 1]])
+    sel = _admissible(psi2, pairs[:, 0], pairs[:, 1])
+    mags = np.abs(psi2.at(pairs[sel, 0], pairs[sel, 1]))
     assert np.abs(mags - 1).max() < 1e-8
 
 
@@ -41,10 +56,10 @@ def test_phase_quotient_symmetric_window_signs():
     assert np.abs(Fr.imag).max() < 1e-9 * np.abs(Fr).max()
     psi2 = phase_quotient(deck)
     sign = np.sign(Fr.real)
-    idx = (np.arange(M)[:, None] + np.arange(M)[None, :]) % M
-    pred = sign[:, None] * sign[None, :] * sign[idx]
-    got = psi2.values[psi2.mask]
-    assert np.abs(got - pred[psi2.mask]).max() < 1e-6
+    k1, k2 = _admissible_pairs(psi2)
+    pred = sign[k1] * sign[k2] * sign[(k1 + k2) % M]
+    got = psi2.at(k1, k2)
+    assert np.abs(got - pred).max() < 1e-6
 
 
 def test_phase_quotient_degenerate():
@@ -88,9 +103,9 @@ def test_propagation_consistency_residual():
             m1, m2 = rng.integers(0, M, 2)
             m = (m1 + m2) % M
             if phase.known[m1] and phase.known[m2] and phase.known[m] \
-                    and psi2.mask[m1, m2]:
+                    and _admissible(psi2, m1, m2):
                 res = abs(phase.phi[m]
-                          - phase.phi[m1] * phase.phi[m2] * psi2.values[m1, m2])
+                          - phase.phi[m1] * phase.phi[m2] * psi2.at(m1, m2))
                 worst = max(worst, res)
         assert worst < 1e-6
 
@@ -181,8 +196,9 @@ def test_gauge_covariance_under_translation():
     assert np.allclose(deck.I1hat, deck2.I1hat, atol=1e-10)
     psi1 = phase_quotient(deck)
     psi2 = phase_quotient(deck2)
-    assert np.array_equal(psi1.mask, psi2.mask)
-    assert np.abs(psi1.values[psi1.mask] - psi2.values[psi1.mask]).max() < 1e-8
+    assert np.array_equal(psi1.D, psi2.D)
+    k1, k2 = _admissible_pairs(psi1)
+    assert np.abs(psi1.at(k1, k2) - psi2.at(k1, k2)).max() < 1e-8
     rep1 = roundtrip(f, M, L)
     rep2 = roundtrip(np.roll(f, a), M, L)
     # both recoveries align perfectly onto their own inputs
@@ -190,6 +206,20 @@ def test_gauge_covariance_under_translation():
     # and the recovered windows agree up to a circular shift
     _, cross = align_up_to_translation(rep1.recovered, rep2.recovered)
     assert cross < 0.01
+
+
+def test_roundtrip_traced_peak_at_largest_grid():
+    # psi2 is read from I2hat on demand; storing an M x M complex copy of it
+    # (64 MB at M = 2048) again would break this bound
+    f = sample_window(parse_window("[0,1)u[1.5,2.25)"), 2048, L)
+    tracemalloc.start()
+    try:
+        rep = roundtrip(f, 2048, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.mismatch < 0.01
+    assert peak < 120e6
 
 
 def test_roundtrip_report_json():

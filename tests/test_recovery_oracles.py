@@ -183,11 +183,23 @@ def test_quotient_and_propagation_match_dense_reference(case, block_cells):
         psi2 = phase_quotient(deck)
         phase = propagate_phase(psi2.absF, psi2)
     values, mask, phi, known, grading = dense_reference(deck)
-    assert np.array_equal(psi2.mask, mask)
-    assert psi2.values.tobytes() == values.tobytes()
+    D, k = psi2.D, np.arange(len(f))
+    assert np.array_equal(D[:, None] & D & D[(k[:, None] + k) % len(f)], mask)
+    assert psi2.at(*np.nonzero(mask)).tobytes() == values[mask].tobytes()
     assert np.array_equal(phase.known, known)
     assert np.array_equal(phase.grading, grading)
     assert phase.phi.tobytes() == phi.tobytes()
+
+
+@SETTINGS
+@given(small_indicator())
+def test_known_frequencies_are_usable(case):
+    # the gauge fix takes a known pair with known sum to be in D2; that rests
+    # on every known frequency lying in D
+    f, L = case
+    psi2 = phase_quotient(deck_functions(f, len(f), L))
+    phase = propagate_phase(psi2.absF, psi2)
+    assert not (phase.known & ~psi2.D).any()
 
 
 # ---------------------------------------------------------------------------
