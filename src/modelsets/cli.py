@@ -82,19 +82,13 @@ def cmd_correlate(args) -> int:
         measure.to_csv(args.output)
         return EXIT_OK if result.equal else EXIT_VERIFY
 
+    empirical = None
     if args.empirical is not None:
         R = check_real("averaging radius R", args.empirical, positive=True)
         pad = args.cutoff * (args.order - 1) + 2
         ps = generate(scheme, window, (-R / 2 - pad, R / 2 + pad))
-        lines = [",".join([f"diff{i + 1}" for i in range(args.order - 1)]
-                          + ["frequency", "empirical"])]
-        for key in measure.support():
-            emp = freq_empirical(ps, key, R)
-            cells = [_coord_text(x) for x in key]
-            lines.append(",".join(cells + [f"{measure.entries[key]:.15g}", f"{emp:.15g}"]))
-        _atomic_write(args.output, "\n".join(lines) + "\n")
-    else:
-        measure.to_csv(args.output)
+        empirical = {key: freq_empirical(ps, key, R) for key in measure.support()}
+    measure.to_csv(args.output, empirical)
     print(f"wrote {len(measure.entries)} correlation entries to {args.output}")
     return EXIT_OK
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,14 +105,22 @@ class CorrelationMeasure:
             return tuple([0] * n)
         return tuple([QuadLatticePoint(0, 0)] * n)
 
-    def to_csv(self, path: str) -> None:
-        """Deterministic CSV: diff columns then frequency at 15 significant digits."""
+    def to_csv(self, path: str, empirical: Mapping | None = None) -> None:
+        """Deterministic CSV: diff columns then frequency at 15 significant digits.
+
+        ``empirical`` maps every key of the support to a patch frequency,
+        written in an added ``empirical`` column in the same format.
+        """
         n = self.order - 1
-        header = ",".join(f"diff{i + 1}" for i in range(n)) + ",frequency"
-        lines = [header]
+        header = [f"diff{i + 1}" for i in range(n)] + ["frequency"]
+        if empirical is not None:
+            header.append("empirical")
+        lines = [",".join(header)]
         for key in self.support():
-            cells = [_coord_text(x) for x in key]
-            lines.append(",".join(cells + [f"{self.entries[key]:.15g}"]))
+            cells = [_coord_text(x) for x in key] + [f"{self.entries[key]:.15g}"]
+            if empirical is not None:
+                cells.append(f"{empirical[key]:.15g}")
+            lines.append(",".join(cells))
         _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -155,7 +163,13 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     if scheme.kind == PERIODIC:
         top = math.floor(cutoff)
         _check_candidates(2 * top + 1)
-        return [x for x in range(-top, top + 1) if freq_exact(scheme, w, (x,)) > 0]
+        # freq({0, x}) depends on x mod N only (x = 0 is dropped and x = kN
+        # translates by 0, both leaving |W|): one call per class, taken at
+        # its first representative in [-top, top]
+        N = scheme.modulus
+        firsts = range(-top, min(top, N - 1 - top) + 1)
+        positive = {x % N for x in firsts if freq_exact(scheme, w, (x,)) > 0}
+        return [x for x in range(-top, top + 1) if x % N in positive]
 
     iu = w if scheme.kind == FIBONACCI else w.intervals
     hull = iu.hull()

@@ -397,19 +397,31 @@ class DeckGrid:
 
     ``I1[j]`` is the measure of the window cut with its translate by j cells
     and ``I2[j1, j2]`` the measure of the triple cut; both are exact integer
-    cell counts times the cell width.  ``F`` is the scaled DFT of the
-    indicator; ``I1hat`` and ``I2hat`` are the transforms of the deck data
-    (everything the reconstruction stage is allowed to see).
+    cell counts times the cell width.  I2 is stored as those counts on its
+    nonzero rows only: ``rows`` lists the shifts j1 with I1[j1] > 0 (every
+    other row of I2 is zero) and ``counts[i]`` is row ``rows[i]`` as int32;
+    the dense float ``I2`` is built on each read.  ``F`` is the scaled DFT of
+    the indicator; ``I1hat`` and ``I2hat`` are the transforms of the deck
+    data (everything the reconstruction stage is allowed to see).  ``I2hat``
+    is the transpose view of a C-ordered buffer holding I2hat[k1, k2] at
+    [k2, k1].
     """
 
     M: int
     l_half: float
     f: np.ndarray
     I1: np.ndarray
-    I2: np.ndarray
+    rows: np.ndarray
+    counts: np.ndarray
     F: np.ndarray
     I1hat: np.ndarray
     I2hat: np.ndarray
+
+    @property
+    def I2(self) -> np.ndarray:
+        I2 = np.zeros((self.M, self.M))
+        I2[self.rows] = self.cell * self.counts
+        return I2
 
     @property
     def cell(self) -> float:
@@ -452,7 +464,7 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     if not np.isin(f, (0, 1)).all():
         raise ParameterError("indicator must be 0/1 valued")
     if M > 2048:
-        raise ResourceError("M > 2048 stores a large dense I2")
+        raise ResourceError("M > 2048 stores a large dense complex I2hat")
     support = np.nonzero(f)[0]
     if len(support) == 0:
         raise ParameterError("empty indicator")
@@ -476,22 +488,38 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     rows = np.nonzero(n1)[0]
     shifted = sliding_window_view(np.concatenate((fb, fb)), M)   # [i] = roll(fb, M - i)
     cRf = np.conj(np.fft.rfft(fb))
-    I2 = np.zeros((M, M))
-    I2hat = np.zeros((M, M), dtype=complex)
+    counts = np.empty((len(rows), M), dtype=np.int32)
+    # the 2-D transform of I2 axis by axis, as fft2 does: rows first, each
+    # row transform stored as a column of T, then the column transforms as
+    # contiguous rows of T in place; I2hat = T.T.  The zero rows of I2 stay
+    # zero columns of T.
+    T = np.zeros((M, M), dtype=complex)
+    # one workspace for every block, the first (largest) one's size; blocks
+    # allocated anew would each cost page faults once they pass the
+    # allocator's mmap threshold
+    step = next(row_blocks(len(rows), M)).stop
+    g = np.empty((step, M))
+    G = np.empty((step, M // 2 + 1), dtype=complex)
+    R = np.empty((step, M), dtype=complex)
     for block in row_blocks(len(rows), M):
         r = rows[block]
-        g = fb * shifted[M - r]
-        counts = np.rint(np.fft.irfft(np.fft.rfft(g, axis=1) * cRf, n=M, axis=1))
-        I2[r] = h * counts.astype(np.int64)
-        # the 2-D transform of I2 axis by axis, as fft2 does: rows first
-        I2hat[r] = np.fft.fft(I2[r], axis=1)
-    I2hat = np.fft.fft(I2hat, axis=0, out=I2hat)
-    I2hat *= h * h
+        n = len(r)
+        gb, Gb = g[:n], G[:n]
+        np.multiply(fb, shifted[M - r], out=gb)
+        np.fft.rfft(gb, axis=1, out=Gb)
+        Gb *= cRf
+        np.fft.irfft(Gb, n=M, axis=1, out=gb)
+        counts[block] = np.rint(gb, out=gb)
+        # through the integer counts, so an empty cell is +0.0, never rint's -0.0
+        np.multiply(counts[block], h, out=gb)
+        T[:, r] = np.fft.fft(gb, axis=1, out=R[:n]).T
+    np.fft.fft(T, axis=1, out=T)
+    T *= h * h
     I1 = h * n1
     F = h * Ff
     I1hat = h * np.fft.fft(I1)
 
-    deck = DeckGrid(M, float(l_half), f.astype(np.int64), I1, I2, F, I1hat, I2hat)
+    deck = DeckGrid(M, float(l_half), f.astype(np.int64), I1, rows, counts, F, I1hat, T.T)
     _verify_deck(deck)
     return deck
 
@@ -521,11 +549,20 @@ def _verify_deck(deck: DeckGrid) -> None:
         raise AssertionError("I1hat is significantly negative")
     cF = np.conj(deck.F)
     Fsum = wrapped_rows(deck.F)
+    # rows of I2hat.T (contiguous for the deck's own I2hat): row k2 holds
+    # I2hat[:, k2], checked against cF[k1] cF[k2] F[k1 + k2] for every k1
+    I2hatT = deck.I2hat.T
+    step = next(row_blocks(M, M)).stop
+    pred = np.empty((step, M), dtype=complex)
+    mag = np.empty((step, M))
     scale = err = 0.0
     for r in row_blocks(M, M):
-        I2hat = deck.I2hat[r]
-        scale = max(scale, np.abs(I2hat).max())
-        err = max(err, np.abs(I2hat - cF[r, None] * cF[None, :] * Fsum[r]).max())
+        I2hat, p, a = I2hatT[r], pred[:r.stop - r.start], mag[:r.stop - r.start]
+        scale = max(scale, np.abs(I2hat, out=a).max())
+        np.multiply(cF[None, :], cF[r, None], out=p)
+        p *= Fsum[r]
+        np.subtract(I2hat, p, out=p)
+        err = max(err, np.abs(p, out=a).max())
     if scale > 0 and err > 1e-8 * scale:
         raise AssertionError("I2hat does not factor through the indicator transform")
 

@@ -132,6 +132,14 @@ def test_product_factorization_combined():
         assert whole == pytest.approx(interval * count / 32, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_periodic_support_differences_match_integer_loop(name):
+    scheme = parse_scheme("periodic:32")
+    w = parse_window(expand_window_literal(name))
+    loop = [x for x in range(-100, 101) if freq_exact(scheme, w, (x,)) > 0]
+    assert support_differences(scheme, w, 100.0) == loop
+
+
 ORACLE_CASES = [  # (scheme, window, cutoff per order 2, 3, 4)
     ("fibonacci", "[-1,1/tau)", (5.0, 4.0, 3.0)),
     ("fibonacci", "[0,1)u[1.5,2.25)", (4.0, 3.0, 2.0)),

@@ -209,8 +209,9 @@ def test_gauge_covariance_under_translation():
 
 
 def test_roundtrip_traced_peak_at_largest_grid():
-    # psi2 is read from I2hat on demand; storing an M x M complex copy of it
-    # (64 MB at M = 2048) again would break this bound
+    # psi2 is read from I2hat on demand and I2 is kept as int32 counts on its
+    # nonzero rows; storing an M x M copy of either (64 MB complex psi2 or
+    # 32 MB float I2 at M = 2048) again would break this bound
     f = sample_window(parse_window("[0,1)u[1.5,2.25)"), 2048, L)
     tracemalloc.start()
     try:
@@ -219,7 +220,7 @@ def test_roundtrip_traced_peak_at_largest_grid():
     finally:
         tracemalloc.stop()
     assert rep.mismatch < 0.01
-    assert peak < 120e6
+    assert peak < 90e6
 
 
 def test_roundtrip_report_json():

@@ -112,6 +112,8 @@ def test_deck_n2_matches_triple_count(case, block_cells):
     shifted = np.array([np.roll(f, j) for j in range(M)])
     n2 = (shifted * f) @ shifted.T
     assert np.array_equal(deck.I2, deck.cell * n2)
+    # the byte check also tells an empty cell's +0.0 from -0.0
+    assert deck.I2.tobytes() == (deck.cell * n2).tobytes()
     h = deck.cell
     assert np.array_equal(deck.I2hat, h * h * np.fft.fft2(deck.I2))
 

@@ -1,5 +1,6 @@
 """Dual lattices, window transforms, diffraction, zero condition, deck grids."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, cyclotomic_pair,
                        deck_functions, diffraction, dual_lattice,
                        generate, make_scheme, parse_window, residue_deck_tables,
-                       sample_window, window_ft, window_measure, zero_condition)
+                       sample_window, spectra, window_ft, window_measure, zero_condition)
 from modelsets.schemes import SQRT5, TAU
 
 FIB = make_scheme("fibonacci")
@@ -243,6 +244,19 @@ def test_deck_factorization_spot_check_512():
         direct = h * h * np.sum(deck.I2 * np.exp(-2j * np.pi * (np.add.outer(
             j * m1, j * m2)) / 512))
         assert abs(direct - deck.I2hat[m1, m2]) < 1e-8 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize("k1, k2", [(5, 2), (511, 509), (17, 300)],
+                         ids=["first-block", "last-block", "off-diagonal"])
+def test_verify_deck_checks_every_cell(k1, k2):
+    M, L = 512, 8.0   # eight row blocks of 64 rows
+    deck = deck_functions(sample_window(parse_window("[0,1)u[1.5,2.25)"), M, L), M, L)
+    assert deck.I2hat.T.flags.c_contiguous   # the walk reads contiguous rows
+    I2hat = deck.I2hat.copy(order="A")
+    spectra._verify_deck(dataclasses.replace(deck, I2hat=I2hat))
+    I2hat[k1, k2] += 1e-6 * np.abs(I2hat).max()
+    with pytest.raises(AssertionError, match="factor"):
+        spectra._verify_deck(dataclasses.replace(deck, I2hat=I2hat))
 
 
 def test_deck_wraparound_precondition():
