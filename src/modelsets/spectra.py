@@ -468,7 +468,7 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     support = np.nonzero(f)[0]
     if len(support) == 0:
         raise ParameterError("empty indicator")
-    h = 2 * l_half / M
+    h = 2 * float(l_half) / M   # = DeckGrid.cell, also for a Fraction l_half
     # support extent = minimal covering arc on the circle
     if len(support) == M:
         diam = 2 * l_half

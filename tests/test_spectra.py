@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,6 +258,14 @@ def test_verify_deck_checks_every_cell(k1, k2):
     I2hat[k1, k2] += 1e-6 * np.abs(I2hat).max()
     with pytest.raises(AssertionError, match="factor"):
         spectra._verify_deck(dataclasses.replace(deck, I2hat=I2hat))
+
+
+def test_deck_takes_an_exact_half_length():
+    # sample_window takes L exactly; the deck of the same grid must not depend on its type
+    f = sample_window(parse_window("[0,1)"), 64, Fraction(8))
+    a, b = deck_functions(f, 64, Fraction(8)), deck_functions(f, 64, 8.0)
+    for name in ("I1", "I2", "F", "I1hat", "I2hat"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_deck_wraparound_precondition():
