@@ -13,9 +13,8 @@ from .schemes import (COMBINED, FIBONACCI, PERIODIC, IntervalUnion, ProductWindo
                       make_scheme, parse_scheme, parse_window, star, window_intersect,
                       window_measure)
 from .pointsets import PointSet, gap_sequence, generate, load_pointset, save_pointset
-from .correlations import (CorrelationMeasure, canonical_pattern, correlation_measure,
-                           correlations_equal, freq_empirical, freq_exact,
-                           support_differences)
+from .correlations import (CorrelationMeasure, correlation_measure, correlations_equal,
+                           freq_empirical, freq_exact, support_differences)
 from .spectra import (DeckGrid, DualLattice, DualPoint, Spectrum, deck_functions,
                       diffraction, dual_lattice, residue_deck_tables, sample_window,
                       window_ft, zero_condition)

@@ -11,43 +11,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ResourceError, check_real
-from .pointsets import PointSet, _atomic_write, _lattice_coords
+from .pointsets import PointSet, _atomic_write, _lattice_coords, _physical
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, TAU, TAU_PRIME,
                       QuadLatticePoint, Scheme, Window, star, window_intersect,
                       window_measure)
 
 
-def canonical_pattern(scheme: Scheme, points: Iterable) -> tuple:
-    """Sort and deduplicate the non-base points of a pattern {0, x1, ..., xn}.
-
-    Zero entries coincide with the implicit base point and are dropped;
-    repetitions are deleted.  The empty tuple denotes the singleton pattern.
-    """
-    if scheme.kind == PERIODIC:
-        uniq = {int(x) for x in points}
-        uniq.discard(0)
-        return tuple(sorted(uniq))
-    uniq = set()
-    for x in points:
-        if not isinstance(x, QuadLatticePoint):
-            raise ParameterError("pattern points must be QuadLatticePoints for this scheme")
-        if x.u == 0 and x.v == 0:
-            continue
-        uniq.add(x)
-    return tuple(sorted(uniq, key=lambda p: (p.phys, p.u, p.v)))
+def _pair_cut(scheme: Scheme, w: Window, x) -> Window:
+    """W cut (W - x*), the window of {0, x}; a pattern's window intersects these."""
+    return window_intersect(w, w.translate(star(scheme, -x)))
 
 
 def freq_exact(scheme: Scheme, w: Window, pattern: Sequence) -> float:
-    """Frequency of {0, x1, ..., xn}: measure of the window cut with its star-translates."""
-    pat = canonical_pattern(scheme, pattern)
+    """Frequency of {0, x1, ..., xn}: measure of W cut with each W - xi* (in any order)."""
     cut = w
-    for x in pat:
+    for x in pattern:
         cut = window_intersect(cut, w.translate(star(scheme, -x)))
     return window_measure(scheme, cut)
 
@@ -59,10 +44,10 @@ def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
     membership of every translated point is decided by the patch alone.
     """
     check_real("averaging radius R", R, positive=True)
-    pat = canonical_pattern(ps.scheme, pattern)
-    ph = [float(x) if ps.scheme.kind == PERIODIC else x.phys for x in pat]
-    lo_need = -R / 2 + min([0.0] + ph)
-    hi_need = R / 2 + max([0.0] + ph)
+    offs = _lattice_coords(ps.scheme, pattern)
+    ph = [0.0] + [float(_physical(off)[0]) for off in offs]
+    lo_need = -R / 2 + min(ph)
+    hi_need = R / 2 + max(ph)
     lo, hi = ps.region
     if lo > lo_need or hi < hi_need:
         raise ParameterError(
@@ -71,7 +56,7 @@ def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
     # points y with -R/2 < y < R/2 that have every y + x in the patch
     phys = ps.physical()
     found = ps.coords[:, np.searchsorted(phys, -R / 2, "right"):np.searchsorted(phys, R / 2)]
-    for off in _lattice_coords(ps.scheme, pat):
+    for off in offs:
         found = found[:, ps.contains(found + off)]
     return found.shape[1] / R
 
@@ -97,13 +82,8 @@ class CorrelationMeasure:
         return self.entries.get(key, 0.0)
 
     def density(self) -> float:
-        return self.entries.get(self._zero_key(), 0.0)
-
-    def _zero_key(self):
-        n = self.order - 1
-        if self.scheme.kind == PERIODIC:
-            return tuple([0] * n)
-        return tuple([QuadLatticePoint(0, 0)] * n)
+        zero = 0 if self.scheme.kind == PERIODIC else QuadLatticePoint(0, 0)
+        return self.entries.get((zero,) * (self.order - 1), 0.0)
 
     def to_csv(self, path: str, empirical: Mapping | None = None) -> None:
         """Deterministic CSV: diff columns then frequency at 15 significant digits.
@@ -153,7 +133,8 @@ def _check_candidates(est: float) -> None:
 def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     """Lattice differences x with |phys(x)| <= cutoff and freq({0, x}) > 0.
 
-    Enumerated directly from the lattice against the hull of W - W, so no
+    The test is exact: the pair cut W cut (W - x*) is non-empty.  Enumerated
+    directly from the lattice against the hull of W - W, so no
     positive-frequency difference can be missed (a patch-based harvest could
     miss tuples of arbitrarily small frequency).
     """
@@ -163,12 +144,11 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     if scheme.kind == PERIODIC:
         top = math.floor(cutoff)
         _check_candidates(2 * top + 1)
-        # freq({0, x}) depends on x mod N only (x = 0 is dropped and x = kN
-        # translates by 0, both leaving |W|): one call per class, taken at
+        # the pair cut depends on x mod N only: one cut per class, taken at
         # its first representative in [-top, top]
         N = scheme.modulus
         firsts = range(-top, min(top, N - 1 - top) + 1)
-        positive = {x % N for x in firsts if freq_exact(scheme, w, (x,)) > 0}
+        positive = {x % N for x in firsts if not _pair_cut(scheme, w, x).is_empty()}
         return [x for x in range(-top, top + 1) if x % N in positive]
 
     iu = w if scheme.kind == FIBONACCI else w.intervals
@@ -188,7 +168,7 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
             if abs(u + v * TAU) > cutoff + 1e-12:
                 continue
             x = QuadLatticePoint(u, v)
-            if freq_exact(scheme, w, (x,)) > 0:
+            if not _pair_cut(scheme, w, x).is_empty():
                 out.append(x)
     out.sort(key=lambda p: (p.phys, p.u, p.v))
     return out
@@ -201,10 +181,11 @@ MAX_ENTRIES = 2_000_000
 def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) -> CorrelationMeasure:
     """All difference tuples within the cutoff carrying positive frequency.
 
-    Keys are the ordered tuples of ``support_differences``; a frequency only
-    depends on the set {0, x1, ..., xn}, so each distinct
-    :func:`canonical_pattern` is evaluated once and its value is shared by
-    every ordered tuple that reduces to it.
+    Keys are the ordered tuples of ``support_differences``.  The window of
+    {0, x1, ..., xn} is the intersection of the pair cuts W cut (W - xi*), so
+    each difference is translated once, and a frequency depends only on the
+    set of cuts used: each such set is measured once and its value is shared
+    by every ordered tuple that uses it.
     """
     if order not in (2, 3, 4):
         raise ParameterError("order must be 2, 3 or 4")
@@ -215,16 +196,17 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) ->
         raise ResourceError(
             f"{len(base)}^{n} candidate tuples exceed the budget of {MAX_ENTRIES}; "
             "reduce the cutoff")
-    # the entries of base are distinct, so a pattern is the set of indices
-    # into base that it uses, less the zero difference
-    zero = {i for i, x in enumerate(base) if not canonical_pattern(scheme, (x,))}
+    cuts = [_pair_cut(scheme, w, x) for x in base]
+    # a cut equal to W (x = 0, or x = 0 mod N for periodic:N) changes no intersection
+    trivial = {i for i, cut in enumerate(cuts) if cut == w}
     freqs = {}
     entries = {}
     for idx, tup in zip(product(range(len(base)), repeat=n), product(base, repeat=n)):
-        key = tuple(sorted(set(idx) - zero))
+        key = frozenset(idx) - trivial
         f = freqs.get(key)
         if f is None:
-            f = freqs[key] = freq_exact(scheme, w, [base[i] for i in key])
+            f = freqs[key] = window_measure(
+                scheme, reduce(window_intersect, [cuts[i] for i in key] or [w]))
         if f > 0:
             entries[tup] = f
     return CorrelationMeasure(scheme, w, order, cutoff, entries)

@@ -85,33 +85,38 @@ class PatternTable:
         _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _pattern_counts(S: ResidueSet, order: int) -> np.ndarray:
+    """full[r1, ..., r_{n-1}]: the count of the pattern {0, r1, ..., r_{n-1}} in S.
+
+    With the shift matrix sh[r, t] = 1_S(t + r) the count is
+    sum_t s[t] sh[r1, t] ... sh[r_{n-1}, t], one exact int64 product over all
+    keys at once.
+    """
+    N = S.modulus
+    s = np.zeros(N, dtype=np.int64)
+    s[list(S.elems)] = 1
+    sh = s[(np.arange(N)[:, None] + np.arange(N)[None, :]) % N]
+    based = sh * s
+    if order == 2:
+        return based.sum(1)
+    if order == 3:
+        return based @ sh.T
+    return np.einsum("at,bt,ct->abc", based, sh, sh)
+
+
 #: budget on the N^(order-1) counts one pattern table may hold
 MAX_PATTERN_CELLS = 1_000_000
 
 
 def pattern_table(S: ResidueSet, order: int) -> PatternTable:
-    """Count every order-n pattern of S exactly (n = 2, 3 or 4).
-
-    With the shift matrix sh[r, t] = 1_S(t + r) the count of the pattern
-    {0, r1, ..., r_{n-1}} is sum_t s[t] sh[r1, t] ... sh[r_{n-1}, t], one exact
-    int64 product over all keys at once; the table keeps the sorted keys.
-    """
+    """Count every order-n pattern of S exactly (n = 2, 3 or 4); keys are sorted tuples."""
     if order not in (2, 3, 4):
         raise ParameterError("order must be 2, 3 or 4")
     N = S.modulus
     if N ** (order - 1) > MAX_PATTERN_CELLS:
         raise ResourceError(f"{N}^{order - 1} pattern counts exceed the budget of "
                             f"{MAX_PATTERN_CELLS}; use a smaller modulus or order")
-    s = np.zeros(N, dtype=np.int64)
-    s[list(S.elems)] = 1
-    sh = s[(np.arange(N)[:, None] + np.arange(N)[None, :]) % N]
-    based = sh * s
-    if order == 2:
-        full = based.sum(1)
-    elif order == 3:
-        full = based @ sh.T
-    else:
-        full = np.einsum("at,bt,ct->abc", based, sh, sh)
+    full = _pattern_counts(S, order)
     keys = list(combinations_with_replacement(range(N), order - 1))
     values = full[tuple(np.array(keys).T)].tolist()
     return PatternTable(order, N, dict(zip(keys, values)))

@@ -138,8 +138,11 @@ def _check_region(region) -> tuple[float, float]:
 
 
 def _lattice_coords(scheme: Scheme, pts) -> list[np.ndarray]:
-    """Lattice points given as objects (ints for periodic:N), each as an int64 column."""
-    cols = [(int(x),) if scheme.kind == PERIODIC else (x.u, x.v) for x in pts]
+    """Lattice points given as objects (plain ints for periodic:N), each as an int64 column."""
+    kind = int if scheme.kind == PERIODIC else QuadLatticePoint
+    if not all(isinstance(x, kind) for x in pts):
+        raise ParameterError(f"{scheme.label()} pattern points must be of type {kind.__name__}")
+    cols = [(x,) if kind is int else (x.u, x.v) for x in pts]
     if any(not -COORD_LIMIT < c < COORD_LIMIT for col in cols for c in col):
         raise ParameterError("lattice coordinates must stay below 2^62 in magnitude")
     return [np.array(col, dtype=np.int64).reshape(-1, 1) for col in cols]

@@ -669,7 +669,10 @@ class _ExprParser:
 
 def parse_expr(text: str) -> QuadNum:
     """Parse an exact endpoint expression such as '-1', '0.25' or '1/tau'."""
-    return _ExprParser(text).parse()
+    try:
+        return _ExprParser(text).parse()
+    except RecursionError:
+        raise ParameterError(f"expression of {len(text)} characters is nested too deeply") from None
 
 
 def _split_top(text: str, sep: str) -> list[str]:

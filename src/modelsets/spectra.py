@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ResourceError, check_count, check_real
+from .homometry import _pattern_counts
 from .pointsets import _atomic_write
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
                       IntervalUnion, ProductWindow, QuadNum, ResidueSet, Scheme,
@@ -584,19 +585,10 @@ class ResidueDeckTables:
 
 def residue_deck_tables(S: ResidueSet) -> ResidueDeckTables:
     N = S.modulus
-    members = set(S.elems)
-    n1 = np.zeros(N, dtype=np.int64)
-    n2 = np.zeros((N, N), dtype=np.int64)
-    for w1 in range(N):
-        for t in S.elems:
-            if (t - w1) % N in members:
-                n1[w1] += 1
-        for w2 in range(N):
-            c = 0
-            for t in S.elems:
-                if (t - w1) % N in members and (t - w2) % N in members:
-                    c += 1
-            n2[w1, w2] = c
+    # n1[w] and n2[w1, w2] count the patterns {0, -w} and {0, -w1, -w2}
+    neg = -np.arange(N) % N
+    n1 = _pattern_counts(S, 2)[neg]
+    n2 = _pattern_counts(S, 3)[neg][:, neg]
     I1hat = np.fft.fft(n1) / N**2
     I2hat = np.fft.fft2(n2) / N**3
     return ResidueDeckTables(N, n1, n2, I1hat, I2hat)

@@ -188,6 +188,10 @@ def test_alias_expansion():
     ["generate", "--scheme", "periodic:32", "--window", "A", "--region", "0", "inf"],
     ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "nan", "1"],
     ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "6e15", "6.0000000001e15"],
+    ["generate", "--scheme", "fibonacci", "--window", "[" + "(" * 400 + "1" + ")" * 400 + ",2)",
+     "--region", "0", "1"],
+    ["generate", "--scheme", "fibonacci", "--window", "[" + "-" * 3000 + "1,2)",
+     "--region", "0", "2"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "inf"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "0"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "nan"],
@@ -212,7 +216,7 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err) < 200
     if "--empirical" in argv:
         assert "averaging radius R" in err
 

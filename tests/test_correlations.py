@@ -3,12 +3,13 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, ResidueSet,
-                       canonical_pattern, correlation_measure,
-                       correlations_equal, freq_empirical, freq_exact, generate,
-                       make_scheme, parse_window, support_differences, window_measure)
+                       correlation_measure, correlations_equal, freq_empirical,
+                       freq_exact, generate, make_scheme, parse_window,
+                       support_differences, window_measure)
 from modelsets import correlations
 from modelsets.cli import expand_window_literal
 from modelsets.schemes import QuadNum, parse_scheme
@@ -45,9 +46,31 @@ def test_freq_monotone_under_pattern_growth():
     assert freq_exact(FIB, W, bigger) <= freq_exact(FIB, W, base) + 1e-15
 
 
-def test_canonical_pattern_dedupes():
-    pat = canonical_pattern(FIB, (TAU_PT, TAU_PT, QuadLatticePoint(0, 0)))
-    assert pat == (TAU_PT,)
+def test_repeats_and_zero_leave_frequencies_unchanged():
+    zero = QuadLatticePoint(0, 0)
+    ps = generate(FIB, W, (-1_005, 1_005))
+    for pat in [(TAU_PT,), (QuadLatticePoint(-1, 1), TAU_PT)]:
+        padded = pat + (zero,) + pat[::-1]
+        assert freq_exact(FIB, W, padded) == freq_exact(FIB, W, pat)
+        assert freq_empirical(ps, padded, 2e3) == freq_empirical(ps, pat, 2e3)
+    assert freq_exact(FIB, W, (zero, zero)) == freq_exact(FIB, W, ())
+    assert freq_empirical(ps, (zero, zero), 2e3) == freq_empirical(ps, (), 2e3)
+
+
+def test_pattern_points_of_the_wrong_type_are_refused():
+    per = parse_scheme("periodic:32")
+    a = parse_window(expand_window_literal("A"))
+    ps = generate(per, a, (-100, 100))
+    for bad in (2.7, np.int64(2), TAU_PT):
+        with pytest.raises(ParameterError):
+            freq_exact(per, a, (bad,))
+        with pytest.raises(ParameterError):
+            freq_empirical(ps, (bad,), 50)
+    fib_ps = generate(FIB, W, (-100, 100))
+    with pytest.raises(ParameterError):
+        freq_exact(FIB, W, (2,))
+    with pytest.raises(ParameterError):
+        freq_empirical(fib_ps, (2,), 50)
 
 
 def test_freq_empirical_matches_exact():
@@ -165,22 +188,42 @@ def test_correlation_measure_matches_ordered_tuple_oracle(scheme_text, window_te
     assert correlation_measure(scheme, w, order, cutoff).entries == oracle
 
 
+def _counting(monkeypatch, name):
+    """Replace correlations.<name> by a wrapper that records its arguments."""
+    calls = []
+    inner = getattr(correlations, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(correlations, name, counting)
+    return calls
+
+
 def test_correlation_measure_evaluates_each_pattern_once(monkeypatch):
     w = parse_window("[0,1)u[1.5,2.25)")
     base = support_differences(FIB, w, 4.0)
-    calls = []
-    exact = correlations.freq_exact
-
-    def counting(scheme, window, pattern):
-        calls.append(canonical_pattern(scheme, pattern))
-        return exact(scheme, window, pattern)
-
     monkeypatch.setattr(correlations, "support_differences", lambda *a: base)
-    monkeypatch.setattr(correlations, "freq_exact", counting)
+    calls = _counting(monkeypatch, "window_measure")
     correlation_measure(FIB, w, 4, 4.0)
     assert len(base) ** 3 == 4913
-    assert len(calls) == len(set(calls)) == 697
-    assert set(calls) == {canonical_pattern(FIB, t) for t in product(base, repeat=3)}
+    zero = QuadLatticePoint(0, 0)
+    patterns = {frozenset(t) - {zero} for t in product(base, repeat=3)}
+    assert len(calls) == len(patterns) == 697
+
+
+@pytest.mark.parametrize("scheme_text,window_text", [
+    ("fibonacci", "[0,1)u[1.5,2.25)"), ("periodic:32", "A"), ("combined:32", "fib x A")])
+def test_correlation_measure_translates_each_difference_once(monkeypatch, scheme_text,
+                                                            window_text):
+    scheme = parse_scheme(scheme_text)
+    w = parse_window(expand_window_literal(window_text))
+    base = support_differences(scheme, w, 3.0)
+    monkeypatch.setattr(correlations, "support_differences", lambda *a: base)
+    calls = _counting(monkeypatch, "star")
+    correlation_measure(scheme, w, 3, 3.0)
+    assert len(calls) == len(base)
 
 
 def test_csv_deterministic(tmp_path):

@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from modelsets import (IntervalUnion, ProductWindow, QuadLatticePoint, QuadNum,
-                       ResidueSet, canonical_pattern, freq_empirical, generate,
-                       load_pointset, make_scheme, parse_window, save_pointset)
+                       ResidueSet, freq_empirical, generate, load_pointset,
+                       make_scheme, parse_window, save_pointset)
 from modelsets.schemes import COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME
 
 FIB = make_scheme("fibonacci")
@@ -52,10 +52,10 @@ def brute_force(scheme, w, lo, hi) -> list:
 
 def freq_loop(ps, pattern, R) -> float:
     """Occurrences per unit length, one point and one set lookup at a time."""
-    pat = canonical_pattern(ps.scheme, pattern)
     members = set(ps.points)
     count = sum(1 for p in ps.points
-                if -R / 2 < phys(ps.scheme, p) < R / 2 and all(p + x in members for x in pat))
+                if -R / 2 < phys(ps.scheme, p) < R / 2
+                and all(p + x in members for x in pattern))
     return count / R
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, cyclotomic_pair,
+from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, ResidueSet,
+                       cyclotomic_pair,
                        deck_functions, diffraction, dual_lattice,
                        generate, make_scheme, parse_window, residue_deck_tables,
                        sample_window, spectra, window_ft, window_measure, zero_condition)
@@ -289,3 +290,33 @@ def test_residue_deck_tables_match_transform():
     idx = (np.arange(32)[:, None] + np.arange(32)[None, :]) % 32
     pred = np.conj(ft)[:, None] * np.conj(ft)[None, :] * ft[idx]
     assert np.abs(tabs.I2hat - pred).max() < 1e-12
+
+
+def residue_deck_loop(S):
+    """n1 and n2 counted one residue at a time."""
+    N = S.modulus
+    members = set(S.elems)
+    n1 = np.zeros(N, dtype=np.int64)
+    n2 = np.zeros((N, N), dtype=np.int64)
+    for w1 in range(N):
+        n1[w1] = sum(1 for t in S.elems if (t - w1) % N in members)
+        for w2 in range(N):
+            n2[w1, w2] = sum(1 for t in S.elems
+                             if (t - w1) % N in members and (t - w2) % N in members)
+    return n1, n2
+
+
+def test_residue_deck_tables_match_loop():
+    rng = random.Random(4)
+    sets = [SET_A, SET_B]
+    for N in (1, 2, 5, 12, 31):
+        sets += [ResidueSet(N, [e for e in range(N) if rng.random() < 0.5] or [0])
+                 for _ in range(3)]
+    for S in sets:
+        tabs = residue_deck_tables(S)
+        n1, n2 = residue_deck_loop(S)
+        assert tabs.n1.dtype == tabs.n2.dtype == np.int64
+        assert np.array_equal(tabs.n1, n1) and np.array_equal(tabs.n2, n2)
+        N = S.modulus
+        assert np.array_equal(tabs.I1hat, np.fft.fft(n1) / N**2)
+        assert np.array_equal(tabs.I2hat, np.fft.fft2(n2) / N**3)
