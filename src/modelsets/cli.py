@@ -30,22 +30,10 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
 
-_ALIASES = {
-    "fib": "[-1,1/tau)",
-}
-
-
-def _alias_literals():
-    a, b = homometry.cyclotomic_pair()
-    table = dict(_ALIASES)
-    table["A"] = a.literal()
-    table["B"] = b.literal()
-    return table
-
-
 def expand_window_literal(text: str) -> str:
     """Replace the documented aliases inside a window literal."""
-    table = _alias_literals()
+    a, b = homometry.cyclotomic_pair()
+    table = {"fib": "[-1,1/tau)", "A": a.literal(), "B": b.literal()}
     return "x".join(table.get(p.strip(), p.strip()) for p in _split_top(text, "x"))
 
 
@@ -132,11 +120,9 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_homometry(args) -> int:
     set_a, set_b = homometry.cyclotomic_pair()
-    table = _alias_literals()
     chosen = []
     for name in args.sets:
-        lit = table.get(name, name)
-        w = parse_window(lit)
+        w = parse_window(expand_window_literal(name))
         if not isinstance(w, ResidueSet):
             raise ParameterError("homometry sets must be residue sets")
         chosen.append(w)
@@ -186,8 +172,15 @@ def cmd_homometry(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one ``error: ...`` line, exit 2; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="modelsets",
         description="Cut-and-project model sets: patches, correlations, "
                     "diffraction, window recovery, homometry checks.")

@@ -18,10 +18,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError, ResourceError, check_real
-from .pointsets import PointSet, _atomic_write, _lattice_coords, _physical
-from .schemes import (COMBINED, FIBONACCI, PERIODIC, TAU, TAU_PRIME,
-                      QuadLatticePoint, Scheme, Window, star, window_intersect,
-                      window_measure)
+from .pointsets import (PointSet, _atomic_write, _check_budget, _lattice_coords, _physical,
+                        _quad_candidates)
+from .schemes import (PERIODIC, QuadLatticePoint, Scheme, Window, star, window_factors,
+                      window_intersect, window_measure)
 
 
 def _pair_cut(scheme: Scheme, w: Window, x) -> Window:
@@ -124,26 +124,21 @@ def _tuple_sort_key(key: tuple):
 MAX_DIFFERENCE_CANDIDATES = 500_000
 
 
-def _check_candidates(est: float) -> None:
-    if est > MAX_DIFFERENCE_CANDIDATES:
-        raise ResourceError(f"difference enumeration would visit ~{int(est)} candidates; "
-                            "reduce the cutoff")
-
-
 def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     """Lattice differences x with |phys(x)| <= cutoff and freq({0, x}) > 0.
 
-    The test is exact: the pair cut W cut (W - x*) is non-empty.  Enumerated
-    directly from the lattice against the hull of W - W, so no
-    positive-frequency difference can be missed (a patch-based harvest could
-    miss tuples of arbitrarily small frequency).
+    The test is exact: the pair cut W cut (W - x*) is non-empty.  Without a
+    real factor (periodic:N) the cut depends on x mod N only; otherwise the
+    patch enumeration ``_quad_candidates`` visits the whole lattice with star
+    within +-(hull width of W), so no positive-frequency difference can be
+    missed (a patch-based harvest could miss tuples of arbitrarily small
+    frequency).
     """
     check_real("cutoff", cutoff, 0)
-    if not scheme.window_kind_ok(w):
-        raise ParameterError(f"window {type(w).__name__} incompatible with scheme {scheme.label()}")
-    if scheme.kind == PERIODIC:
+    iu, _ = window_factors(scheme, w)
+    if iu is None:
         top = math.floor(cutoff)
-        _check_candidates(2 * top + 1)
+        _check_budget(2 * top + 1, MAX_DIFFERENCE_CANDIDATES, "reduce the cutoff")
         # the pair cut depends on x mod N only: one cut per class, taken at
         # its first representative in [-top, top]
         N = scheme.modulus
@@ -151,25 +146,14 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
         positive = {x % N for x in firsts if not _pair_cut(scheme, w, x).is_empty()}
         return [x for x in range(-top, top + 1) if x % N in positive]
 
-    iu = w if scheme.kind == FIBONACCI else w.intervals
     hull = iu.hull()
-    if hull is None or (scheme.kind == COMBINED and w.residues.is_empty()):
+    if hull is None:
         return []
-    diff_lo, diff_hi = float(hull[0]) - float(hull[1]), float(hull[1]) - float(hull[0])
-    # enumerate x = u + v*tau with phys in [-cutoff, cutoff], star in the hull of W-W
-    vmin = math.floor((-cutoff - diff_hi) / math.sqrt(5)) - 2
-    vmax = math.ceil((cutoff - diff_lo) / math.sqrt(5)) + 2
-    _check_candidates((vmax - vmin + 1) * (diff_hi - diff_lo + 4))
-    out = []
-    for v in range(vmin, vmax + 1):
-        ulo = math.floor(diff_lo - v * TAU_PRIME) - 1
-        uhi = math.ceil(diff_hi - v * TAU_PRIME) + 1
-        for u in range(ulo, uhi + 1):
-            if abs(u + v * TAU) > cutoff + 1e-12:
-                continue
-            x = QuadLatticePoint(u, v)
-            if not _pair_cut(scheme, w, x).is_empty():
-                out.append(x)
+    width = float(hull[1]) - float(hull[0])
+    cand = _quad_candidates((-width, width), (-cutoff, cutoff), MAX_DIFFERENCE_CANDIDATES,
+                            "reduce the cutoff")
+    near = cand[:, np.abs(_physical(cand)) <= cutoff + 1e-12].tolist()
+    out = [x for x in map(QuadLatticePoint, *near) if not _pair_cut(scheme, w, x).is_empty()]
     out.sort(key=lambda p: (p.phys, p.u, p.v))
     return out
 

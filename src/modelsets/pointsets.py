@@ -27,9 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, ResourceError, check_real
-from .schemes import (FLOAT_GUARD, TAU, TAU_PRIME, FIBONACCI, PERIODIC,
-                      IntervalUnion, QuadLatticePoint, QuadNum, ResidueSet, Scheme,
-                      Window, format_window, parse_scheme, parse_window)
+from .schemes import (FLOAT_GUARD, TAU, TAU_PRIME, PERIODIC, IntervalUnion,
+                      QuadLatticePoint, QuadNum, ResidueSet, Scheme, Window,
+                      format_window, parse_scheme, parse_window, window_factors)
 
 #: budget on enumeration candidates (soft memory guard)
 MAX_CANDIDATES = 50_000_000
@@ -198,36 +198,35 @@ def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np
     """Exact mask: the star of each point (column of ``coords``) lies in ``w``.
 
     With a ``region`` the physical position must also lie in that closed
-    interval.
+    interval.  The real factor is tested only where the residue factor holds.
     """
-    if scheme.kind == PERIODIC:
+    iu, rs = window_factors(scheme, w)
+    if rs is None:
+        return _quad_mask(iu, coords, region)
+    keep = _residue_mask(rs, coords[0])
+    if iu is not None:
+        keep[keep] = _quad_mask(iu, coords[:, keep], region)
+    elif region is not None:
         n = coords[0]
-        keep = _residue_mask(w, n)
-        if region is not None:
-            keep &= (n >= math.ceil(region[0])) & (n <= math.floor(region[1]))
-        return keep
-    if scheme.kind == FIBONACCI:
-        return _quad_mask(w, coords, region)
-    keep = _residue_mask(w.residues, coords[0])
-    keep[keep] = _quad_mask(w.intervals, coords[:, keep], region)
+        keep &= (n >= math.ceil(region[0])) & (n <= math.floor(region[1]))
     return keep
 
 
-def _quad_candidates(window_iu: IntervalUnion, lo: float, hi: float) -> np.ndarray:
-    """Columns (u, v) covering every u+v*tau in [lo, hi] with u+v*tau' in the window hull."""
-    hull = window_iu.hull()
-    if hull is None:
-        return np.zeros((2, 0), dtype=np.int64)
-    wlo_f, whi_f = float(hull[0]), float(hull[1])
+def _check_budget(est: float, budget: int, advice: str) -> None:
+    if est > budget:
+        raise ResourceError(f"enumeration would visit ~{int(est)} candidates (> {budget}); "
+                            f"{advice}")
 
+
+def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
+                     budget: int, advice: str) -> np.ndarray:
+    """Columns (u, v) covering every u+v*tau in the ``phys`` range with u+v*tau' in ``star``;
+    over ``budget`` candidates is a ResourceError that ends with ``advice``."""
+    (wlo_f, whi_f), (lo, hi) = star, phys
     vmin = math.floor((lo - whi_f) / math.sqrt(5)) - 2
     vmax = math.ceil((hi - wlo_f) / math.sqrt(5)) + 2
-    est = (vmax - vmin + 1) * (whi_f - wlo_f + 4)
-    if est > MAX_CANDIDATES:  # estimate before any allocation
-        raise ResourceError(
-            f"enumeration would visit ~{int(est)} candidates (> {MAX_CANDIDATES}); "
-            "shrink the region")
-    # |u| <= |u*| + |v| + 1 with u* in the window hull
+    _check_budget((vmax - vmin + 1) * (whi_f - wlo_f + 4), budget, advice)  # before allocating
+    # |u| <= |u*| + |v| + 1 with u* in the star range
     if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
         raise ParameterError("region or window too far from the origin for int64 coordinates")
     vs = np.arange(vmin, vmax + 1, dtype=np.int64)
@@ -235,10 +234,7 @@ def _quad_candidates(window_iu: IntervalUnion, lo: float, hi: float) -> np.ndarr
     u_hi = np.floor(whi_f - vs * TAU_PRIME).astype(np.int64) + 1
     counts = np.clip(u_hi - u_lo + 1, 0, None)
     total = int(counts.sum())
-    if total > MAX_CANDIDATES:
-        raise ResourceError(
-            f"enumeration would visit {total} candidates (> {MAX_CANDIDATES}); "
-            "shrink the region")
+    _check_budget(total, budget, advice)
 
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     uflat = np.repeat(u_lo, counts) + (np.arange(total) - np.repeat(starts, counts))
@@ -262,20 +258,18 @@ def _check_float_positions(lo: float, hi: float, gap: float) -> None:
 def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet:
     """All lattice points with physical position in the closed region and star in w."""
     lo, hi = _check_region(region)
-    if not scheme.window_kind_ok(w):
-        raise ParameterError(f"window incompatible with scheme {scheme.label()}")
-
-    if scheme.kind == PERIODIC:
+    iu, _ = window_factors(scheme, w)
+    if iu is None:
         _check_float_positions(lo, hi, 1.0)
-        if hi - lo > MAX_CANDIDATES:
-            raise ResourceError(f"region holds ~{int(hi - lo)} integers (> {MAX_CANDIDATES})")
+        _check_budget(hi - lo, MAX_CANDIDATES, "shrink the region")
         cand = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)[None]
+    elif iu.is_empty():
+        cand = np.zeros((2, 0), dtype=np.int64)
     else:
-        iu = w if scheme.kind == FIBONACCI else w.intervals
-        if not iu.is_empty():
-            wlo, whi = iu.hull()
-            _check_float_positions(lo, hi, 1 / float(whi - wlo))
-        cand = _quad_candidates(iu, lo, hi)
+        wlo, whi = iu.hull()
+        _check_float_positions(lo, hi, 1 / float(whi - wlo))
+        cand = _quad_candidates((float(wlo), float(whi)), (lo, hi), MAX_CANDIDATES,
+                                "shrink the region")
     coords = cand[:, _in_window(scheme, w, cand, (lo, hi))]
     order = np.argsort(_physical(coords), kind="stable")
     return PointSet(scheme, w, coords[:, order], (lo, hi))

@@ -12,6 +12,11 @@ Three schemes are supported:
 With these measures the density of a model set equals the internal
 measure of its window, with no prefactor.
 
+Each internal space is a product of R and Z/NZ, one factor possibly trivial.
+:func:`window_factors` is the one place where a window splits into its real
+and residue factors, and the one check that a window suits its scheme;
+measures and Fourier transforms are products over the factors.
+
 Each window class (``IntervalUnion``, ``ResidueSet``, ``ProductWindow``)
 implements its own ``translate``, ``intersect`` and ``union``; :func:`star`
 returns the plain coordinate that ``translate`` takes (a QuadNum, an int mod
@@ -511,7 +516,7 @@ class Scheme:
 def make_scheme(kind: str, modulus: int | None = None) -> Scheme:
     """Build one of the three supported schemes; modulus required for periodic/combined."""
     if kind not in _KINDS:
-        raise ParameterError(f"unknown scheme kind {kind!r}; expected one of {_KINDS}")
+        raise ParameterError(f"unknown scheme kind {_excerpt(kind)}; expected one of {_KINDS}")
     if kind == FIBONACCI:
         if modulus is not None:
             raise ParameterError("fibonacci scheme takes no modulus")
@@ -528,8 +533,9 @@ def parse_scheme(text: str) -> Scheme:
         kind, _, mod = text.partition(":")
         try:
             return make_scheme(kind.strip(), int(mod))
-        except ValueError as e:
-            raise ParameterError(f"bad scheme literal {text!r}: {e}") from None
+        except ValueError:
+            raise ParameterError(f"bad scheme literal {_excerpt(text)}: the modulus "
+                                 "must be an integer") from None
     return make_scheme(text)
 
 
@@ -550,15 +556,26 @@ def star(scheme: Scheme, p):
     return p.star_quad(), p.u % scheme.modulus
 
 
-def window_measure(scheme: Scheme, w: Window) -> float:
-    """Internal measure of the window, scaled as in the module docstring."""
+def window_factors(scheme: Scheme, w: Window) -> tuple[IntervalUnion | None, ResidueSet | None]:
+    """(real factor, residue factor) of a window: (W, None) on fibonacci, (None, S) on
+    periodic:N, (W, S) on combined:N; a window of the wrong kind is a ParameterError."""
     if not scheme.window_kind_ok(w):
         raise ParameterError(f"window {type(w).__name__} incompatible with scheme {scheme.label()}")
-    if scheme.kind == FIBONACCI:
-        return float(w.length()) / SQRT5
-    if scheme.kind == PERIODIC:
-        return float(w.measure())
-    return (float(w.intervals.length()) / SQRT5) * float(w.residues.measure())
+    if isinstance(w, ProductWindow):
+        return w.intervals, w.residues
+    return (w, None) if isinstance(w, IntervalUnion) else (None, w)
+
+
+def _product(real, residue):
+    """real * residue with a None factor left out (1 * z can flip the sign of a zero part)."""
+    return residue if real is None else real if residue is None else real * residue
+
+
+def window_measure(scheme: Scheme, w: Window) -> float:
+    """Internal measure of the window, scaled as in the module docstring."""
+    iu, rs = window_factors(scheme, w)
+    return _product(None if iu is None else float(iu.length()) / SQRT5,
+                    None if rs is None else float(rs.measure()))
 
 
 def window_intersect(w1: Window, w2: Window) -> Window:
@@ -578,13 +595,21 @@ def window_intersect(w1: Window, w2: Window) -> Window:
 #   expr     := arithmetic over decimals and "tau" with + - * / and parens
 # ---------------------------------------------------------------------------
 
+def _excerpt(text: str, pos: int = 0, width: int = 40) -> str:
+    """Quote of at most ``width`` characters of ``text`` around ``pos``; '...' marks a cut."""
+    start = max(0, min(pos - width // 2, len(text) - width))
+    end = start + width
+    return f"{'...' if start else ''}{text[start:end]!r}{'...' if end < len(text) else ''}"
+
+
 class _ExprParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
     def error(self, msg):
-        raise ParameterError(f"bad expression {self.text!r} at position {self.pos}: {msg}")
+        raise ParameterError(f"bad expression {_excerpt(self.text, self.pos)} "
+                             f"at position {self.pos}: {msg}")
 
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -664,7 +689,7 @@ class _ExprParser:
         try:
             return QuadNum(Fraction(tok), 0)
         except ValueError:
-            self.error(f"bad number {tok!r}")
+            self.error(f"bad number {_excerpt(tok)}")
 
 
 def parse_expr(text: str) -> QuadNum:
@@ -701,28 +726,27 @@ def _parse_interval_union(text: str) -> IntervalUnion:
     for piece in pieces:
         piece = piece.strip()
         if not (piece.startswith("[") and piece.endswith(")")):
-            raise ParameterError(f"interval {piece!r} must look like [a,b)")
+            raise ParameterError(f"interval {_excerpt(piece)} must look like [a,b)")
         body = piece[1:-1]
         ends = _split_top(body, ",")
         if len(ends) != 2:
-            raise ParameterError(f"interval {piece!r} needs exactly two endpoints")
+            raise ParameterError(f"interval {_excerpt(piece)} needs exactly two endpoints")
         intervals.append((parse_expr(ends[0]), parse_expr(ends[1])))
     return IntervalUnion(intervals)
 
 
 def _parse_residue_set(text: str) -> ResidueSet:
     text = text.strip()
-    if not text.startswith("{") or "@" not in text:
-        raise ParameterError(f"residue set {text!r} must look like {{0,7,8}}@32")
     body, _, mod = text.rpartition("@")
     body = body.strip()
     if not (body.startswith("{") and body.endswith("}")):
-        raise ParameterError(f"residue set {text!r} must look like {{0,7,8}}@32")
+        raise ParameterError(f"residue set {_excerpt(text)} must look like {{0,7,8}}@32")
     try:
         modulus = int(mod)
         elems = [int(tok) for tok in body[1:-1].split(",") if tok.strip() != ""]
-    except ValueError as e:
-        raise ParameterError(f"bad residue set {text!r}: {e}") from None
+    except ValueError:
+        raise ParameterError(f"bad residue set {_excerpt(text)}: elements and modulus "
+                             "must be integers") from None
     if not elems:
         raise ParameterError("residue set literal may not be empty")
     return ResidueSet(modulus, elems)
@@ -739,7 +763,7 @@ def parse_window(text: str) -> Window:
     if len(parts) == 2:
         return ProductWindow(_parse_interval_union(parts[0]),
                              _parse_residue_set(parts[1]))
-    raise ParameterError(f"bad window literal {text!r}")
+    raise ParameterError(f"bad window literal {_excerpt(text)}")
 
 
 def format_window(w: Window) -> str:

@@ -29,8 +29,8 @@ from .errors import ParameterError, ResourceError, check_count, check_real
 from .homometry import _pattern_counts
 from .pointsets import _atomic_write
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
-                      IntervalUnion, ProductWindow, QuadNum, ResidueSet, Scheme,
-                      Window, _norm, make_scheme)
+                      IntervalUnion, QuadNum, ResidueSet, Scheme, Window, _norm,
+                      _product, make_scheme, window_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +127,13 @@ def window_ft(scheme: Scheme, w: Window, kstar) -> complex:
     Closed forms: an interval [a, b) contributes
     (exp(-2 pi i k b) - exp(-2 pi i k a)) / (-2 pi i k sqrt5) with the k = 0
     limit (b - a)/sqrt5; a residue set contributes sum exp(-2 pi i a b/N)/N;
-    product windows multiply.
+    the transform is the product over the window's factors.
     """
-    if scheme.kind == FIBONACCI:
-        if not isinstance(w, IntervalUnion):
-            raise ParameterError("fibonacci window_ft expects an interval union")
-        return _interval_ft(w, kstar, SQRT5)
-    if scheme.kind == PERIODIC:
-        if not isinstance(w, ResidueSet) or w.modulus != scheme.modulus:
-            raise ParameterError("periodic window_ft expects a residue set mod N")
-        return _residue_ft(w, int(kstar))
-    if not isinstance(w, ProductWindow):
-        raise ParameterError("combined window_ft expects a product window")
-    kappa, b = kstar
-    return _interval_ft(w.intervals, kappa, SQRT5) * _residue_ft(w.residues, int(b))
+    iu, rs = window_factors(scheme, w)
+    # a frequency has the window's factors: a pair on combined:N, else the one
+    kappa, b = kstar if iu is not None and rs is not None else (kstar, kstar)
+    return _product(None if iu is None else _interval_ft(iu, kappa, SQRT5),
+                    None if rs is None else _residue_ft(rs, int(b)))
 
 
 def _interval_ft(iu: IntervalUnion, kappa, c: float) -> complex:
@@ -248,16 +241,20 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     R, so peaks below ``min_intensity`` are omitted unless ``include_zeros``
     is set (then everything enumerated within the internal bound appears).
     The bound on the internal frequency follows from
-    |FT| <= n_intervals / (pi sqrt5 |kappa|).
+    |FT| <= n_intervals / (pi sqrt5 |kappa|).  Those golden-ratio schemes
+    share one pass over the residues b of the dual labels: fibonacci has no
+    residue factor and is the single pass b = 0, labelled (m, n); on
+    combined:N the residue factor's transform is shared by every label with
+    the same b, and a b whose factor caps the intensity below
+    ``min_intensity`` is skipped.
     """
     check_real("kmax", kmax, 0)
     check_real("min_intensity", min_intensity)
-    if not scheme.window_kind_ok(w):
-        raise ParameterError("window incompatible with scheme")
+    iu, rs = window_factors(scheme, w)
 
     peaks = []
-    if scheme.kind == PERIODIC:
-        N = scheme.modulus
+    if iu is None:
+        N = rs.modulus
         jmax = math.floor(kmax * N + 1e-9)
         for j in range(math.ceil(-kmax * N - 1e-9), jmax + 1):
             dp = DualPoint(scheme, (j,))
@@ -267,36 +264,27 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     else:
         if min_intensity <= 0:
             raise ParameterError("a positive min_intensity is required on dense duals")
-        iu = w if scheme.kind == FIBONACCI else w.intervals
         n_int = max(1, len(iu.intervals))
         kappa_bound = n_int / (math.pi * SQRT5 * math.sqrt(min_intensity))
-        if scheme.kind == FIBONACCI:
-            for m, n, _ in _combined_dual_labels(kmax, kappa_bound, 0, 1):
-                dp = DualPoint(scheme, (m, n))
-                inten = abs(window_ft(scheme, w, -dp.kstar())) ** 2
-                if include_zeros or inten >= min_intensity:
-                    peaks.append((dp, inten))
-        else:
-            N = scheme.modulus
-            fib = make_scheme(FIBONACCI)
-            for b in range(N):
-                # window_ft of W x S is (fibonacci transform of W) * (residue
-                # factor); that factor is shared by every label with this b and
-                # caps the achievable intensity
-                rft = _residue_ft(w.residues, (-b) % N)
+        fib = make_scheme(FIBONACCI)
+        N = 1 if rs is None else rs.modulus
+        for b in range(N):
+            rft, tail = None, ()
+            if rs is not None:
+                rft, tail = _residue_ft(rs, (-b) % N), (b,)
                 cap = (abs(rft) * float(iu.length()) / SQRT5) ** 2
                 if not include_zeros and cap < min_intensity:
                     continue
-                for labels in _combined_dual_labels(kmax, kappa_bound, b, N):
-                    dp = DualPoint(scheme, labels)
-                    inten = abs(window_ft(fib, iu, -dp._kappa()) * rft) ** 2
-                    if include_zeros or inten >= min_intensity:
-                        peaks.append((dp, inten))
+            for m, n in _golden_dual_labels(kmax, kappa_bound, b, N):
+                dp = DualPoint(scheme, (m, n) + tail)
+                inten = abs(_product(window_ft(fib, iu, -dp._kappa()), rft)) ** 2
+                if include_zeros or inten >= min_intensity:
+                    peaks.append((dp, inten))
     peaks.sort(key=lambda t: (abs(t[0].k), t[0].labels))
     return Spectrum(scheme, w, tuple(peaks))
 
 
-def _combined_dual_labels(kmax: float, kappa_bound: float, b: int, N: int):
+def _golden_dual_labels(kmax: float, kappa_bound: float, b: int, N: int):
     # k sqrt5 = m + n tau + (b/N) tau',  kappa sqrt5 = -(m + n tau' + (b/N) tau);
     # fibonacci is the case b = 0
     P = SQRT5 * kmax + 1e-9
@@ -307,7 +295,7 @@ def _combined_dual_labels(kmax: float, kappa_bound: float, b: int, N: int):
         lo = max(-P - n * TAU - beta * TAU_PRIME, -Q - n * TAU_PRIME - beta * TAU)
         hi = min(P - n * TAU - beta * TAU_PRIME, Q - n * TAU_PRIME - beta * TAU)
         for m in range(math.ceil(lo), math.floor(hi) + 1):
-            yield (m, n, b)
+            yield m, n
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,27 @@ def test_workers_flag_is_rejected():
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--order", "5"],
+    ["correlate", "--window", "fib"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--bogus"],
+], ids=["bad choice", "missing required flag", "unknown flag"])
+def test_argparse_usage_error_is_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage:" not in err
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("correlate", "--help")
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: modelsets correlate [-h]")
+
+
 def test_alias_expansion():
     assert expand_window_literal("fib") == "[-1,1/tau)"
     expanded = expand_window_literal("fib x A")
@@ -192,6 +213,13 @@ def test_alias_expansion():
      "--region", "0", "1"],
     ["generate", "--scheme", "fibonacci", "--window", "[" + "-" * 3000 + "1,2)",
      "--region", "0", "2"],
+    # long malformed literals: an expression, an interval and a residue set
+    ["generate", "--scheme", "fibonacci", "--window", "[" + "1+" * 1000 + ",2)",
+     "--region", "0", "3"],
+    ["generate", "--scheme", "fibonacci", "--window", "[" + "1" * 2000 + ",2",
+     "--region", "0", "4"],
+    ["generate", "--scheme", "periodic:32", "--window", "{" + "1," * 1000 + "x}@32",
+     "--region", "0", "5"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "inf"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "0"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "nan"],

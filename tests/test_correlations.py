@@ -1,18 +1,22 @@
 """Exact vs empirical frequencies and correlation measures."""
 
+import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, ResidueSet,
-                       correlation_measure, correlations_equal, freq_empirical,
-                       freq_exact, generate, make_scheme, parse_window,
-                       support_differences, window_measure)
+from modelsets import (IntervalUnion, ParameterError, ProductWindow, QuadLatticePoint,
+                       ResidueSet, correlation_measure, correlations_equal, freq_empirical,
+                       freq_exact, generate, make_scheme, parse_window, star,
+                       support_differences, window_intersect, window_measure)
 from modelsets import correlations
 from modelsets.cli import expand_window_literal
-from modelsets.schemes import QuadNum, parse_scheme
+from modelsets.schemes import TAU, TAU_PRIME, QuadNum, parse_scheme
 
 FIB = make_scheme("fibonacci")
 W = parse_window("[-1,1/tau)")
@@ -161,6 +165,47 @@ def test_periodic_support_differences_match_integer_loop(name):
     w = parse_window(expand_window_literal(name))
     loop = [x for x in range(-100, 101) if freq_exact(scheme, w, (x,)) > 0]
     assert support_differences(scheme, w, 100.0) == loop
+
+
+def loop_support_differences(scheme, w, cutoff):
+    """Oracle: one (u, v) at a time over the hull of W - W, widened by one on each side."""
+    iu = w if isinstance(w, IntervalUnion) else w.intervals
+    lo, hi = (float(x) for x in iu.hull())
+    diff_lo, diff_hi = lo - hi, hi - lo
+    vmin = math.floor((-cutoff - diff_hi) / math.sqrt(5)) - 2
+    vmax = math.ceil((cutoff - diff_lo) / math.sqrt(5)) + 2
+    out = []
+    for v in range(vmin, vmax + 1):
+        ulo = math.floor(diff_lo - v * TAU_PRIME) - 1
+        uhi = math.ceil(diff_hi - v * TAU_PRIME) + 1
+        for u in range(ulo, uhi + 1):
+            if abs(u + v * TAU) > cutoff + 1e-12:
+                continue
+            x = QuadLatticePoint(u, v)
+            if not window_intersect(w, w.translate(star(scheme, -x))).is_empty():
+                out.append(x)
+    out.sort(key=lambda p: (p.phys, p.u, p.v))
+    return out
+
+
+# unions of up to three intervals with endpoints in Z/16
+interval_windows = st.lists(st.integers(-48, 48), min_size=2, max_size=6, unique=True).map(
+    sorted).map(lambda ends: IntervalUnion(
+        (Fraction(a, 16), Fraction(b, 16)) for a, b in zip(ends[::2], ends[1::2])))
+cutoffs = st.one_of(st.floats(0, 25),
+                    # a lattice length, where the cutoff test is an equality
+                    st.builds(lambda u, v: abs(u + v * TAU), st.integers(-20, 20),
+                              st.integers(-12, 12)).filter(lambda c: c <= 25))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(interval_windows, cutoffs, st.sets(st.integers(0, 31), min_size=1),
+       st.booleans())
+def test_support_differences_match_the_per_difference_loop(iu, cutoff, residues, combined):
+    scheme, w = make_scheme("fibonacci"), iu
+    if combined:
+        scheme, w = make_scheme("combined", 32), ProductWindow(iu, ResidueSet(32, residues))
+    assert support_differences(scheme, w, cutoff) == loop_support_differences(scheme, w, cutoff)
 
 
 ORACLE_CASES = [  # (scheme, window, cutoff per order 2, 3, 4)

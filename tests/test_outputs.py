@@ -65,6 +65,31 @@ def test_patch_outputs_golden_bytes(tmp_path, monkeypatch):
     assert got == PATCH_DIGESTS
 
 
+# golden-ratio schemes: the dense-dual spectra and a combined patch
+GOLDEN_RATIO_EXAMPLES = [
+    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "10",
+     "--min-intensity", "1e-5", "--svg", "fib.svg", "-o", "fib.csv"],
+    ["diffract", "--scheme", "combined:32", "--window", "fib x A", "--kmax", "2",
+     "--min-intensity", "1e-5", "-o", "fibxA.csv"],
+    ["generate", "--scheme", "combined:32", "--window", "fib x A", "--region", "-2000", "2000",
+     "-o", "fibxA.txt"],
+]
+GOLDEN_RATIO_DIGESTS = {
+    "fib.csv": "eb9df5e4786f484fd606733a075eb2f8b573d81dca6064d391931be6fa5d4d8e",
+    "fib.svg": "3b7ac8d065732126296097460227387e8b1d84db5966c844f9df911ad04073ac",
+    "fibxA.csv": "9b6dbf569b470c7160bf3d72b1d168a4e00c286c20029dcc915faf87a06ab27a",
+    "fibxA.txt": "f9202a2d2c2b5476f255026fde94c529c077f98a1bfd16889402c2dc14e65f06",
+}
+
+
+def test_golden_ratio_outputs_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in GOLDEN_RATIO_EXAMPLES:
+        assert main(argv) == EXIT_OK, argv
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == GOLDEN_RATIO_DIGESTS
+
+
 FIB = make_scheme("fibonacci")
 W = parse_window("[-1,1/tau)")
 P32 = parse_scheme("periodic:32")

@@ -1,14 +1,18 @@
 """Scheme construction, exact window arithmetic, and the literal grammar."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import modelsets
 from modelsets import (IntervalUnion, ParameterError, ProductWindow, QuadLatticePoint,
-                       QuadNum, ResidueSet, format_window, make_scheme, parse_scheme,
-                       parse_window, star, window_intersect, window_measure)
-from modelsets.schemes import SQRT5, TAU, parse_expr
+                       QuadNum, ResidueSet, diffraction, format_window, generate, make_scheme,
+                       parse_scheme, parse_window, star, support_differences, window_ft,
+                       window_intersect, window_measure)
+from modelsets.schemes import SQRT5, TAU, parse_expr, window_factors
 
 TAU_OVER_SQRT5 = 0.7236067977499789  # length tau = 1 + 1/tau, divided by sqrt5
 
@@ -135,6 +139,46 @@ def test_window_measure_examples():
 def test_window_measure_kind_mismatch():
     with pytest.raises(ParameterError):
         window_measure(make_scheme("fibonacci"), ResidueSet(32, [0]))
+
+
+def test_window_factors_split_by_scheme():
+    iu, rs = parse_window("[0,1)"), ResidueSet(32, [0, 5])
+    assert window_factors(make_scheme("fibonacci"), iu) == (iu, None)
+    assert window_factors(make_scheme("periodic", 32), rs) == (None, rs)
+    assert window_factors(make_scheme("combined", 32), ProductWindow(iu, rs)) == (iu, rs)
+
+
+WRONG_KIND = {  # every public entry point that takes a (scheme, window) pair
+    "window_measure": lambda s, w: window_measure(s, w),
+    "window_ft": lambda s, w: window_ft(s, w, 0),
+    "generate": lambda s, w: generate(s, w, (0, 10)),
+    "support_differences": lambda s, w: support_differences(s, w, 2.0),
+    "diffraction": lambda s, w: diffraction(s, w, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_KIND.values(), ids=WRONG_KIND.keys())
+@pytest.mark.parametrize("scheme,window", [
+    ("fibonacci", "{0,5}@32"),
+    ("periodic:32", "[0,1)"),
+    ("periodic:32", "{0,5}@16"),
+    ("combined:32", "[0,1)"),
+    ("combined:32", "[0,1)x{0,5}@16"),
+])
+def test_wrong_kind_window_is_one_error(call, scheme, window):
+    w = parse_window(window)
+    with pytest.raises(ParameterError) as exc:
+        call(parse_scheme(scheme), w)
+    assert str(exc.value) == f"window {type(w).__name__} incompatible with scheme {scheme}"
+
+
+def test_only_window_factors_checks_window_kinds():
+    calls = [(path.name, node.lineno)
+             for path in sorted(Path(modelsets.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "window_kind_ok"]
+    assert [name for name, _ in calls] == ["schemes.py"], calls
 
 
 def test_window_translate_examples():
