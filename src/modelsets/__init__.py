@@ -15,9 +15,8 @@ from .schemes import (COMBINED, FIBONACCI, PERIODIC, IntervalUnion, ProductWindo
 from .pointsets import PointSet, gap_sequence, generate, load_pointset, save_pointset
 from .correlations import (CorrelationMeasure, correlation_measure, correlations_equal,
                            freq_empirical, freq_exact, support_differences)
-from .spectra import (DeckGrid, DualLattice, DualPoint, Spectrum, deck_functions,
-                      diffraction, dual_lattice, residue_deck_tables, sample_window,
-                      window_ft, zero_condition)
+from .spectra import (DeckGrid, DualPoint, Spectrum, deck_functions, diffraction,
+                      residue_deck_tables, sample_window, window_ft, zero_condition)
 from .reconstruct import (PhaseField, PhaseQuotient, ReconstructionReport,
                           align_up_to_translation, phase_quotient,
                           propagate_phase, reconstruct_window, roundtrip)

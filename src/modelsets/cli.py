@@ -173,10 +173,15 @@ def cmd_homometry(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors as one ``error: ...`` line, exit 2; subparsers inherit the class."""
+    """Usage errors as one ``error: ...`` line, exit 2; subparsers inherit the class.
+
+    argparse quotes a bad value in full, so each word of the message is cut
+    to 40 characters.
+    """
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"error: {message}\n")
+        words = (w if len(w) <= 40 else w[:37] + "..." for w in message.split())
+        self.exit(EXIT_USAGE, f"error: {' '.join(words)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

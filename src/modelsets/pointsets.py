@@ -10,8 +10,7 @@ int64 coordinates reach.
 
 A patch is stored as an int64 array with one column per point and one row
 per lattice coordinate: rows u and v for the golden-ratio schemes, the single
-row n for ``periodic:N``.  Lattice-point objects are built only when a caller
-asks for them.
+row n for ``periodic:N``.
 """
 
 from __future__ import annotations
@@ -22,21 +21,16 @@ import os
 import secrets
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError, ResourceError, check_real
-from .schemes import (FLOAT_GUARD, TAU, TAU_PRIME, PERIODIC, IntervalUnion,
+from .schemes import (COORD_LIMIT, FLOAT_GUARD, TAU, TAU_PRIME, PERIODIC, IntervalUnion,
                       QuadLatticePoint, QuadNum, ResidueSet, Scheme, Window,
                       format_window, parse_scheme, parse_window, window_factors)
 
 #: budget on enumeration candidates (soft memory guard)
 MAX_CANDIDATES = 50_000_000
-
-#: lattice coordinates stay below this in magnitude, so the sum of a point
-#: and a translation (both bounded by it) cannot overflow int64
-COORD_LIMIT = 2 ** 62
 
 #: relative float error bound: for int64 u, v the float value of u + v*tau or
 #: u + v*tau' is within FLOAT_REL * (|u| + |v|) of the exact one (a few
@@ -79,13 +73,6 @@ class PointSet:
 
     def __len__(self):
         return self.coords.shape[1]
-
-    @cached_property
-    def points(self) -> tuple:
-        """The points as ``QuadLatticePoint``s (ints for ``periodic:N``), built on first access."""
-        if self.scheme.kind == PERIODIC:
-            return tuple(self.coords[0].tolist())
-        return tuple(map(QuadLatticePoint, self.coords[0].tolist(), self.coords[1].tolist()))
 
     def physical(self) -> np.ndarray:
         """Physical positions, increasing (read-only, computed once)."""
@@ -214,24 +201,31 @@ def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np
 
 def _check_budget(est: float, budget: int, advice: str) -> None:
     if est > budget:
-        raise ResourceError(f"enumeration would visit ~{int(est)} candidates (> {budget}); "
+        raise ResourceError(f"enumeration would visit ~{est:.3g} candidates (> {budget}); "
                             f"{advice}")
 
 
 def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
                      budget: int, advice: str) -> np.ndarray:
-    """Columns (u, v) covering every u+v*tau in the ``phys`` range with u+v*tau' in ``star``;
-    over ``budget`` candidates is a ResourceError that ends with ``advice``."""
+    """Columns (u, v) covering every u+v*tau in the ``phys`` range with u+v*tau' in ``star``.
+
+    This is the one enumeration of Z[tau] in a (physical, internal) box: patches,
+    support differences and dual labels all take their candidates here and
+    apply their own exact filter.  Each row v visits the u where both ranges
+    overlap, widened by one on each side against float error.  Over
+    ``budget`` candidates is a ResourceError that ends with ``advice``.
+    """
     (wlo_f, whi_f), (lo, hi) = star, phys
     vmin = math.floor((lo - whi_f) / math.sqrt(5)) - 2
     vmax = math.ceil((hi - wlo_f) / math.sqrt(5)) + 2
-    _check_budget((vmax - vmin + 1) * (whi_f - wlo_f + 4), budget, advice)  # before allocating
+    # before allocating: each row visits at most the narrower range plus slack
+    _check_budget((vmax - vmin + 1) * (min(whi_f - wlo_f, hi - lo) + 4), budget, advice)
     # |u| <= |u*| + |v| + 1 with u* in the star range
     if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
         raise ParameterError("region or window too far from the origin for int64 coordinates")
     vs = np.arange(vmin, vmax + 1, dtype=np.int64)
-    u_lo = np.ceil(wlo_f - vs * TAU_PRIME).astype(np.int64) - 1
-    u_hi = np.floor(whi_f - vs * TAU_PRIME).astype(np.int64) + 1
+    u_lo = np.ceil(np.maximum(wlo_f - vs * TAU_PRIME, lo - vs * TAU)).astype(np.int64) - 1
+    u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU)).astype(np.int64) + 1
     counts = np.clip(u_hi - u_lo + 1, 0, None)
     total = int(counts.sum())
     _check_budget(total, budget, advice)
@@ -310,7 +304,10 @@ def _atomic_write(path: str, text: str) -> None:
     """
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "x")  # exclusive create; mode bits follow the umask
+    try:
+        fh = open(tmp, "x")  # exclusive create; mode bits follow the umask
+    except OSError as e:  # name the output, not the random temp file
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with fh:
             fh.write(text)

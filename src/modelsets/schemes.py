@@ -49,6 +49,11 @@ SQRT5 = 5**0.5
 #: guard band inside which float prefilters defer to exact comparisons
 FLOAT_GUARD = 1e-9
 
+#: lattice coordinates and residue moduli stay below this in magnitude, so
+#: the sum of a point and a translation (both bounded by it), and any residue,
+#: fit in int64
+COORD_LIMIT = 2 ** 62
+
 Real = Union[int, float, Fraction, "QuadNum"]
 
 
@@ -401,8 +406,8 @@ class ResidueSet:
     __slots__ = ("modulus", "elems")
 
     def __init__(self, modulus: int, elems: Iterable[int]):
-        if modulus < 1:
-            raise ParameterError("modulus must be a positive integer")
+        if not 1 <= modulus < COORD_LIMIT:
+            raise ParameterError("modulus must be a positive integer below 2^62")
         reduced = sorted({e % modulus for e in elems})
         object.__setattr__(self, "modulus", int(modulus))
         object.__setattr__(self, "elems", tuple(reduced))
@@ -521,8 +526,8 @@ def make_scheme(kind: str, modulus: int | None = None) -> Scheme:
         if modulus is not None:
             raise ParameterError("fibonacci scheme takes no modulus")
         return Scheme(FIBONACCI, None)
-    if modulus is None or int(modulus) < 2:
-        raise ParameterError(f"{kind} scheme requires an integer modulus >= 2")
+    if modulus is None or not 2 <= int(modulus) < COORD_LIMIT:
+        raise ParameterError(f"{kind} scheme requires an integer modulus >= 2 and below 2^62")
     return Scheme(kind, int(modulus))
 
 
@@ -532,10 +537,11 @@ def parse_scheme(text: str) -> Scheme:
     if ":" in text:
         kind, _, mod = text.partition(":")
         try:
-            return make_scheme(kind.strip(), int(mod))
+            modulus = int(mod)
         except ValueError:
             raise ParameterError(f"bad scheme literal {_excerpt(text)}: the modulus "
                                  "must be an integer") from None
+        return make_scheme(kind.strip(), modulus)
     return make_scheme(text)
 
 

@@ -1,4 +1,4 @@
-"""Dual lattices, window Fourier transforms, diffraction, and deck grids.
+"""Dual points, window Fourier transforms, diffraction, and deck grids.
 
 The diffraction of a regular model set is pure point: the intensity at a dual
 point k is |FT of the window indicator at -k*|^2.  Dual points carry exact
@@ -27,14 +27,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ResourceError, check_count, check_real
 from .homometry import _pattern_counts
-from .pointsets import _atomic_write
+from .pointsets import MAX_CANDIDATES, _atomic_write, _check_budget, _quad_candidates
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
                       IntervalUnion, QuadNum, ResidueSet, Scheme, Window, _norm,
                       _product, make_scheme, window_factors)
 
 
 # ---------------------------------------------------------------------------
-# dual lattice
+# dual points
 # ---------------------------------------------------------------------------
 
 def _over_sqrt5(x: int, y: int, N: int) -> QuadNum:
@@ -52,6 +52,7 @@ class DualPoint:
 
     ``k_exact`` and ``kstar`` are exact; ``kstar`` is the frequency that
     :func:`window_ft` takes (a QuadNum, b mod N, or the pair on combined).
+    For a lattice point x, k*x + k**x* (+ b*u/N on combined) is an integer.
     """
 
     scheme: Scheme
@@ -86,35 +87,6 @@ class DualPoint:
         if self.scheme.kind == FIBONACCI:
             return self._kappa()
         return self._kappa(), self.labels[2] % self.scheme.modulus
-
-
-@dataclass(frozen=True)
-class DualLattice:
-    """Dual basis access and the character pairing with the direct lattice."""
-
-    scheme: Scheme
-
-    def point(self, *labels: int) -> DualPoint:
-        expect = {FIBONACCI: 2, PERIODIC: 1, COMBINED: 3}[self.scheme.kind]
-        if len(labels) != expect:
-            raise ParameterError(f"{self.scheme.kind} dual points take {expect} labels")
-        return DualPoint(self.scheme, tuple(int(x) for x in labels))
-
-    def pairing(self, dp: DualPoint, p) -> Fraction:
-        """Exact value of k*x + k**x* (+ b*u/N, b mod N); integrality certifies duality."""
-        if self.scheme.kind == PERIODIC:
-            N = self.scheme.modulus
-            (j,) = dp.labels
-            return Fraction(j * p, N) + Fraction((-j % N) * p, N)
-        _, _, b, N = dp._golden()
-        total = dp.k_exact() * p.to_quad() + dp._kappa() * p.star_quad()
-        if total.b != 0:
-            raise AssertionError("pairing left the rationals")
-        return total.a + Fraction(b % N * p.u, N)
-
-
-def dual_lattice(scheme: Scheme) -> DualLattice:
-    return DualLattice(scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +218,9 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     residue factor and is the single pass b = 0, labelled (m, n); on
     combined:N the residue factor's transform is shared by every label with
     the same b, and a b whose factor caps the intensity below
-    ``min_intensity`` is skipped.
+    ``min_intensity`` is skipped.  Before any label is built, the labels to
+    visit (every j for periodic:N, N boxes of ``_golden_dual_labels``
+    otherwise) are held to the budget that ``generate`` uses.
     """
     check_real("kmax", kmax, 0)
     check_real("min_intensity", min_intensity)
@@ -255,12 +229,12 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     peaks = []
     if iu is None:
         N = rs.modulus
+        _check_budget(2 * kmax * N + 1, MAX_CANDIDATES, "reduce kmax")
         jmax = math.floor(kmax * N + 1e-9)
         for j in range(math.ceil(-kmax * N - 1e-9), jmax + 1):
-            dp = DualPoint(scheme, (j,))
-            inten = abs(window_ft(scheme, w, (-dp.kstar()) % N)) ** 2
+            inten = abs(window_ft(scheme, w, j % N)) ** 2
             if include_zeros or inten > min_intensity:
-                peaks.append((dp, inten))
+                peaks.append((DualPoint(scheme, (j,)), inten))
     else:
         if min_intensity <= 0:
             raise ParameterError("a positive min_intensity is required on dense duals")
@@ -268,6 +242,11 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
         kappa_bound = n_int / (math.pi * SQRT5 * math.sqrt(min_intensity))
         fib = make_scheme(FIBONACCI)
         N = 1 if rs is None else rs.modulus
+        # each residue's box has at most 2*(kmax + kappa_bound) + 8 rows of at
+        # most the narrower of its two ranges plus the enumeration's slack
+        rows = 2 * (kmax + kappa_bound) + 8
+        _check_budget(N * rows * (2 * SQRT5 * min(kmax, kappa_bound) + 4), MAX_CANDIDATES,
+                      "reduce kmax or raise min_intensity")
         for b in range(N):
             rft, tail = None, ()
             if rs is not None:
@@ -275,7 +254,7 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
                 cap = (abs(rft) * float(iu.length()) / SQRT5) ** 2
                 if not include_zeros and cap < min_intensity:
                     continue
-            for m, n in _golden_dual_labels(kmax, kappa_bound, b, N):
+            for m, n in zip(*_golden_dual_labels(kmax, kappa_bound, b, N).tolist()):
                 dp = DualPoint(scheme, (m, n) + tail)
                 inten = abs(_product(window_ft(fib, iu, -dp._kappa()), rft)) ** 2
                 if include_zeros or inten >= min_intensity:
@@ -284,18 +263,24 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     return Spectrum(scheme, w, tuple(peaks))
 
 
-def _golden_dual_labels(kmax: float, kappa_bound: float, b: int, N: int):
-    # k sqrt5 = m + n tau + (b/N) tau',  kappa sqrt5 = -(m + n tau' + (b/N) tau);
-    # fibonacci is the case b = 0
+def _golden_dual_labels(kmax: float, kappa_bound: float, b: int, N: int) -> np.ndarray:
+    """Rows (m, n) of the dual labels with |k| <= kmax and |kappa| <= kappa_bound.
+
+    k sqrt5 = m + n tau + (b/N) tau' and kappa sqrt5 = -(m + n tau' + (b/N) tau),
+    so (m, n) is a lattice point of the box that ``_quad_candidates``
+    enumerates; fibonacci is the case b = 0.  Both bounds get 1e-9 of slack,
+    and the candidates are then cut by one float test per bound.
+    """
     P = SQRT5 * kmax + 1e-9
     Q = SQRT5 * kappa_bound + 1e-9
     beta = b / N
-    nmax = math.floor((P + Q) / SQRT5 + beta) + 1
-    for n in range(-nmax, nmax + 1):
-        lo = max(-P - n * TAU - beta * TAU_PRIME, -Q - n * TAU_PRIME - beta * TAU)
-        hi = min(P - n * TAU - beta * TAU_PRIME, Q - n * TAU_PRIME - beta * TAU)
-        for m in range(math.ceil(lo), math.floor(hi) + 1):
-            yield m, n
+    cand = _quad_candidates((-Q - beta * TAU, Q - beta * TAU),
+                            (-P - beta * TAU_PRIME, P - beta * TAU_PRIME),
+                            MAX_CANDIDATES, "reduce kmax or raise min_intensity")
+    m, n = cand
+    lo = np.maximum(-P - n * TAU - beta * TAU_PRIME, -Q - n * TAU_PRIME - beta * TAU)
+    hi = np.minimum(P - n * TAU - beta * TAU_PRIME, Q - n * TAU_PRIME - beta * TAU)
+    return cand[:, (m >= lo) & (m <= hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +460,7 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     # I2 row j1 counts f * roll(f, j1) correlated with f; that product
     # vanishes unless the shift j1 keeps an overlap, i.e. n1[j1] > 0
     rows = np.nonzero(n1)[0]
-    shifted = sliding_window_view(np.concatenate((fb, fb)), M)   # [i] = roll(fb, M - i)
+    shifted = wrapped_rows(fb)   # [i] = roll(fb, M - i)
     cRf = np.conj(np.fft.rfft(fb))
     counts = np.empty((len(rows), M), dtype=np.int32)
     # the 2-D transform of I2 axis by axis, as fft2 does: rows first, each

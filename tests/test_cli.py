@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: outputs, exit codes, reproducibility."""
 
 import json
+import signal
 
 import pytest
 
@@ -10,6 +11,26 @@ from modelsets.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY,
 
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def alarm_guard():
+    """Fail a refusal that takes over 10 s (a regression to an unbounded loop) instead
+    of hanging the suite; without SIGALRM the test runs unguarded."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail("still running after 10 s")  # not an OSError, which main() reports
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_generate_fibonacci_example(tmp_path):
@@ -180,14 +201,17 @@ def test_workers_flag_is_rejected():
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--order", "5"],
     ["correlate", "--window", "fib"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--bogus"],
-], ids=["bad choice", "missing required flag", "unknown flag"])
-def test_argparse_usage_error_is_one_line(argv, capsys):
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--order", "9" * 3000],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "x" + "9" * 3000],
+], ids=["bad choice", "missing required flag", "unknown flag", "long bad choice",
+        "long bad number"])
+def test_argparse_usage_error_is_one_line(argv, capsys, alarm_guard):
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     err = capsys.readouterr().err
     assert exc.value.code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "usage:" not in err
+    assert "usage:" not in err and len(err) < 200
 
 
 def test_help_still_prints_usage(capsys):
@@ -220,6 +244,14 @@ def test_alias_expansion():
      "--region", "0", "4"],
     ["generate", "--scheme", "periodic:32", "--window", "{" + "1," * 1000 + "x}@32",
      "--region", "0", "5"],
+    # residue moduli of 2^62 or more, as a scheme and as a window
+    ["generate", "--scheme", "periodic:9223372036854775808",
+     "--window", "{1}@9223372036854775808", "--region", "0", "3"],
+    ["generate", "--scheme", "combined:9223372036854775808",
+     "--window", "fib x {1}@9223372036854775808", "--region", "0", "3"],
+    ["generate", "--scheme", "periodic:32", "--window", "{1}@4611686018427387904",
+     "--region", "0", "6"],
+    ["homometry", "--sets", "{1}@4611686018427387904", "{2}@4611686018427387904"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "inf"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "0"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--empirical", "nan"],
@@ -239,7 +271,7 @@ def test_alias_expansion():
     ["reconstruct", "--window", "[0,1)", "--max-mismatch", "nan"],
     ["reconstruct", "--window", "[0,1)", "--max-mismatch", "-1"],
 ], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))
-def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys):
+def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys, alarm_guard):
     code = run(*argv, "-o", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
@@ -247,6 +279,8 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys):
     assert "Traceback" not in err and len(err) < 200
     if "--empirical" in argv:
         assert "averaging radius R" in err
+    if any(str(2**62) in a or str(2**63) in a for a in argv):
+        assert "below 2^62" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -254,10 +288,20 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys):
     ["correlate", "--scheme", "periodic:32", "--window", "A", "--cutoff", "1e9"],
     ["homometry", "--sets", "{0,1,5}@128", "{0,2,5}@128", "--order", "4"],
     ["reconstruct", "--window", "[0,1)", "--grid", "4096"],
+    # estimates of 1e300 and more: printed as ~6.47e+300 and ~inf, not as
+    # a 301-digit int or an OverflowError traceback
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e300"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e308"],
+    # dual-label enumerations: refused before the first label
+    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "1e7"],
+    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "1",
+     "--min-intensity", "1e-30"],
+    ["diffract", "--scheme", "periodic:32", "--window", "A", "--kmax", "1e9"],
+    ["diffract", "--scheme", "combined:32", "--window", "fib x A", "--kmax", "1e6"],
 ], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))
-def test_resource_limit_is_one_line_error(argv, tmp_path, capsys):
+def test_resource_limit_is_one_line_error(argv, tmp_path, capsys, alarm_guard):
     code = run(*argv, "-o", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == EXIT_RESOURCE
     assert err.startswith("error: resource limit: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err) < 200

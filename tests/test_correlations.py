@@ -117,7 +117,7 @@ def test_correlation_support_is_complete():
     # every difference of a generated patch within the cutoff must show up
     ps = generate(FIB, W, (-30, 30))
     support = set(support_differences(FIB, W, 8.0))
-    pts = list(ps.points)
+    pts = list(map(QuadLatticePoint, *ps.coords.tolist()))
     for i, p in enumerate(pts):
         for q in pts[i:]:
             d = q - p

@@ -96,15 +96,15 @@ def test_thinned_full_residues_is_plain_model_set():
     full = ResidueSet(32, range(32))
     thin = thinned_model_set(W, full, (-100, 100))
     plain = generate(make_scheme("fibonacci"), W, (-100, 100))
-    assert [(p.u, p.v) for p in thin.points] == [(p.u, p.v) for p in plain.points]
+    assert thin.coords.tolist() == plain.coords.tolist()
 
 
 def test_thinned_equals_congruence_filter():
     thin = thinned_model_set(W, SET_A, (-200, 200))
     plain = generate(make_scheme("fibonacci"), W, (-200, 200))
     members = set(SET_A.elems)
-    expected = [(p.u, p.v) for p in plain.points if p.u % 32 in members]
-    assert [(p.u, p.v) for p in thin.points] == expected
+    expected = [(u, v) for u, v in zip(*plain.coords.tolist()) if u % 32 in members]
+    assert list(zip(*thin.coords.tolist())) == expected
 
 
 def test_thinned_density():

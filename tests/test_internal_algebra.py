@@ -13,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, QuadNum,
-                       ResidueSet, dual_lattice, freq_exact, make_scheme, parse_window,
-                       star, window_intersect)
+from modelsets import (DualPoint, ParameterError, ProductWindow, QuadLatticePoint, QuadNum,
+                       ResidueSet, freq_exact, make_scheme, parse_window, star,
+                       window_intersect)
 
 FIB = make_scheme("fibonacci")
 SETTINGS = settings(max_examples=200, deadline=None,
@@ -44,7 +44,7 @@ def oracle_kstar(m, n, beta) -> QuadNum:
 @SETTINGS
 @given(labels, labels)
 def test_fibonacci_dual_point_matches_division(m, n):
-    dp = dual_lattice(FIB).point(m, n)
+    dp = DualPoint(FIB, (m, n))
     assert dp.k_exact() == oracle_k(m, n, 0)
     assert dp.kstar() == oracle_kstar(m, n, 0)
     assert dp.k == float(oracle_k(m, n, 0))
@@ -53,7 +53,7 @@ def test_fibonacci_dual_point_matches_division(m, n):
 @SETTINGS
 @given(labels, labels, st.integers(-10**3, 10**3), moduli)
 def test_combined_dual_point_matches_division(m, n, b, N):
-    dp = dual_lattice(make_scheme("combined", N)).point(m, n, b)
+    dp = DualPoint(make_scheme("combined", N), (m, n, b))
     beta = Fraction(b, N)
     assert dp.k_exact() == oracle_k(m, n, beta)
     kappa, r = dp.kstar()
@@ -68,7 +68,7 @@ def test_combined_dual_point_matches_division(m, n, b, N):
 def test_cached_k_keeps_value_equality_and_hash(kind, m, n, b, N):
     scheme = make_scheme(kind, None if kind == "fibonacci" else N)
     lab = {"fibonacci": (m, n), "periodic": (m,), "combined": (m, n, b)}[kind]
-    dp, twin = dual_lattice(scheme).point(*lab), dual_lattice(scheme).point(*lab)
+    dp, twin = DualPoint(scheme, lab), DualPoint(scheme, lab)
     h = hash(dp)
     assert dp.k == float(dp.k_exact())
     assert dp.k == float(dp.k_exact())  # the cached value
@@ -80,16 +80,19 @@ def test_cached_k_keeps_value_equality_and_hash(kind, m, n, b, N):
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-100, 100), moduli,
        lattice_points)
 def test_pairing_is_integral_and_matches_the_oracle(m, n, b, N, p):
-    fib_value = dual_lattice(FIB).pairing(dual_lattice(FIB).point(m, n), p)
+    dp = DualPoint(FIB, (m, n))
+    fib_value = dp.k_exact() * p.to_quad() + dp.kstar() * p.star_quad()
     total = oracle_k(m, n, 0) * p.to_quad() + oracle_kstar(m, n, 0) * p.star_quad()
-    assert fib_value == total.a and total.b == 0
-    assert fib_value.denominator == 1
+    assert fib_value == total and total.b == 0
+    assert total.a.denominator == 1
 
-    dl = dual_lattice(make_scheme("combined", N))
-    value = dl.pairing(dl.point(m, n, b), p)
+    dp = DualPoint(make_scheme("combined", N), (m, n, b))
+    kappa, r = dp.kstar()
+    quad = dp.k_exact() * p.to_quad() + kappa * p.star_quad()
     beta = Fraction(b, N)
     total = oracle_k(m, n, beta) * p.to_quad() + oracle_kstar(m, n, beta) * p.star_quad()
-    assert total.b == 0
+    assert quad == total and total.b == 0
+    value = quad.a + Fraction(r * p.u, N)
     assert value == total.a + Fraction((b % N) * p.u, N)
     assert value.denominator == 1
 

@@ -73,12 +73,19 @@ GOLDEN_RATIO_EXAMPLES = [
      "--min-intensity", "1e-5", "-o", "fibxA.csv"],
     ["generate", "--scheme", "combined:32", "--window", "fib x A", "--region", "-2000", "2000",
      "-o", "fibxA.txt"],
+    # with --include-zeros every enumerated dual label is a row (383 and 4,083)
+    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "3", "--include-zeros",
+     "-o", "fib_labels.csv"],
+    ["diffract", "--scheme", "combined:32", "--window", "fib x A", "--kmax", "1",
+     "--include-zeros", "-o", "fibxA_labels.csv"],
 ]
 GOLDEN_RATIO_DIGESTS = {
     "fib.csv": "eb9df5e4786f484fd606733a075eb2f8b573d81dca6064d391931be6fa5d4d8e",
     "fib.svg": "3b7ac8d065732126296097460227387e8b1d84db5966c844f9df911ad04073ac",
     "fibxA.csv": "9b6dbf569b470c7160bf3d72b1d168a4e00c286c20029dcc915faf87a06ab27a",
     "fibxA.txt": "f9202a2d2c2b5476f255026fde94c529c077f98a1bfd16889402c2dc14e65f06",
+    "fib_labels.csv": "f534271592458cb8daf57d0f97a7c50ab613eb6864e7aca59753707f719532e6",
+    "fibxA_labels.csv": "1cc08e94818d2915b05988765103b74950f67bd41c51837098e26c55f9d60920",
 }
 
 
@@ -126,10 +133,13 @@ def test_failed_write_keeps_old_file(writer, tmp_path, monkeypatch):
     ["reconstruct", "--selftest", "--window", "[0,1)", "--grid", "64"],
 ], ids=lambda argv: argv[0])
 def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
-    code = main(argv + ["-o", str(tmp_path / "missing" / "out")])
+    path = str(tmp_path / "missing" / "out")
+    code = main(argv + ["-o", path])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # the message names the output, not the random temp file beside it
+    assert repr(path) in err and ".tmp" not in err
     assert list(tmp_path.iterdir()) == []
 

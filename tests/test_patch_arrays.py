@@ -23,6 +23,13 @@ SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
+def points(ps) -> tuple:
+    """The patch as lattice-point objects (ints for periodic:N), built from its coords."""
+    if ps.scheme.kind == PERIODIC:
+        return tuple(ps.coords[0].tolist())
+    return tuple(map(QuadLatticePoint, *ps.coords.tolist()))
+
+
 def phys(scheme, p) -> float:
     return float(p) if scheme.kind == PERIODIC else p.phys
 
@@ -52,8 +59,8 @@ def brute_force(scheme, w, lo, hi) -> list:
 
 def freq_loop(ps, pattern, R) -> float:
     """Occurrences per unit length, one point and one set lookup at a time."""
-    members = set(ps.points)
-    count = sum(1 for p in ps.points
+    members = set(points(ps))
+    count = sum(1 for p in members
                 if -R / 2 < phys(ps.scheme, p) < R / 2
                 and all(p + x in members for x in pattern))
     return count / R
@@ -109,8 +116,8 @@ def scheme_window_region(draw):
 def test_generate_matches_brute_force(case):
     scheme, w, (lo, hi) = case
     ps = generate(scheme, w, (lo, hi))
-    assert ps.points == tuple(brute_force(scheme, w, lo, hi))
-    assert len(ps) == len(ps.points)
+    assert points(ps) == tuple(brute_force(scheme, w, lo, hi))
+    assert len(ps) == len(points(ps))
 
 
 @pytest.mark.parametrize("region", [(1e14, 1e14 + 2000), (-1e14 - 2000, -1e14)])
@@ -118,18 +125,10 @@ def test_generate_far_from_origin_is_exact(region, tmp_path):
     # at |x| ~ 1e14 the float star of a point is off by ~1e-2, far more than
     # a fixed guard band; every point must still pass the exact test
     ps = generate(FIB, W, region)
-    assert ps.points == tuple(brute_force(FIB, W, *region))
+    assert points(ps) == tuple(brute_force(FIB, W, *region))
     path = str(tmp_path / "far.txt")
     save_pointset(ps, path)
-    assert load_pointset(path).points == ps.points
-
-
-def test_points_are_built_on_first_access():
-    ps = generate(FIB, W, (-20, 20))
-    assert "points" not in vars(ps)
-    pts = ps.points
-    assert pts is ps.points
-    assert [(p.u, p.v) for p in pts] == list(zip(*ps.coords.tolist()))
+    assert points(load_pointset(path)) == points(ps)
 
 
 # -- freq_empirical --------------------------------------------------------------

@@ -17,14 +17,14 @@ SET_A = ResidueSet(32, (0, 7, 8, 9, 12, 15, 17, 18, 19, 20, 21, 22, 26, 27, 29, 
 
 def test_generate_small_fibonacci_patch():
     ps = generate(FIB, FIB_WINDOW, (-2, 2))
-    assert [(p.u, p.v) for p in ps.points] == [(-1, 0), (0, 0), (0, 1)]
+    assert list(zip(*ps.coords.tolist())) == [(-1, 0), (0, 0), (0, 1)]
     assert list(ps.physical()) == pytest.approx([-1.0, 0.0, TAU])
 
 
 def test_generate_periodic_one_period():
     per = make_scheme("periodic", 32)
     ps = generate(per, SET_A, (0, 31))
-    assert ps.points == SET_A.elems
+    assert tuple(ps.coords[0].tolist()) == SET_A.elems
 
 
 def test_generate_empty_window():
@@ -35,12 +35,12 @@ def test_generate_empty_window():
 def test_generate_boundary_membership_is_exact():
     # star(-1, 0) = -1 sits exactly on the closed endpoint of [-1, 1/tau): kept
     ps = generate(FIB, FIB_WINDOW, (-2, 2))
-    assert (-1, 0) in {(p.u, p.v) for p in ps.points}
+    assert (-1, 0) in set(zip(*ps.coords.tolist()))
     # star(0, -1) = tau - 1 sits exactly on the open endpoint: dropped
     probe = QuadLatticePoint(0, -1)
     assert float(probe.star_quad()) == pytest.approx(TAU - 1)
     assert -2 <= probe.phys <= 2
-    assert (0, -1) not in {(p.u, p.v) for p in ps.points}
+    assert (0, -1) not in set(zip(*ps.coords.tolist()))
 
 
 def test_density_converges_to_window_measure():
@@ -65,7 +65,7 @@ def test_generate_monotone_in_window():
     large = parse_window("[-0.2,0.5)")
     ps_small = generate(FIB, small, (0, 300))
     ps_large = generate(FIB, large, (0, 300))
-    assert set(ps_small.points) <= set(ps_large.points)
+    assert set(zip(*ps_small.coords.tolist())) <= set(zip(*ps_large.coords.tolist()))
 
 
 def test_fibonacci_gaps_take_two_values():
@@ -124,7 +124,7 @@ def test_pointset_file_roundtrip_bytes(tmp_path):
         path = tmp_path / "pts.txt"
         save_pointset(ps, str(path))
         loaded = load_pointset(str(path))
-        assert loaded.points == ps.points
+        assert loaded.coords.tolist() == ps.coords.tolist()
         assert loaded.region == ps.region
         again = tmp_path / "pts2.txt"
         save_pointset(loaded, str(again))
@@ -149,7 +149,7 @@ def test_load_rejects_corrupt_star_in_guard_band(tmp_path):
     path = tmp_path / "pts.txt"
     save_pointset(ps, str(path))
     header = path.read_text().splitlines()[0]
-    pts = sorted([(p.u, p.v) for p in ps.points] + [(0, -1)], key=lambda p: p[0] + p[1] * TAU)
+    pts = sorted(list(zip(*ps.coords.tolist())) + [(0, -1)], key=lambda p: p[0] + p[1] * TAU)
     path.write_text("\n".join([header] + [f"{u} {v}" for u, v in pts]) + "\n")
     with pytest.raises(ParameterError, match="star outside the window"):
         load_pointset(str(path))

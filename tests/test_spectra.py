@@ -1,18 +1,21 @@
-"""Dual lattices, window transforms, diffraction, zero condition, deck grids."""
+"""Dual points, window transforms, diffraction, zero condition, deck grids."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from modelsets import (ParameterError, ProductWindow, QuadLatticePoint, ResidueSet,
-                       cyclotomic_pair,
-                       deck_functions, diffraction, dual_lattice,
+from modelsets import (DualPoint, ParameterError, ProductWindow, QuadLatticePoint,
+                       ResidueSet, cyclotomic_pair, deck_functions, diffraction,
                        generate, make_scheme, parse_window, residue_deck_tables,
                        sample_window, spectra, window_ft, window_measure, zero_condition)
-from modelsets.schemes import SQRT5, TAU
+from modelsets.schemes import SQRT5, TAU, TAU_PRIME
+from modelsets.spectra import _golden_dual_labels
 
 FIB = make_scheme("fibonacci")
 PER32 = make_scheme("periodic", 32)
@@ -22,40 +25,73 @@ SET_A, SET_B = cyclotomic_pair()
 
 
 # ---------------------------------------------------------------------------
-# dual lattice
+# dual points
 # ---------------------------------------------------------------------------
 
+def pairing(dp, p) -> Fraction:
+    """k*x + k**x* (+ b*u/N on combined) from the exact k and k* of a dual point."""
+    N = dp.scheme.modulus
+    if dp.scheme.kind == "periodic":
+        return dp.k_exact() * p + Fraction(dp.kstar() * p, N)
+    if dp.scheme.kind == "fibonacci":
+        kappa, extra = dp.kstar(), 0
+    else:
+        kappa, b = dp.kstar()
+        extra = Fraction(b * p.u, N)
+    total = dp.k_exact() * p.to_quad() + kappa * p.star_quad()
+    assert total.b == 0
+    return total.a + extra
+
+
 def test_dual_pairing_integral_fibonacci():
-    dl = dual_lattice(FIB)
     rng = random.Random(9)
     for _ in range(60):
-        dp = dl.point(rng.randint(-9, 9), rng.randint(-9, 9))
+        dp = DualPoint(FIB, (rng.randint(-9, 9), rng.randint(-9, 9)))
         p = QuadLatticePoint(rng.randint(-9, 9), rng.randint(-9, 9))
-        val = dl.pairing(dp, p)
-        assert val.denominator == 1
+        assert pairing(dp, p).denominator == 1
 
 
 def test_dual_pairing_integral_combined():
-    dl = dual_lattice(COMB32)
     rng = random.Random(10)
     for _ in range(60):
-        dp = dl.point(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(0, 31))
+        dp = DualPoint(COMB32, (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(0, 31)))
         p = QuadLatticePoint(rng.randint(-9, 9), rng.randint(-9, 9))
-        assert dl.pairing(dp, p).denominator == 1
+        assert pairing(dp, p).denominator == 1
 
 
 def test_dual_periodic_trivial_character():
-    dl = dual_lattice(PER32)
-    assert dl.pairing(dl.point(1), 32).denominator == 1
-    assert dl.point(0).k == 0.0
+    assert pairing(DualPoint(PER32, (1,)), 32).denominator == 1
+    assert DualPoint(PER32, (0,)).k == 0.0
 
 
 def test_fibonacci_dual_k_values():
-    dl = dual_lattice(FIB)
-    dp = dl.point(1, 0)
-    assert dp.k == pytest.approx(1 / SQRT5)
-    dp = dl.point(0, 1)
-    assert dp.k == pytest.approx(TAU / SQRT5)
+    assert DualPoint(FIB, (1, 0)).k == pytest.approx(1 / SQRT5)
+    assert DualPoint(FIB, (0, 1)).k == pytest.approx(TAU / SQRT5)
+
+
+def double_loop_dual_labels(kmax, kappa_bound, b, N):
+    """The golden-ratio dual labels by a plain loop over n, then m: the oracle."""
+    P = SQRT5 * kmax + 1e-9
+    Q = SQRT5 * kappa_bound + 1e-9
+    beta = b / N
+    nmax = math.floor((P + Q) / SQRT5 + beta) + 1
+    for n in range(-nmax, nmax + 1):
+        lo = max(-P - n * TAU - beta * TAU_PRIME, -Q - n * TAU_PRIME - beta * TAU)
+        hi = min(P - n * TAU - beta * TAU_PRIME, Q - n * TAU_PRIME - beta * TAU)
+        for m in range(math.ceil(lo), math.floor(hi) + 1):
+            yield m, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0, 30), st.floats(0, 60), st.sampled_from([1, 2, 3, 5, 32, 97]),
+       st.integers(0, 96))
+@example(0.0, 0.0, 1, 0)
+@example(1 / SQRT5, TAU / SQRT5, 1, 0)      # both bounds on lattice values
+@example(2.0, 100.0, 97, 96)
+def test_golden_dual_labels_match_the_double_loop(kmax, kappa_bound, N, b):
+    b %= N
+    got = list(zip(*_golden_dual_labels(kmax, kappa_bound, b, N).tolist()))
+    assert got == list(double_loop_dual_labels(kmax, kappa_bound, b, N))
 
 
 # ---------------------------------------------------------------------------
