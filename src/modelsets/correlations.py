@@ -17,9 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError, check_real
-from .pointsets import (PointSet, _atomic_write, _check_budget, _lattice_coords, _physical,
-                        _quad_candidates)
+from .errors import (MAX_DIFFERENCE_CANDIDATES, MAX_ENTRIES, ParameterError, check_budget,
+                     check_real)
+from .pointsets import PointSet, _atomic_write, _lattice_coords, _physical, _quad_candidates
 from .schemes import (PERIODIC, QuadLatticePoint, Scheme, Window, star, window_factors,
                       window_intersect, window_measure)
 
@@ -76,7 +76,7 @@ class CorrelationMeasure:
     entries: dict
 
     def support(self) -> list:
-        return sorted(self.entries.keys(), key=_tuple_sort_key)
+        return sorted(self.entries)
 
     def entry(self, key: tuple) -> float:
         return self.entries.get(key, 0.0)
@@ -110,20 +110,6 @@ def _coord_text(x) -> str:
     return str(x)
 
 
-def _tuple_sort_key(key: tuple):
-    out = []
-    for x in key:
-        if isinstance(x, QuadLatticePoint):
-            out.append((x.u, x.v))
-        else:
-            out.append((x, 0))
-    return out
-
-
-#: budget on the lattice candidates one difference enumeration may visit
-MAX_DIFFERENCE_CANDIDATES = 500_000
-
-
 def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     """Lattice differences x with |phys(x)| <= cutoff and freq({0, x}) > 0.
 
@@ -138,7 +124,7 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     iu, _ = window_factors(scheme, w)
     if iu is None:
         top = math.floor(cutoff)
-        _check_budget(2 * top + 1, MAX_DIFFERENCE_CANDIDATES, "reduce the cutoff")
+        check_budget(2 * top + 1, MAX_DIFFERENCE_CANDIDATES, "reduce the cutoff")
         # the pair cut depends on x mod N only: one cut per class, taken at
         # its first representative in [-top, top]
         N = scheme.modulus
@@ -158,10 +144,6 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     return out
 
 
-#: budget on the ordered difference tuples one correlation measure may enumerate
-MAX_ENTRIES = 2_000_000
-
-
 def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) -> CorrelationMeasure:
     """All difference tuples within the cutoff carrying positive frequency.
 
@@ -176,10 +158,7 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) ->
     check_real("cutoff", cutoff, 0)
     base = support_differences(scheme, w, cutoff)
     n = order - 1
-    if len(base) ** n > MAX_ENTRIES:
-        raise ResourceError(
-            f"{len(base)}^{n} candidate tuples exceed the budget of {MAX_ENTRIES}; "
-            "reduce the cutoff")
+    check_budget(len(base) ** n, MAX_ENTRIES, "reduce the cutoff")
     cuts = [_pair_cut(scheme, w, x) for x in base]
     # a cut equal to W (x = 0, or x = 0 mod N for periodic:N) changes no intersection
     trivial = {i for i, cut in enumerate(cuts) if cut == w}
@@ -208,10 +187,12 @@ class ComparisonResult:
 def correlations_equal(c1: CorrelationMeasure, c2: CorrelationMeasure,
                        tol: float = 0.0) -> ComparisonResult:
     """Support and value comparison; tol = 0 is allowed for exact rational cases."""
-    if c1.order != c2.order or c1.cutoff != c2.cutoff:
-        raise ParameterError("correlation measures differ in order or cutoff")
+    # keys on Z (periodic:N) and on Z[tau] do not compare
+    if (c1.order, c1.cutoff, c1.scheme.kind == PERIODIC) != \
+            (c2.order, c2.cutoff, c2.scheme.kind == PERIODIC):
+        raise ParameterError("correlation measures differ in order, cutoff or lattice")
     check_real("tol", tol, 0)
-    keys = sorted(set(c1.entries) | set(c2.entries), key=_tuple_sort_key)
+    keys = sorted(set(c1.entries) | set(c2.entries))
     for key in keys:
         v1, v2 = c1.entry(key), c2.entry(key)
         if abs(v1 - v2) > tol:

@@ -1,4 +1,4 @@
-"""Exception types, and the argument checks that raise them, shared across the package."""
+"""Exception types, the argument and budget checks that raise them, and the budgets."""
 
 import math
 import operator
@@ -22,6 +22,25 @@ class ReconstructionError(RuntimeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+#: lattice candidates one enumeration may visit (numpy arrays of coordinates)
+MAX_CANDIDATES = 50_000_000
+#: lattice candidates one support-difference enumeration may visit
+MAX_DIFFERENCE_CANDIDATES = 500_000
+#: Python-level items one call may build: correlation tuples, dual labels
+MAX_ENTRIES = 2_000_000
+#: int64 cells of the N x N shift matrix, or of the N^3 counts, behind a pattern table
+MAX_PATTERN_CELLS = 1_000_000
+#: cells of one dense M x M deck transform
+MAX_DECK_CELLS = 2048 ** 2
+
+
+def check_budget(est, budget: int, advice: str) -> None:
+    """The one refusal on size: ResourceError ending with ``advice`` if ``est`` > ``budget``."""
+    if est > budget:
+        raise ResourceError(f"would visit ~{est:.3g} candidates, over the budget of "
+                            f"{budget}; {advice}")
 
 
 def check_real(name: str, x, low: float | None = None, positive: bool = False) -> float:

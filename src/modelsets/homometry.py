@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
+from .errors import MAX_PATTERN_CELLS, ParameterError, check_budget
 from .pointsets import PointSet, _atomic_write, generate
 from .schemes import COMBINED, IntervalUnion, ProductWindow, ResidueSet, make_scheme
 
@@ -93,6 +93,8 @@ def _pattern_counts(S: ResidueSet, order: int) -> np.ndarray:
     keys at once.
     """
     N = S.modulus
+    # the N x N shift matrix, or the N^3 counts at order 4
+    check_budget(N ** max(2, order - 1), MAX_PATTERN_CELLS, "use a smaller modulus or order")
     s = np.zeros(N, dtype=np.int64)
     s[list(S.elems)] = 1
     sh = s[(np.arange(N)[:, None] + np.arange(N)[None, :]) % N]
@@ -104,18 +106,11 @@ def _pattern_counts(S: ResidueSet, order: int) -> np.ndarray:
     return np.einsum("at,bt,ct->abc", based, sh, sh)
 
 
-#: budget on the N^(order-1) counts one pattern table may hold
-MAX_PATTERN_CELLS = 1_000_000
-
-
 def pattern_table(S: ResidueSet, order: int) -> PatternTable:
     """Count every order-n pattern of S exactly (n = 2, 3 or 4); keys are sorted tuples."""
     if order not in (2, 3, 4):
         raise ParameterError("order must be 2, 3 or 4")
     N = S.modulus
-    if N ** (order - 1) > MAX_PATTERN_CELLS:
-        raise ResourceError(f"{N}^{order - 1} pattern counts exceed the budget of "
-                            f"{MAX_PATTERN_CELLS}; use a smaller modulus or order")
     full = _pattern_counts(S, order)
     keys = list(combinations_with_replacement(range(N), order - 1))
     values = full[tuple(np.array(keys).T)].tolist()

@@ -24,13 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError, check_real
+from .errors import MAX_CANDIDATES, ParameterError, check_budget, check_real
 from .schemes import (COORD_LIMIT, FLOAT_GUARD, TAU, TAU_PRIME, PERIODIC, IntervalUnion,
                       QuadLatticePoint, QuadNum, ResidueSet, Scheme, Window,
                       format_window, parse_scheme, parse_window, window_factors)
-
-#: budget on enumeration candidates (soft memory guard)
-MAX_CANDIDATES = 50_000_000
 
 #: relative float error bound: for int64 u, v the float value of u + v*tau or
 #: u + v*tau' is within FLOAT_REL * (|u| + |v|) of the exact one (a few
@@ -199,12 +196,6 @@ def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np
     return keep
 
 
-def _check_budget(est: float, budget: int, advice: str) -> None:
-    if est > budget:
-        raise ResourceError(f"enumeration would visit ~{est:.3g} candidates (> {budget}); "
-                            f"{advice}")
-
-
 def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
                      budget: int, advice: str) -> np.ndarray:
     """Columns (u, v) covering every u+v*tau in the ``phys`` range with u+v*tau' in ``star``.
@@ -218,8 +209,9 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
     (wlo_f, whi_f), (lo, hi) = star, phys
     vmin = math.floor((lo - whi_f) / math.sqrt(5)) - 2
     vmax = math.ceil((hi - wlo_f) / math.sqrt(5)) + 2
-    # before allocating: each row visits at most the narrower range plus slack
-    _check_budget((vmax - vmin + 1) * (min(whi_f - wlo_f, hi - lo) + 4), budget, advice)
+    # before allocating: a row visits at most the narrower width + 3 candidates
+    # (+ 4 leaves one for float rounding), so this bounds the total
+    check_budget((vmax - vmin + 1) * (min(whi_f - wlo_f, hi - lo) + 4), budget, advice)
     # |u| <= |u*| + |v| + 1 with u* in the star range
     if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
         raise ParameterError("region or window too far from the origin for int64 coordinates")
@@ -228,7 +220,6 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
     u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU)).astype(np.int64) + 1
     counts = np.clip(u_hi - u_lo + 1, 0, None)
     total = int(counts.sum())
-    _check_budget(total, budget, advice)
 
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     uflat = np.repeat(u_lo, counts) + (np.arange(total) - np.repeat(starts, counts))
@@ -255,7 +246,7 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
     iu, _ = window_factors(scheme, w)
     if iu is None:
         _check_float_positions(lo, hi, 1.0)
-        _check_budget(hi - lo, MAX_CANDIDATES, "shrink the region")
+        check_budget(hi - lo, MAX_CANDIDATES, "shrink the region")
         cand = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)[None]
     elif iu.is_empty():
         cand = np.zeros((2, 0), dtype=np.int64)
@@ -302,19 +293,20 @@ def _atomic_write(path: str, text: str) -> None:
     failure the temp file is removed and an existing ``path`` keeps its bytes.
     Every output file of the package is written here.
     """
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+    # in the directory of ``path`` as given ("" -> the working directory)
+    tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
     try:
         fh = open(tmp, "x")  # exclusive create; mode bits follow the umask
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as e:  # name the output, not the random temp file
-        raise OSError(e.errno, e.strerror, path) from None
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        raise OSError(e.errno, e.strerror or str(e), path) from None
 
 
 def save_pointset(ps: PointSet, path: str) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,9 +26,10 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, ResourceError, check_count, check_real
+from .errors import (MAX_CANDIDATES, MAX_DECK_CELLS, MAX_ENTRIES, ParameterError,
+                     check_budget, check_count, check_real)
 from .homometry import _pattern_counts
-from .pointsets import MAX_CANDIDATES, _atomic_write, _check_budget, _quad_candidates
+from .pointsets import _atomic_write, _quad_candidates
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
                       IntervalUnion, QuadNum, ResidueSet, Scheme, Window, _norm,
                       _product, make_scheme, window_factors)
@@ -220,7 +222,7 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     the same b, and a b whose factor caps the intensity below
     ``min_intensity`` is skipped.  Before any label is built, the labels to
     visit (every j for periodic:N, N boxes of ``_golden_dual_labels``
-    otherwise) are held to the budget that ``generate`` uses.
+    otherwise) are held to ``MAX_ENTRIES``: each is a ``window_ft`` call.
     """
     check_real("kmax", kmax, 0)
     check_real("min_intensity", min_intensity)
@@ -229,7 +231,7 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     peaks = []
     if iu is None:
         N = rs.modulus
-        _check_budget(2 * kmax * N + 1, MAX_CANDIDATES, "reduce kmax")
+        check_budget(2 * kmax * N + 1, MAX_ENTRIES, "reduce kmax")
         jmax = math.floor(kmax * N + 1e-9)
         for j in range(math.ceil(-kmax * N - 1e-9), jmax + 1):
             inten = abs(window_ft(scheme, w, j % N)) ** 2
@@ -245,8 +247,8 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
         # each residue's box has at most 2*(kmax + kappa_bound) + 8 rows of at
         # most the narrower of its two ranges plus the enumeration's slack
         rows = 2 * (kmax + kappa_bound) + 8
-        _check_budget(N * rows * (2 * SQRT5 * min(kmax, kappa_bound) + 4), MAX_CANDIDATES,
-                      "reduce kmax or raise min_intensity")
+        check_budget(N * rows * (2 * SQRT5 * min(kmax, kappa_bound) + 4), MAX_ENTRIES,
+                     "reduce kmax or raise min_intensity")
         for b in range(N):
             rft, tail = None, ()
             if rs is not None:
@@ -424,6 +426,12 @@ def sample_window(iu: IntervalUnion, M: int, l_half) -> np.ndarray:
     return f
 
 
+#: least cell width h and greatest period 2L = M h of a deck: I2hat and |F|^3
+#: run from about h^3 to (M h)^3, so noise at epsilon h^3 must be a normal float
+_DECK_H_MIN = (sys.float_info.min / sys.float_info.epsilon) ** (1 / 3)
+_DECK_SPAN_MAX = sys.float_info.max ** (1 / 3)
+
+
 def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     """Deck data of a sampled indicator; verifies the grid identities.
 
@@ -437,12 +445,14 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
         raise ParameterError(f"indicator must have shape ({M},)")
     if not np.isin(f, (0, 1)).all():
         raise ParameterError("indicator must be 0/1 valued")
-    if M > 2048:
-        raise ResourceError("M > 2048 stores a large dense complex I2hat")
+    check_budget(M * M, MAX_DECK_CELLS, "use a smaller grid")
+    h = 2 * float(l_half) / M   # = DeckGrid.cell, also for a Fraction l_half
+    if not (h >= _DECK_H_MIN and M * h <= _DECK_SPAN_MAX):
+        raise ParameterError(f"cell width 2L/M = {h:.3g} puts the deck transforms out of float "
+                             f"range: need 2L/M >= {_DECK_H_MIN:.3g}, 2L <= {_DECK_SPAN_MAX:.3g}")
     support = np.nonzero(f)[0]
     if len(support) == 0:
         raise ParameterError("empty indicator")
-    h = 2 * float(l_half) / M   # = DeckGrid.cell, also for a Fraction l_half
     # support extent = minimal covering arc on the circle
     if len(support) == M:
         diam = 2 * l_half

@@ -270,7 +270,13 @@ def test_alias_expansion():
     ["reconstruct", "--window", "[0,1)", "--halflength", "inf"],
     ["reconstruct", "--window", "[0,1)", "--max-mismatch", "nan"],
     ["reconstruct", "--window", "[0,1)", "--max-mismatch", "-1"],
+    # cell widths whose deck values leave the float range: overflow, and
+    # subnormals at L/4 = 2.5e-104 written as a decimal
+    ["reconstruct", "--window", "[0,1)", "--grid", "16", "--halflength", "1e150"],
+    pytest.param(["reconstruct", "--window", "[0,0." + "0" * 103 + "25)", "--grid", "512",
+                  "--halflength", "1e-103"], id="reconstruct [0,L/4) --halflength 1e-103"),
 ], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys, alarm_guard):
     code = run(*argv, "-o", str(tmp_path / "out"))
     err = capsys.readouterr().err
@@ -298,7 +304,16 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys, alarm_gua
      "--min-intensity", "1e-30"],
     ["diffract", "--scheme", "periodic:32", "--window", "A", "--kmax", "1e9"],
     ["diffract", "--scheme", "combined:32", "--window", "fib x A", "--kmax", "1e6"],
+    # over the 2e6 label budget, under the 5e7 candidate one
+    ["diffract", "--scheme", "periodic:32", "--window", "A", "--kmax", "4e5"],
+    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "1e5",
+     "--min-intensity", "1e-5"],
+    ["diffract", "--scheme", "combined:100000", "--window", "[0,1)x{0}@100000",
+     "--kmax", "0.001", "--include-zeros"],
+    # the N x N shift matrix of a pattern table: 7 TiB at N = 10^6
+    ["homometry", "--sets", "{0,1}@1000000", "{0,2}@1000000", "--order", "2"],
 ], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_resource_limit_is_one_line_error(argv, tmp_path, capsys, alarm_guard):
     code = run(*argv, "-o", str(tmp_path / "out"))
     err = capsys.readouterr().err

@@ -131,6 +131,10 @@ def test_correlations_equal_self_and_mismatch():
     m2 = correlation_measure(FIB, W, 2, 4.0)
     with pytest.raises(ParameterError):
         correlations_equal(m, m2)
+    # integer and Z[tau] keys do not compare
+    m3 = correlation_measure(make_scheme("periodic", 32), ResidueSet(32, (0, 7)), 2, 3.0)
+    with pytest.raises(ParameterError, match="lattice"):
+        correlations_equal(m, m3)
 
 
 def test_correlations_equal_reports_witness():

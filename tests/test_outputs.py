@@ -132,14 +132,16 @@ def test_failed_write_keeps_old_file(writer, tmp_path, monkeypatch):
     ["diffract", "--scheme", "periodic:32", "--window", "A"],
     ["reconstruct", "--selftest", "--window", "[0,1)", "--grid", "64"],
 ], ids=lambda argv: argv[0])
-def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
-    path = str(tmp_path / "missing" / "out")
-    code = main(argv + ["-o", path])
-    err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-    # the message names the output, not the random temp file beside it
-    assert repr(path) in err and ".tmp" not in err
-    assert list(tmp_path.iterdir()) == []
-
+def test_unwritable_output_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # the temp file cannot be created, or the rename lands on a directory or on ""
+    (tmp_path / "dir" / "out").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    for path in (tmp_path / "missing" / "out", tmp_path / "dir" / "out", ""):
+        code = main(argv + ["-o", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        # the message names the output, not the random temp file beside it
+        assert repr(str(path)) in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "out"]

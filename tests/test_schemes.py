@@ -181,6 +181,27 @@ def test_only_window_factors_checks_window_kinds():
     assert [name for name, _ in calls] == ["schemes.py"], calls
 
 
+def resource_errors(tree) -> list:
+    """Nodes that build a ResourceError: calls of it and bare ``raise ResourceError``."""
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "ResourceError"
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and named(node.func)
+            or isinstance(node, ast.Raise) and node.exc is not None and named(node.exc)]
+
+
+def test_only_check_budget_builds_resource_errors():
+    built = []
+    for path in sorted(Path(modelsets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and func.name == "check_budget"
+                   for node in resource_errors(func)} if path.name == "errors.py" else set()
+        built += [(path.name, node.lineno, id(node) in allowed)
+                  for node in resource_errors(tree)]
+    assert [(name, ok) for name, _, ok in built] == [("errors.py", True)], built
+
+
 def test_window_translate_examples():
     w = parse_window("[0,1)")
     t = w.translate(QuadNum(Fraction(1, 2), 0))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modelsets import (DualPoint, ParameterError, ProductWindow, QuadLatticePoint,
-                       ResidueSet, cyclotomic_pair, deck_functions, diffraction,
+                       ResidueSet, ResourceError, cyclotomic_pair, deck_functions, diffraction,
                        generate, make_scheme, parse_window, residue_deck_tables,
                        sample_window, spectra, window_ft, window_measure, zero_condition)
 from modelsets.schemes import SQRT5, TAU, TAU_PRIME
@@ -326,6 +326,12 @@ def test_residue_deck_tables_match_transform():
     idx = (np.arange(32)[:, None] + np.arange(32)[None, :]) % 32
     pred = np.conj(ft)[:, None] * np.conj(ft)[None, :] * ft[idx]
     assert np.abs(tabs.I2hat - pred).max() < 1e-12
+
+
+def test_residue_deck_tables_budget_is_a_resource_error():
+    # the N x N shift matrix is refused before numpy is asked for it
+    with pytest.raises(ResourceError, match="budget"):
+        residue_deck_tables(ResidueSet(10**6, (0, 1)))
 
 
 def residue_deck_loop(S):
