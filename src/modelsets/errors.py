@@ -52,6 +52,8 @@ def check_real(name: str, x, low: float | None = None, positive: bool = False) -
         f = float(x)
     except (TypeError, ValueError):
         raise ParameterError(f"{name} must be a number, got {x!r}") from None
+    except OverflowError:
+        raise ParameterError(f"{name} is too large for a float") from None
     if not math.isfinite(f):
         raise ParameterError(f"{name} must be finite, got {f}")
     if positive and not f > 0:

@@ -56,15 +56,18 @@ MIN_KNOWN_FRAC = 0.9
 class PhaseQuotient:
     """psi2 on the admissible pairs D2, read from the deck transforms on demand.
 
-    Built from deck transforms only: |F| = sqrt(I1hat), never the true phase.
-    ``I2hat`` is the deck's array, not a copy.  D2: k1, k2 and k1 + k2 in ``D``.
+    Adds to the deck only |F| = sqrt(I1hat), never the true phase, and the
+    extinction threshold; psi2 reads the deck's ``I2hat`` in place.
+    D2: k1, k2 and k1 + k2 in ``D``.
     """
 
-    M: int
-    l_half: float
+    deck: DeckGrid
     absF: np.ndarray
-    I2hat: np.ndarray
     eps_zero: float
+
+    @property
+    def M(self) -> int:
+        return self.deck.M
 
     @property
     def D(self) -> np.ndarray:
@@ -72,35 +75,30 @@ class PhaseQuotient:
 
     def at(self, k1, k2):
         """psi2(k1, k2) = I2hat[k1, k2] / (|F|[k1] |F|[k2] |F|[k1 + k2]), ints or index arrays."""
-        return self.I2hat[k1, k2] / (self.absF[k1] * self.absF[k2] * self.absF[(k1 + k2) % self.M])
+        return self.deck.I2hat[k1, k2] / (self.absF[k1] * self.absF[k2]
+                                          * self.absF[(k1 + k2) % self.M])
 
 
 @dataclass(frozen=True)
 class PhaseField:
     """Recovered phases on the frequency grid; unknown entries are zero."""
 
-    M: int
-    l_half: float
     phi: np.ndarray
     known: np.ndarray
-    eps_zero: float
     grading: np.ndarray
 
     @property
     def unknown_count(self) -> int:
-        return int(self.M - np.count_nonzero(self.known))
+        return len(self.phi) - int(np.count_nonzero(self.known))
 
 
-def phase_quotient(deck: DeckGrid, eps_zero: float | None = None) -> PhaseQuotient:
+def phase_quotient(deck: DeckGrid) -> PhaseQuotient:
     """The unit-modulus quotient psi2 = I2hat / (|F| |F| |F|) on D2."""
     absF = np.sqrt(np.clip(deck.I1hat.real, 0.0, None))
-    if eps_zero is None:
-        eps_zero = EPS_ZERO_FACTOR * absF.max()
-    if eps_zero <= 0:
-        raise ParameterError("eps_zero must be positive")
-    if np.count_nonzero(absF >= eps_zero) <= 1:
+    eps_zero = float(EPS_ZERO_FACTOR * absF.max())
+    if not eps_zero > 0 or np.count_nonzero(absF >= eps_zero) <= 1:
         raise DegenerateInputError("no usable frequencies beyond k = 0")
-    return PhaseQuotient(deck.M, deck.l_half, absF, deck.I2hat, float(eps_zero))
+    return PhaseQuotient(deck, absF, eps_zero)
 
 
 def _order_by_abs_k(M: int) -> np.ndarray:
@@ -134,18 +132,15 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
     order = _order_by_abs_k(M)
     seed = next((int(m) for m in order if m != 0 and D[m]), None)
     # (k1, k2) is in D2 iff k1, k2, k1 + k2 are in D: for m in D, m = j + (m - j)
-    # is admissible iff j and m - j are in D; ``usable`` marks known frequencies in D
-    usable = np.zeros(M, dtype=bool)
-    usable_rev = _wrapped_reversed(usable)
+    # is admissible iff j and m - j are in D; only frequencies in D are assigned,
+    # so ``known`` marks exactly the usable ones
+    known_rev = _wrapped_reversed(known)
     absF_rev = _wrapped_reversed(absF)
 
     def assign(m: int, value: complex, grade: int) -> None:
         phi[m] = value
-        known[m] = True
         grading[m] = grade
-        if D[m]:
-            usable[m] = True
-            usable_rev[M - 1 - m] = usable_rev[2 * M - 1 - m] = True
+        known[m] = known_rev[M - 1 - m] = known_rev[2 * M - 1 - m] = True
 
     assign(0, 1.0, 0)
     if seed is not None:
@@ -159,7 +154,7 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
             if known[m] or not D[m]:
                 continue
             s = M - 1 - m
-            ok = usable & usable_rev[s:s + M]
+            ok = known & known_rev[s:s + M]
             if not ok.any():
                 continue
             score = np.where(ok, np.minimum(absF, absF_rev[s:s + M]), -np.inf)
@@ -170,7 +165,7 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
             changed = True
 
     phi = _normalize_gauge(phi, known, grading, absF, psi2)
-    return PhaseField(M, psi2.l_half, phi, known, psi2.eps_zero, grading)
+    return PhaseField(phi, known, grading)
 
 
 def _normalize_gauge(phi, known, grading, absF, psi2: PhaseQuotient):
@@ -183,8 +178,6 @@ def _normalize_gauge(phi, known, grading, absF, psi2: PhaseQuotient):
     then the first in row-major order over (k1, k2).
     """
     M = len(phi)
-    if np.count_nonzero(known) < 2:
-        return phi
     known_sum, grading_sum, absF_sum = (wrapped_rows(v) for v in (known, grading, absF))
     best = None   # (|dc|, score, m1, m2, dc)
     # known frequencies all lie in D, so a known pair with known sum is in D2
@@ -216,21 +209,20 @@ def _normalize_gauge(phi, known, grading, absF, psi2: PhaseQuotient):
     return out
 
 
-def reconstruct_window(absF: np.ndarray, phase: PhaseField) -> np.ndarray:
+def reconstruct_window(psi2: PhaseQuotient, phase: PhaseField) -> np.ndarray:
     """Inverse transform of |F| * phi, thresholded at 1/2 into a 0/1 grid.
 
     Unknown frequencies are zero-filled.  Requires the phase to be known on at
     least ``MIN_KNOWN_FRAC`` of the usable frequencies D.
     """
-    return (_raw_reconstruction(absF, phase) >= 0.5).astype(np.int64)
+    return (_raw_reconstruction(psi2, phase) >= 0.5).astype(np.int64)
 
 
-def _raw_reconstruction(absF: np.ndarray, phase: PhaseField) -> np.ndarray:
-    D = absF >= phase.eps_zero
+def _raw_reconstruction(psi2: PhaseQuotient, phase: PhaseField) -> np.ndarray:
+    D = psi2.D
     nD = int(np.count_nonzero(D))
     covered = int(np.count_nonzero(phase.known & D))
-    h = 2 * phase.l_half / phase.M
-    raw = np.fft.ifft(np.where(phase.known, absF * phase.phi, 0)).real / h
+    raw = np.fft.ifft(np.where(phase.known, psi2.absF * phase.phi, 0)).real / psi2.deck.cell
     if nD and covered < MIN_KNOWN_FRAC * nD:
         raise ReconstructionError(
             f"phase known on {covered}/{nD} usable frequencies "
@@ -291,11 +283,13 @@ class ReconstructionReport:
 
 def roundtrip(f: np.ndarray, M: int, l_half: float) -> ReconstructionReport:
     """Compute deck data from an indicator, forget it, reconstruct, align, report."""
+    # looked up at call time, so a wrapper installed on spectra.deck_functions
+    # (the benchmark's span hooks) sees this call
     from .spectra import deck_functions
     deck = deck_functions(f, M, l_half)
     psi2 = phase_quotient(deck)
     phase = propagate_phase(psi2.absF, psi2)
-    raw = _raw_reconstruction(psi2.absF, phase)
+    raw = _raw_reconstruction(psi2, phase)
     recovered = (raw >= 0.5).astype(np.int64)
     shift, mismatch = align_up_to_translation(f, recovered)
     return ReconstructionReport(M, float(l_half), psi2.eps_zero, phase.unknown_count,

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import ParameterError
 
@@ -257,9 +257,11 @@ def _norm(p: int, q: int, d: int) -> QuadNum:
 QUAD_TAU = QuadNum(0, 1)
 
 
-@dataclass(frozen=True, order=True)
-class QuadLatticePoint:
-    """Point u + v*tau of the lattice Z + Z*tau, stored exactly."""
+class QuadLatticePoint(NamedTuple):
+    """Point u + v*tau of the lattice Z + Z*tau, stored exactly.
+
+    A tuple (u, v): it orders, hashes and compares equal like the plain pair.
+    """
 
     u: int
     v: int
@@ -310,12 +312,9 @@ class IntervalUnion:
         pairs.sort(key=lambda p: (p[0], p[1]))  # QuadNum order is exact
         merged: list[tuple] = []
         for a, b in pairs:
-            if merged and a <= merged[-1][1]:
+            if merged and a <= merged[-1][1]:  # overlapping or touching: one interval
                 pa, pb = merged[-1]
-                if a < pb:  # genuine overlap only allowed when merging is lossless
-                    merged[-1] = (pa, pb if pb >= b else b)
-                else:  # touching: [x, a) u [a, b)
-                    merged[-1] = (pa, b)
+                merged[-1] = (pa, max(pb, b))
             else:
                 merged.append((a, b))
         object.__setattr__(self, "intervals", tuple(merged))

@@ -211,9 +211,9 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
                 include_zeros: bool = False) -> Spectrum:
     """All dual points with |k| <= kmax and intensity |window_ft(-k*)|^2.
 
-    For the schemes with a real internal component the dual module is dense in
-    R, so peaks below ``min_intensity`` are omitted unless ``include_zeros``
-    is set (then everything enumerated within the internal bound appears).
+    Peaks below ``min_intensity`` are omitted unless ``include_zeros`` is set
+    (then everything enumerated appears); the schemes with a real internal
+    component need a positive one, as their dual module is dense in R.
     The bound on the internal frequency follows from
     |FT| <= n_intervals / (pi sqrt5 |kappa|).  Those golden-ratio schemes
     share one pass over the residues b of the dual labels: fibonacci has no
@@ -235,7 +235,7 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
         jmax = math.floor(kmax * N + 1e-9)
         for j in range(math.ceil(-kmax * N - 1e-9), jmax + 1):
             inten = abs(window_ft(scheme, w, j % N)) ** 2
-            if include_zeros or inten > min_intensity:
+            if include_zeros or inten >= min_intensity:
                 peaks.append((DualPoint(scheme, (j,)), inten))
     else:
         if min_intensity <= 0:
@@ -376,11 +376,10 @@ class DeckGrid:
     cell counts times the cell width.  I2 is stored as those counts on its
     nonzero rows only: ``rows`` lists the shifts j1 with I1[j1] > 0 (every
     other row of I2 is zero) and ``counts[i]`` is row ``rows[i]`` as int32;
-    the dense float ``I2`` is built on each read.  ``F`` is the scaled DFT of
-    the indicator; ``I1hat`` and ``I2hat`` are the transforms of the deck
-    data (everything the reconstruction stage is allowed to see).  ``I2hat``
-    is the transpose view of a C-ordered buffer holding I2hat[k1, k2] at
-    [k2, k1].
+    the dense float ``I2`` is built on each read.  ``I1hat`` and ``I2hat``
+    are the transforms of the deck data, everything the reconstruction stage
+    is allowed to see; ``I2hat`` is the transpose view of a C-ordered buffer
+    holding I2hat[k1, k2] at [k2, k1].
     """
 
     M: int
@@ -389,7 +388,6 @@ class DeckGrid:
     I1: np.ndarray
     rows: np.ndarray
     counts: np.ndarray
-    F: np.ndarray
     I1hat: np.ndarray
     I2hat: np.ndarray
 
@@ -500,11 +498,10 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     np.fft.fft(T, axis=1, out=T)
     T *= h * h
     I1 = h * n1
-    F = h * Ff
     I1hat = h * np.fft.fft(I1)
 
-    deck = DeckGrid(M, float(l_half), f.astype(np.int64), I1, rows, counts, F, I1hat, T.T)
-    _verify_deck(deck)
+    deck = DeckGrid(M, float(l_half), f.astype(np.int64), I1, rows, counts, I1hat, T.T)
+    _verify_deck(deck, h * Ff)
     return deck
 
 
@@ -523,16 +520,19 @@ def wrapped_rows(v: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate((v, v)), len(v))
 
 
-def _verify_deck(deck: DeckGrid) -> None:
-    """Full-grid check I2hat[k1, k2] = conj(F[k1]) conj(F[k2]) F[k1 + k2] to 1e-8."""
+def _verify_deck(deck: DeckGrid, F: np.ndarray) -> None:
+    """Full-grid check I2hat[k1, k2] = conj(F[k1]) conj(F[k2]) F[k1 + k2] to 1e-8.
+
+    ``F``, the scaled DFT of the indicator, is ground truth that only this check reads.
+    """
     M = deck.M
     n1 = np.rint(deck.I1 / deck.cell).astype(np.int64)
     if not np.array_equal(n1, n1[(-np.arange(M)) % M]):
         raise AssertionError("I1 lost its reflection symmetry")
     if deck.I1hat.real.min() < -1e-10 * max(1.0, deck.I1hat.real.max()):
         raise AssertionError("I1hat is significantly negative")
-    cF = np.conj(deck.F)
-    Fsum = wrapped_rows(deck.F)
+    cF = np.conj(F)
+    Fsum = wrapped_rows(F)
     # rows of I2hat.T (contiguous for the deck's own I2hat): row k2 holds
     # I2hat[:, k2], checked against cF[k1] cF[k2] F[k1 + k2] for every k1
     I2hatT = deck.I2hat.T

@@ -270,6 +270,11 @@ def test_alias_expansion():
     ["reconstruct", "--window", "[0,1)", "--halflength", "inf"],
     ["reconstruct", "--window", "[0,1)", "--max-mismatch", "nan"],
     ["reconstruct", "--window", "[0,1)", "--max-mismatch", "-1"],
+    ["reconstruct", "--window", "{0,1}@4"],
+    ["homometry", "--sets", "[0,1)", "A"],
+    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "-1"],
+    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--min-intensity", "0"],
+    ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "1", "0"],
     # cell widths whose deck values leave the float range: overflow, and
     # subnormals at L/4 = 2.5e-104 written as a decimal
     ["reconstruct", "--window", "[0,1)", "--grid", "16", "--halflength", "1e150"],

@@ -1,5 +1,6 @@
 """Phase quotient, propagation, window recovery, and alignment."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_phase_quotient_symmetric_window_signs():
     f[:width + 1] = 1
     f[-width:] = 1  # support {-width..width} mod M: even
     deck = deck_functions(f, M, L)
-    Fr = deck.F
+    Fr = deck.cell * np.fft.fft(deck.f)
     assert np.abs(Fr.imag).max() < 1e-9 * np.abs(Fr).max()
     psi2 = phase_quotient(deck)
     sign = np.sign(Fr.real)
@@ -63,9 +64,13 @@ def test_phase_quotient_symmetric_window_signs():
 
 
 def test_phase_quotient_degenerate():
+    # only k = 0 above the threshold, then all zero
     _, deck = _deck("[0,1)")
-    with pytest.raises(DegenerateInputError):
-        phase_quotient(deck, eps_zero=1e9)
+    for k0 in (1.0, 0.0):
+        I1hat = np.zeros(M, dtype=complex)
+        I1hat[0] = k0
+        with pytest.raises(DegenerateInputError, match="no usable frequencies"):
+            phase_quotient(dataclasses.replace(deck, I1hat=I1hat))
 
 
 def test_propagation_zero_free_input_knows_everything():
@@ -123,7 +128,7 @@ def test_reconstruct_window_roundtrip_unit_interval():
     f, deck = _deck("[0,1)")
     psi2 = phase_quotient(deck)
     phase = propagate_phase(psi2.absF, psi2)
-    rec = reconstruct_window(psi2.absF, phase)
+    rec = reconstruct_window(psi2, phase)
     shift, mismatch = align_up_to_translation(f, rec)
     assert mismatch <= 0.01
 
@@ -132,7 +137,7 @@ def test_reconstruct_recovers_translate_not_reflection():
     f, deck = _deck("[0,1)u[1.5,2.25)")
     psi2 = phase_quotient(deck)
     phase = propagate_phase(psi2.absF, psi2)
-    rec = reconstruct_window(psi2.absF, phase)
+    rec = reconstruct_window(psi2, phase)
     _, mismatch = align_up_to_translation(f, rec)
     assert mismatch < 0.01
     reflected = rec[(-np.arange(M)) % M]
@@ -148,20 +153,19 @@ def test_reconstruct_symmetric_window_with_trivial_phase():
     f[0] = 1
     deck = deck_functions(f, M, L)
     psi2 = phase_quotient(deck)
-    trivial = PhaseField(M, L, np.ones(M, dtype=complex), np.ones(M, dtype=bool),
-                         psi2.eps_zero, np.zeros(M, dtype=np.int64))
-    rec = reconstruct_window(psi2.absF, trivial)
+    trivial = PhaseField(np.ones(M, dtype=complex), np.ones(M, dtype=bool),
+                         np.zeros(M, dtype=np.int64))
+    rec = reconstruct_window(psi2, trivial)
     assert np.array_equal(rec, f)
 
 
 def test_reconstruct_requires_phase_coverage():
     _, deck = _deck("[0,1)")
     psi2 = phase_quotient(deck)
-    sparse = PhaseField(M, L, np.where(np.arange(M) == 0, 1.0 + 0j, 0),
-                        np.arange(M) == 0, psi2.eps_zero,
+    sparse = PhaseField(np.where(np.arange(M) == 0, 1.0 + 0j, 0), np.arange(M) == 0,
                         np.zeros(M, dtype=np.int64))
     with pytest.raises(ReconstructionError) as err:
-        reconstruct_window(psi2.absF, sparse)
+        reconstruct_window(psi2, sparse)
     assert err.value.partial is not None and len(err.value.partial) == M
 
 
@@ -169,8 +173,21 @@ def test_uncertain_cells_counted():
     f, deck = _deck("[-1,1/tau)")
     psi2 = phase_quotient(deck)
     phase = propagate_phase(psi2.absF, psi2)
-    raw = _raw_reconstruction(psi2.absF, phase)
+    raw = _raw_reconstruction(psi2, phase)
     assert uncertain_cells(raw) <= 4
+
+
+def test_recovery_reads_deck_data_only():
+    # the recovery never reads the indicator: a deck without it gives the same bits
+    _, deck = _deck("[0,1)u[1.5,2.25)")
+    runs = []
+    for d in (deck, dataclasses.replace(deck, f=None)):
+        psi2 = phase_quotient(d)
+        phase = propagate_phase(psi2.absF, psi2)
+        runs.append((psi2.absF, psi2.eps_zero, phase.phi, phase.known, phase.grading,
+                     _raw_reconstruction(psi2, phase)))
+    for a, b in zip(*runs):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_align_examples():

@@ -237,6 +237,21 @@ def test_interval_union_canonicalization():
         IntervalUnion([(1, 1)])
 
 
+@pytest.mark.parametrize("literal, merged", [
+    ("[0,2)u[1,3)", "[0,3)"), ("[0,1)u[1,2)", "[0,2)"), ("[0,3)u[1,2)", "[0,3)"),
+    ("[1,2)u[0,1)", "[0,2)")])
+def test_interval_union_merges_overlapping_and_touching(literal, merged):
+    assert parse_window(literal).intervals == parse_window(merged).intervals
+
+
+def test_lattice_point_is_its_coordinate_pair():
+    p = QuadLatticePoint(2, -1)
+    assert p == (2, -1) and hash(p) == hash((2, -1))
+    assert p + QuadLatticePoint(1, 1) == (3, 0) and p - p == (0, 0) and -p == (-2, 1)
+    points = [QuadLatticePoint(1, 0), QuadLatticePoint(0, 5), QuadLatticePoint(0, -1)]
+    assert sorted(points) == [(0, -1), (0, 5), (1, 0)]
+
+
 def _random_union(rng):
     cuts = sorted(rng.sample(range(-40, 40), rng.randint(2, 8)))
     ivs = [(Fraction(a, 4), Fraction(b, 4)) for a, b in zip(cuts[:-1], cuts[1:])]

@@ -14,6 +14,7 @@ from modelsets import (DualPoint, ParameterError, ProductWindow, QuadLatticePoin
                        ResidueSet, ResourceError, cyclotomic_pair, deck_functions, diffraction,
                        generate, make_scheme, parse_window, residue_deck_tables,
                        sample_window, spectra, window_ft, window_measure, zero_condition)
+from modelsets.errors import check_real
 from modelsets.schemes import SQRT5, TAU, TAU_PRIME
 from modelsets.spectra import _golden_dual_labels
 
@@ -132,6 +133,13 @@ def test_periodic_diffraction_profile():
             assert inten < 1e-12
         elif b % 2 == 1:
             assert inten > 1e-12
+
+
+def test_periodic_threshold_keeps_peaks_at_it():
+    # |FT|^2 is exactly 0.25 at j = -32, 0 and 32, and below it everywhere else
+    spec = diffraction(PER32, SET_A, 1.0, min_intensity=0.25)
+    assert [dp.labels for dp, _ in spec.peaks] == [(0,), (-32,), (32,)]
+    assert all(inten == 0.25 for _, inten in spec.peaks)
 
 
 def test_periodic_diffraction_equal_for_homometric_pair():
@@ -253,7 +261,7 @@ def test_deck_i1_symmetry_and_nonnegativity():
     M = deck.M
     assert np.array_equal(deck.I1, deck.I1[(-np.arange(M)) % M])
     assert deck.I1hat.real.min() > -1e-10
-    assert np.allclose(deck.I1hat.real, np.abs(deck.F) ** 2, atol=1e-10)
+    assert np.allclose(deck.I1hat.real, np.abs(deck.cell * np.fft.fft(deck.f)) ** 2, atol=1e-10)
 
 
 def test_deck_factorization_against_direct_dft_oracle():
@@ -291,18 +299,29 @@ def test_verify_deck_checks_every_cell(k1, k2):
     deck = deck_functions(sample_window(parse_window("[0,1)u[1.5,2.25)"), M, L), M, L)
     assert deck.I2hat.T.flags.c_contiguous   # the walk reads contiguous rows
     I2hat = deck.I2hat.copy(order="A")
-    spectra._verify_deck(dataclasses.replace(deck, I2hat=I2hat))
+    F = deck.cell * np.fft.fft(deck.f)
+    spectra._verify_deck(dataclasses.replace(deck, I2hat=I2hat), F)
     I2hat[k1, k2] += 1e-6 * np.abs(I2hat).max()
     with pytest.raises(AssertionError, match="factor"):
-        spectra._verify_deck(dataclasses.replace(deck, I2hat=I2hat))
+        spectra._verify_deck(dataclasses.replace(deck, I2hat=I2hat), F)
 
 
 def test_deck_takes_an_exact_half_length():
     # sample_window takes L exactly; the deck of the same grid must not depend on its type
     f = sample_window(parse_window("[0,1)"), 64, Fraction(8))
     a, b = deck_functions(f, 64, Fraction(8)), deck_functions(f, 64, 8.0)
-    for name in ("I1", "I2", "F", "I1hat", "I2hat"):
+    for name in ("I1", "I2", "I1hat", "I2hat"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert (a.cell * np.fft.fft(a.f)).tobytes() == (b.cell * np.fft.fft(b.f)).tobytes()
+
+
+def test_too_large_a_number_is_a_parameter_error():
+    f = np.zeros(64, dtype=np.int64)
+    f[0] = 1
+    with pytest.raises(ParameterError, match="^half-length L is too large for a float$"):
+        deck_functions(f, 64, Fraction(10**400))
+    with pytest.raises(ParameterError, match="^x is too large for a float$"):
+        check_real("x", 10**400)
 
 
 def test_deck_wraparound_precondition():
