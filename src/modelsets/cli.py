@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .correlations import (_coord_text, correlation_measure, correlations_equal,
 from .errors import (DegenerateInputError, ParameterError, ReconstructionError,
                      ResourceError, check_real)
 from .pointsets import _atomic_write, generate, save_pointset
-from .schemes import (PERIODIC, IntervalUnion, ResidueSet, _split_top, parse_scheme,
-                      parse_window)
+from .schemes import (PERIODIC, IntervalUnion, ResidueSet, _excerpt, _split_top,
+                      parse_scheme, parse_window)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,9 +93,9 @@ def cmd_diffract(args) -> int:
         # one full period k = 0..kmax, matching the stick-plot layout
         keep = tuple(p for p in spec.peaks if p[0].labels[0] >= 0)
         spec = spectra.Spectrum(scheme, window, keep)
-    spec.to_csv(args.output)
-    if args.svg:
+    if args.svg:  # first: the plot refuses an empty spectrum before any file is written
         spec.to_svg(args.svg)
+    spec.to_csv(args.output)
     print(f"wrote {len(spec)} spectrum rows to {args.output}")
     return EXIT_OK
 
@@ -104,6 +105,11 @@ def cmd_reconstruct(args) -> int:
     window = parse_window(expand_window_literal(args.window))
     if not isinstance(window, IntervalUnion):
         raise ParameterError("reconstruction works on interval-union windows")
+    L = Fraction(check_real("half-length L", args.halflength, positive=True))
+    hull = window.hull()
+    if hull is not None and (hull[0] < -L or hull[1] > L):
+        raise ParameterError(f"window {_excerpt(args.window)} does not fit in the period "
+                             f"[-L, L) = [{-args.halflength:g}, {args.halflength:g})")
     f = spectra.sample_window(window, args.grid, args.halflength)
     report = reconstruct.roundtrip(f, args.grid, args.halflength)
     _atomic_write(args.output, report.to_json() + "\n")

@@ -21,20 +21,10 @@ from .schemes import COMBINED, IntervalUnion, ProductWindow, ResidueSet, make_sc
 CYCLOTOMIC_MODULUS = 32
 
 
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def _exponent_set(factors: list[list[int]], modulus: int) -> tuple[int, ...]:
     poly = [1]
     for f in factors:
-        poly = _poly_mul(poly, f)
+        poly = np.convolve(poly, f).tolist()  # exact on these small integer factors
     # reduce mod x^modulus - 1 and demand a 0/1 indicator polynomial
     folded = [0] * modulus
     for i, c in enumerate(poly):

@@ -27,18 +27,19 @@ Interval endpoints are kept exact in the quadratic field Q(tau) as
 their gcd with d > 0; membership tests and interval arithmetic never round.
 Only the ``IntervalUnion`` constructor, which the parser uses, sorts and
 merges intervals; ``translate`` and ``intersect`` keep canonical unions
-canonical without re-sorting.  Floating-point inputs are
-converted exactly (binary floats are rationals), so comparisons stay
-deterministic; a 1e-9 guard band is used only to decide when fast float
-prefilters must fall back to exact arithmetic.
+canonical without re-sorting.  Whatever ``Fraction`` reads exactly (ints,
+binary floats, decimals, numpy integers, numeric strings) is an exact
+coefficient and anything else a ParameterError; a 1e-9 guard band only
+decides when fast float prefilters fall back to exact arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .errors import ParameterError
 
@@ -60,13 +61,10 @@ Real = Union[int, float, Fraction, "QuadNum"]
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    try:
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact: binary floats are rationals
-    if isinstance(x, str):
-        return Fraction(x)
-    raise ParameterError(f"cannot interpret {x!r} as a rational number")
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"cannot interpret {x!r} as a rational number") from None
 
 
 def _sgn(p: int, q: int) -> int:
@@ -105,8 +103,10 @@ class QuadNum:
         if type(a) is int and type(b) is int:
             return _make(a, b, 1)
         fa, fb = _as_fraction(a), _as_fraction(b)
-        da, db = fa.denominator, fb.denominator
-        return _norm(fa.numerator * db, fb.numerator * da, da * db)
+        # int(): a Fraction keeps numpy integers as they are; the triple holds Python ints
+        pa, da = int(fa.numerator), int(fa.denominator)
+        pb, db = int(fb.numerator), int(fb.denominator)
+        return _norm(pa * db, pb * da, da * db)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadNum is immutable")
@@ -291,6 +291,7 @@ class QuadLatticePoint(NamedTuple):
 # windows
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class IntervalUnion:
     """Finite union of disjoint half-open intervals [a, b) with exact endpoints.
 
@@ -300,11 +301,11 @@ class IntervalUnion:
     merges; ``translate`` and ``intersect`` build canonical results directly.
     """
 
-    __slots__ = ("intervals",)
+    intervals: tuple  # of (a, b) QuadNum pairs; built from any iterable of pairs
 
-    def __init__(self, intervals: Iterable[tuple]):
+    def __post_init__(self):
         pairs = []
-        for a, b in intervals:
+        for a, b in self.intervals:
             qa, qb = QuadNum.coerce(a), QuadNum.coerce(b)
             if not qa < qb:
                 raise ParameterError(f"empty or inverted interval [{float(qa)}, {float(qb)})")
@@ -318,12 +319,6 @@ class IntervalUnion:
             else:
                 merged.append((a, b))
         object.__setattr__(self, "intervals", tuple(merged))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalUnion is immutable")
-
-    def __reduce__(self):
-        return (IntervalUnion, (self.intervals,))
 
     @staticmethod
     def empty() -> "IntervalUnion":
@@ -377,12 +372,6 @@ class IntervalUnion:
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(tuple(self.intervals) + tuple(other.intervals))
 
-    def __eq__(self, other):
-        return isinstance(other, IntervalUnion) and self.intervals == other.intervals
-
-    def __hash__(self):
-        return hash(self.intervals)
-
     def __repr__(self):
         return f"IntervalUnion({self.literal()!r})"
 
@@ -399,23 +388,18 @@ def _interval_union(intervals: tuple) -> IntervalUnion:
     return iu
 
 
+@dataclass(frozen=True)
 class ResidueSet:
     """Subset of Z/NZ, reduced, sorted, possibly empty (only as a computed result)."""
 
-    __slots__ = ("modulus", "elems")
+    modulus: int
+    elems: tuple  # built from any iterable of ints
 
-    def __init__(self, modulus: int, elems: Iterable[int]):
-        if not 1 <= modulus < COORD_LIMIT:
+    def __post_init__(self):
+        if not 1 <= self.modulus < COORD_LIMIT:
             raise ParameterError("modulus must be a positive integer below 2^62")
-        reduced = sorted({e % modulus for e in elems})
-        object.__setattr__(self, "modulus", int(modulus))
-        object.__setattr__(self, "elems", tuple(reduced))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResidueSet is immutable")
-
-    def __reduce__(self):
-        return (ResidueSet, (self.modulus, self.elems))
+        object.__setattr__(self, "elems", tuple(sorted({e % self.modulus for e in self.elems})))
+        object.__setattr__(self, "modulus", int(self.modulus))
 
     def is_empty(self) -> bool:
         return not self.elems
@@ -444,13 +428,6 @@ class ResidueSet:
 
     def measure(self) -> Fraction:
         return Fraction(len(self.elems), self.modulus)
-
-    def __eq__(self, other):
-        return (isinstance(other, ResidueSet)
-                and self.modulus == other.modulus and self.elems == other.elems)
-
-    def __hash__(self):
-        return hash((self.modulus, self.elems))
 
     def __repr__(self):
         return f"ResidueSet({self.modulus}, {self.elems})"
@@ -607,7 +584,12 @@ def _excerpt(text: str, pos: int = 0, width: int = 40) -> str:
     return f"{'...' if start else ''}{text[start:end]!r}{'...' if end < len(text) else ''}"
 
 
+_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 class _ExprParser:
+    """Recursive descent over ``expr`` above; ``take`` is its one scanner."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -616,71 +598,42 @@ class _ExprParser:
         raise ParameterError(f"bad expression {_excerpt(self.text, self.pos)} "
                              f"at position {self.pos}: {msg}")
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def peek(self) -> str:
+        return self.text[self.pos:self.pos + 1]
 
-    def skip_ws(self):
+    def take(self, ops: str) -> str:
+        """Skip blanks, then consume and return the next character if it is one of ``ops``."""
         while self.peek() == " ":
             self.pos += 1
+        if (c := self.peek()) and c in ops:
+            self.pos += 1
+            return c
+        return ""
 
     def parse(self) -> QuadNum:
-        val = self.expr()
-        self.skip_ws()
+        val = self.expr()  # ends on a failed take, so blanks are skipped
         if self.pos != len(self.text):
             self.error("trailing input")
         return val
 
-    def expr(self) -> QuadNum:
-        val = self.term()
-        while True:
-            self.skip_ws()
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                val = val + self.term()
-            elif c == "-":
-                self.pos += 1
-                val = val - self.term()
-            else:
-                return val
-
-    def term(self) -> QuadNum:
-        val = self.factor()
-        while True:
-            self.skip_ws()
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                val = val * self.factor()
-            elif c == "/":
-                self.pos += 1
-                d = self.factor()
-                if d.is_zero():
-                    self.error("division by zero")
-                val = val / d
-            else:
-                return val
+    def expr(self, ops: str = "+-") -> QuadNum:
+        """One left-associative loop: terms joined by + -, or with ops '*/' factors by * /."""
+        operand = self.factor if ops == "*/" else lambda: self.expr("*/")
+        val = operand()
+        while op := self.take(ops):
+            rhs = operand()
+            if op == "/" and rhs.is_zero():
+                self.error("division by zero")
+            val = _APPLY[op](val, rhs)
+        return val
 
     def factor(self) -> QuadNum:
-        self.skip_ws()
-        if self.peek() == "-":
-            self.pos += 1
-            return -self.factor()
-        if self.peek() == "+":
-            self.pos += 1
-            return self.factor()
-        return self.atom()
-
-    def atom(self) -> QuadNum:
-        self.skip_ws()
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
+        if sign := self.take("+-"):
+            return -self.factor() if sign == "-" else self.factor()
+        if self.take("("):
             val = self.expr()
-            self.skip_ws()
-            if self.peek() != ")":
+            if not self.take(")"):
                 self.error("expected ')'")
-            self.pos += 1
             return val
         if self.text.startswith("tau", self.pos):
             self.pos += 3

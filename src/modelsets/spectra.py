@@ -111,13 +111,8 @@ def window_ft(scheme: Scheme, w: Window, kstar) -> complex:
 
 
 def _interval_ft(iu: IntervalUnion, kappa, c: float) -> complex:
-    if isinstance(kappa, QuadNum):
-        is_zero = kappa.is_zero()
-        kf = float(kappa)
-    else:
-        kf = float(kappa)
-        is_zero = kf == 0.0
-    if is_zero:
+    kf = float(kappa)
+    if kf == 0.0:  # the k = 0 limit, also for a nonzero kappa that floats to zero
         return complex(float(iu.length()) / c)
     total = 0j
     for a, b in iu.intervals:
@@ -314,13 +309,10 @@ def _poly_divide_exact(num: list, den: list) -> list:
 
 def _root_sum_is_zero(exponent_counts: Mapping[int, int], n: int) -> bool:
     """Exact test of sum_j c_j zeta^j = 0 for zeta = exp(2 pi i / n)."""
-    poly = [0] * n
+    rem = [0] * n
     for e, c in exponent_counts.items():
-        poly[e % n] += c
-    if not any(poly):
-        return True
+        rem[e % n] += c
     phi = list(_cyclotomic(n))
-    rem = list(poly)
     # reduce modulo the cyclotomic polynomial (monic, integer)
     for i in range(len(rem) - 1, len(phi) - 2, -1):
         coef = rem[i]
@@ -350,8 +342,6 @@ def zero_condition(N: int, windows: Mapping[int, IntervalUnion], b: int) -> bool
             cuts.add(hi)
     cuts = sorted(cuts)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if not lo < hi:
-            continue
         mid = (lo + hi) / QuadNum(2, 0)
         counts: dict[int, int] = {}
         for a, w in live.items():

@@ -5,8 +5,10 @@ import signal
 
 import pytest
 
+from modelsets import reconstruct
 from modelsets.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY,
                            expand_window_literal, main)
+from modelsets.errors import DegenerateInputError, ReconstructionError
 
 
 def run(*argv):
@@ -168,6 +170,48 @@ def test_reconstruct_bad_literal(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("window, halflength", [
+    ("[7,9)", "8"), ("[-9,-7.5)", "8"), ("[0,1)u[1.5,2.25)", "2.2"), ("[-1,0)", "0.5")])
+def test_reconstruct_refuses_a_window_outside_the_period(window, halflength, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = run("reconstruct", "--window", window, "--halflength", halflength, "-o", str(out))
+    assert code == EXIT_USAGE
+    L = float(halflength)
+    assert capsys.readouterr().err == (f"error: window {window!r} does not fit in the period "
+                                       f"[-L, L) = [{-L:g}, {L:g})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["[-8,-7)u[7.5,8)", "[7,8)", "[-8,-7.5)"])
+def test_reconstruct_takes_a_window_that_touches_the_period_ends(window, tmp_path):
+    # the period [-L, L) is half-open: a window may start at -L and end at L
+    assert run("reconstruct", "--window", window, "--grid", "64",
+               "-o", str(tmp_path / "r.json")) == EXIT_OK
+
+
+def test_diffract_refusal_writes_no_file(tmp_path, capsys):
+    svg, csv = tmp_path / "s.svg", tmp_path / "s.csv"
+    code = run("diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "0.01",
+               "--min-intensity", "0.9", "--svg", str(svg), "-o", str(csv))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: empty spectrum\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (DegenerateInputError("no signal"), EXIT_USAGE, "error: degenerate input: no signal\n"),
+    (ReconstructionError("no phase"), EXIT_VERIFY, "error: reconstruction failed: no phase\n"),
+])
+def test_recovery_errors_map_to_exit_codes(error, code, line, tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(reconstruct, "roundtrip", fail)
+    assert run("reconstruct", "--window", "[0,1)", "-o", str(tmp_path / "r.json")) == code
+    assert capsys.readouterr().err == line
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_homometry_default_run(tmp_path, capsys):
     out = tmp_path / "rep.txt"
     code = run("homometry", "-o", str(out))
@@ -275,6 +319,10 @@ def test_alias_expansion():
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "-1"],
     ["diffract", "--scheme", "fibonacci", "--window", "fib", "--min-intensity", "0"],
     ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "1", "0"],
+    # windows that do not fit in the default period [-8, 8)
+    ["reconstruct", "--window", "[7,9)"],
+    ["reconstruct", "--window", "[-9,-7.5)"],
+    ["reconstruct", "--window", "[7.9,8.5)"],
     # cell widths whose deck values leave the float range: overflow, and
     # subnormals at L/4 = 2.5e-104 written as a decimal
     ["reconstruct", "--window", "[0,1)", "--grid", "16", "--halflength", "1e150"],

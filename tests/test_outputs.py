@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,15 @@ def test_readme_examples_golden_bytes(tmp_path, monkeypatch):
         assert main(argv) == EXIT_OK, argv
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == README_DIGESTS
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    names = {}
+    exec(block, names)
+    assert names["density"] == pytest.approx(0.7236, abs=1e-3)  # ~ tau/sqrt5
+    assert names["report"].mismatch == 0.0
 
 
 # patch-sized outputs: a 72,361-point file and empirical counts over R = 9e4

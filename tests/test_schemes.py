@@ -1,10 +1,13 @@
 """Scheme construction, exact window arithmetic, and the literal grammar."""
 
 import ast
+import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import modelsets
@@ -202,6 +205,32 @@ def test_only_check_budget_builds_resource_errors():
     assert [(name, ok) for name, _, ok in built] == [("errors.py", True)], built
 
 
+def test_only_quadnum_hand_writes_equality_hashing_and_setattr():
+    # every other value class takes these members from dataclass or NamedTuple
+    written = [(path.name, cls.name, node.name)
+               for path in sorted(Path(modelsets.__file__).parent.glob("*.py"))
+               for cls in ast.walk(ast.parse(path.read_text()))
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("__setattr__", "__eq__", "__hash__")]
+    assert {(name, cls) for name, cls, _ in written} == {("schemes.py", "QuadNum")}, written
+
+
+WINDOWS = ["[0,1)u[1.5,2.25)", "[)", "{0,7,8}@32", "[-1,1/tau)x{0,7}@32"]
+
+
+@pytest.mark.parametrize("literal", WINDOWS)
+def test_windows_pickle_and_refuse_assignment(literal):
+    w = parse_window(literal)
+    back = pickle.loads(pickle.dumps(w))
+    assert back == w and hash(back) == hash(w) and back.literal() == w.literal()
+    for name in ("intervals", "elems", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, None)
+    assert w == parse_window(literal)
+
+
 def test_window_translate_examples():
     w = parse_window("[0,1)")
     t = w.translate(QuadNum(Fraction(1, 2), 0))
@@ -242,6 +271,40 @@ def test_interval_union_canonicalization():
     ("[1,2)u[0,1)", "[0,2)")])
 def test_interval_union_merges_overlapping_and_touching(literal, merged):
     assert parse_window(literal).intervals == parse_window(merged).intervals
+
+
+def test_empty_union_has_no_hull_and_an_empty_literal():
+    empty = IntervalUnion.empty()
+    assert empty.hull() is None and empty.literal() == "[)"
+    assert parse_window("[)") == empty
+
+
+@pytest.mark.parametrize("op", ["intersect", "union"])
+def test_residue_sets_of_different_moduli_do_not_combine(op):
+    with pytest.raises(ParameterError, match="^modulus mismatch$"):
+        getattr(ResidueSet(32, [1]), op)(ResidueSet(16, [1]))
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda: QuadNum(float("nan"), 0), "nan"),
+    (lambda: QuadNum("abc", 0), "'abc'"),
+    (lambda: QuadNum(None, 1), "None"),
+    (lambda: IntervalUnion([(0, float("inf"))]), "inf"),
+], ids=["nan", "text", "None", "inf endpoint"])
+def test_what_is_not_a_rational_is_a_parameter_error(make, bad):
+    with pytest.raises(ParameterError) as exc:
+        make()
+    assert str(exc.value) == f"cannot interpret {bad} as a rational number"
+
+
+def test_any_exact_rational_is_a_coefficient():
+    assert QuadNum(np.int64(3), Decimal("0.25")) == QuadNum(3, Fraction(1, 4))
+    assert QuadNum("1/3", 0) == Fraction(1, 3)
+    assert IntervalUnion([(np.int32(-1), Decimal("1.5"))]) == parse_window("[-1,1.5)")
+    # the triple holds Python ints, so arithmetic past int64 stays exact
+    big = QuadNum(np.int64(2 ** 62), np.int64(-1))
+    assert {type(big.p), type(big.q), type(big.d)} == {int}
+    assert (big * 4).p == 2 ** 64 and QuadNum(np.int32(-5), 0) < 0
 
 
 def test_lattice_point_is_its_coordinate_pair():
@@ -294,6 +357,33 @@ def test_parse_expr_tau_forms():
     assert parse_expr("2*tau-1") == QuadNum(-1, 2)
     assert parse_expr("(1+tau)/2") == QuadNum(Fraction(1, 2), Fraction(1, 2))
     assert parse_expr("0.25") == QuadNum(Fraction(1, 4), 0)
+
+
+@pytest.mark.parametrize("text, value", [
+    (" +1 ", QuadNum(1, 0)), ("2*-tau", QuadNum(0, -2)), ("1-2-3", QuadNum(-4, 0)),
+    ("8/4/2", QuadNum(1, 0)), ("2 * (1 + tau) - -tau", QuadNum(2, 3))])
+def test_parse_expr_chains_left_to_right(text, value):
+    assert parse_expr(text) == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2", "bad expression '1 2' at position 2: trailing input"),
+    ("1/(tau-tau)", "bad expression '1/(tau-tau)' at position 11: division by zero"),
+    ("(1", "bad expression '(1' at position 2: expected ')'"),
+    ("1.2.3", "bad expression '1.2.3' at position 5: bad number '1.2.3'"),
+    ("tau1", "bad expression 'tau1' at position 3: trailing input"),
+    ("1+*2", "bad expression '1+*2' at position 2: expected a number, 'tau' or '('"),
+])
+def test_parse_expr_errors_name_the_position(text, message):
+    with pytest.raises(ParameterError) as exc:
+        parse_expr(text)
+    assert str(exc.value) == message
+
+
+def test_interval_needs_exactly_two_endpoints():
+    with pytest.raises(ParameterError) as exc:
+        parse_window("[1,2,3)")
+    assert str(exc.value) == "interval '[1,2,3)' needs exactly two endpoints"
 
 
 def test_parse_window_kinds():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modelsets import (DualPoint, ParameterError, ProductWindow, QuadLatticePoint,
+from modelsets import (DualPoint, ParameterError, ProductWindow, QuadLatticePoint, QuadNum,
                        ResidueSet, ResourceError, cyclotomic_pair, deck_functions, diffraction,
                        generate, make_scheme, parse_window, residue_deck_tables,
                        sample_window, spectra, window_ft, window_measure, zero_condition)
@@ -104,6 +104,16 @@ def test_window_ft_at_zero_is_measure():
     assert window_ft(PER32, SET_A, 0) == pytest.approx(0.5)
     pw = ProductWindow(W, SET_A)
     assert window_ft(COMB32, pw, (0.0, 0)) == pytest.approx(TAU / (2 * SQRT5))
+
+
+def test_window_ft_at_a_kappa_that_floats_to_zero_is_the_k0_limit():
+    # F41 - F40*tau is about 4.4e-9, but its float cancels to 0.0
+    kappa = QuadNum(165580141, -102334155)
+    assert not kappa.is_zero() and float(kappa) == 0.0
+    w = parse_window("[0,1)")
+    assert window_ft(FIB, w, kappa) == window_ft(FIB, w, 0) == complex(1 / SQRT5)
+    pw = ProductWindow(w, SET_A)
+    assert window_ft(COMB32, pw, (kappa, 0)) == window_ft(COMB32, pw, (0, 0))
 
 
 def test_window_ft_half_period_vanishes():
