@@ -175,26 +175,22 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) ->
     return CorrelationMeasure(scheme, w, order, cutoff, entries)
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    equal: bool
-    witness: tuple | None  # (key, value1, value2) at the first discrepancy
+def _first_difference(t1: Mapping, t2: Mapping, tol: float = 0):
+    """(True, None) if two tables agree within tol, an absent key reading 0; else
+    (False, (key, value1, value2)) at the first key, in sorted order, where they differ."""
+    for key in sorted(t1.keys() | t2.keys()):
+        v1, v2 = t1.get(key, 0), t2.get(key, 0)
+        if abs(v1 - v2) > tol:
+            return False, (key, v1, v2)
+    return True, None
 
-    def __bool__(self):
-        return self.equal
 
-
-def correlations_equal(c1: CorrelationMeasure, c2: CorrelationMeasure,
-                       tol: float = 0.0) -> ComparisonResult:
-    """Support and value comparison; tol = 0 is allowed for exact rational cases."""
+def correlations_equal(c1: CorrelationMeasure, c2: CorrelationMeasure, tol: float = 0.0):
+    """Support and value comparison as (equal, witness), as in :func:`_first_difference`;
+    tol = 0 is allowed for exact rational cases."""
     # keys on Z (periodic:N) and on Z[tau] do not compare
     if (c1.order, c1.cutoff, c1.scheme.kind == PERIODIC) != \
             (c2.order, c2.cutoff, c2.scheme.kind == PERIODIC):
         raise ParameterError("correlation measures differ in order, cutoff or lattice")
     check_real("tol", tol, 0)
-    keys = sorted(set(c1.entries) | set(c2.entries))
-    for key in keys:
-        v1, v2 = c1.entry(key), c2.entry(key)
-        if abs(v1 - v2) > tol:
-            return ComparisonResult(False, (key, v1, v2))
-    return ComparisonResult(True, None)
+    return _first_difference(c1.entries, c2.entries, tol)

@@ -14,8 +14,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .correlations import _first_difference
 from .errors import MAX_PATTERN_CELLS, ParameterError, check_budget
-from .pointsets import PointSet, _atomic_write, generate
+from .pointsets import PointSet, generate
 from .schemes import COMBINED, IntervalUnion, ProductWindow, ResidueSet, make_scheme
 
 CYCLOTOMIC_MODULUS = 32
@@ -67,13 +68,6 @@ class PatternTable:
     def count(self, key: tuple) -> int:
         return self.counts.get(tuple(sorted(r % self.modulus for r in key)), 0)
 
-    def to_csv(self, path: str) -> None:
-        lines = ["tuple,count,frequency"]
-        for key in sorted(self.counts):
-            c = self.counts[key]
-            lines.append(f"\"{':'.join(map(str, key))}\",{c},{c}/{self.modulus}")
-        _atomic_write(path, "\n".join(lines) + "\n")
-
 
 def _pattern_counts(S: ResidueSet, order: int) -> np.ndarray:
     """full[r1, ..., r_{n-1}]: the count of the pattern {0, r1, ..., r_{n-1}} in S.
@@ -108,14 +102,10 @@ def pattern_table(S: ResidueSet, order: int) -> PatternTable:
 
 
 def tables_equal(t1: PatternTable, t2: PatternTable):
-    """Exact comparison; on failure returns the first witness tuple and both counts."""
+    """Exact comparison as (equal, witness): the first differing tuple and both counts."""
     if t1.order != t2.order or t1.modulus != t2.modulus:
         raise ParameterError("tables differ in order or modulus")
-    for key in sorted(set(t1.counts) | set(t2.counts)):
-        c1, c2 = t1.counts.get(key, 0), t2.counts.get(key, 0)
-        if c1 != c2:
-            return False, (key, c1, c2)
-    return True, None
+    return _first_difference(t1.counts, t2.counts)
 
 
 def rigid_equivalent(S: ResidueSet, T: ResidueSet):

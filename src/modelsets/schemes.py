@@ -18,9 +18,9 @@ and residue factors, and the one check that a window suits its scheme;
 measures and Fourier transforms are products over the factors.
 
 Each window class (``IntervalUnion``, ``ResidueSet``, ``ProductWindow``)
-implements its own ``translate``, ``intersect`` and ``union``; :func:`star`
-returns the plain coordinate that ``translate`` takes (a QuadNum, an int mod
-N, or the pair of both).
+implements its own ``translate`` and ``intersect``, the two operations that
+act on W x S factor by factor; :func:`star` returns the plain coordinate that
+``translate`` takes (a QuadNum, an int mod N, or the pair of both).
 
 Interval endpoints are kept exact in the quadratic field Q(tau) as
 :class:`QuadNum` integer triples (p, q, d) meaning (p + q*tau)/d, reduced by
@@ -50,9 +50,9 @@ SQRT5 = 5**0.5
 #: guard band inside which float prefilters defer to exact comparisons
 FLOAT_GUARD = 1e-9
 
-#: lattice coordinates and residue moduli stay below this in magnitude, so
-#: the sum of a point and a translation (both bounded by it), and any residue,
-#: fit in int64
+#: lattice coordinates, residue moduli and the endpoints the ``IntervalUnion``
+#: constructor takes stay below this in magnitude, so the sum of a point and a
+#: translation (both bounded by it), and any residue, fit in int64
 COORD_LIMIT = 2 ** 62
 
 Real = Union[int, float, Fraction, "QuadNum"]
@@ -298,7 +298,8 @@ class IntervalUnion:
     Canonical form: intervals sorted, pairwise disjoint, touching intervals
     merged, every a < b.  The empty union is allowed (it has measure zero and
     selects no points).  Only the constructor, the parser's path, sorts and
-    merges; ``translate`` and ``intersect`` build canonical results directly.
+    merges, and it refuses endpoints of 2^62 or more in magnitude;
+    ``translate`` and ``intersect`` build canonical results directly.
     """
 
     intervals: tuple  # of (a, b) QuadNum pairs; built from any iterable of pairs
@@ -307,8 +308,13 @@ class IntervalUnion:
         pairs = []
         for a, b in self.intervals:
             qa, qb = QuadNum.coerce(a), QuadNum.coerce(b)
+            for q in (qa, qb):
+                if not -COORD_LIMIT < q < COORD_LIMIT:
+                    raise ParameterError(f"interval endpoint {_excerpt(q.literal())} "
+                                         "must be below 2^62 in magnitude")
             if not qa < qb:
-                raise ParameterError(f"empty or inverted interval [{float(qa)}, {float(qb)})")
+                raise ParameterError(f"empty or inverted interval [{_excerpt(qa.literal())}, "
+                                     f"{_excerpt(qb.literal())})")
             pairs.append((qa, qb))
         pairs.sort(key=lambda p: (p[0], p[1]))  # QuadNum order is exact
         merged: list[tuple] = []
@@ -369,9 +375,6 @@ class IntervalUnion:
                 out.append((lo, hi))
         return _interval_union(tuple(out))
 
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(tuple(self.intervals) + tuple(other.intervals))
-
     def __repr__(self):
         return f"IntervalUnion({self.literal()!r})"
 
@@ -407,9 +410,6 @@ class ResidueSet:
     def __len__(self):
         return len(self.elems)
 
-    def __iter__(self):
-        return iter(self.elems)
-
     def contains(self, r: int) -> bool:
         return (r % self.modulus) in self.elems
 
@@ -420,11 +420,6 @@ class ResidueSet:
         if other.modulus != self.modulus:
             raise ParameterError("modulus mismatch")
         return ResidueSet(self.modulus, set(self.elems) & set(other.elems))
-
-    def union(self, other: "ResidueSet") -> "ResidueSet":
-        if other.modulus != self.modulus:
-            raise ParameterError("modulus mismatch")
-        return ResidueSet(self.modulus, set(self.elems) | set(other.elems))
 
     def measure(self) -> Fraction:
         return Fraction(len(self.elems), self.modulus)
@@ -438,7 +433,8 @@ class ResidueSet:
 
 @dataclass(frozen=True)
 class ProductWindow:
-    """Window W x S for the combined scheme; each operation acts factor by factor."""
+    """Window W x S for the combined scheme; ``translate`` and ``intersect`` act factor
+    by factor, which is exact for products (a union of two products is not one)."""
 
     intervals: IntervalUnion
     residues: ResidueSet
@@ -454,10 +450,6 @@ class ProductWindow:
     def intersect(self, other: "ProductWindow") -> "ProductWindow":
         return ProductWindow(self.intervals.intersect(other.intervals),
                              self.residues.intersect(other.residues))
-
-    def union(self, other: "ProductWindow") -> "ProductWindow":
-        return ProductWindow(self.intervals.union(other.intervals),
-                             self.residues.union(other.residues))
 
     def literal(self) -> str:
         return f"{self.intervals.literal()}x{self.residues.literal()}"

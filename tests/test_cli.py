@@ -11,6 +11,9 @@ from modelsets.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY,
 from modelsets.errors import DegenerateInputError, ReconstructionError
 
 
+NINES = "9" * 400
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -328,6 +331,21 @@ def test_alias_expansion():
     ["reconstruct", "--window", "[0,1)", "--grid", "16", "--halflength", "1e150"],
     pytest.param(["reconstruct", "--window", "[0,0." + "0" * 103 + "25)", "--grid", "512",
                   "--halflength", "1e-103"], id="reconstruct [0,L/4) --halflength 1e-103"),
+    # window endpoints of 2^62 or more in magnitude, whose floats overflowed
+    pytest.param(["generate", "--scheme", "fibonacci", "--window", f"[{NINES},1)",
+                  "--region", "0", "1"], id="generate [9...9,1)"),
+    pytest.param(["generate", "--scheme", "fibonacci", "--window", f"[0,{NINES})",
+                  "--region", "0", "1"], id="generate [0,9...9)"),
+    pytest.param(["correlate", "--scheme", "fibonacci", "--window", f"[0,{NINES})"],
+                 id="correlate [0,9...9)"),
+    pytest.param(["correlate", "--scheme", "fibonacci", "--window", f"[-{NINES},0)"],
+                 id="correlate [-9...9,0)"),
+    pytest.param(["diffract", "--scheme", "fibonacci", "--window", f"[0,{NINES})"],
+                 id="diffract fibonacci [0,9...9)"),
+    pytest.param(["diffract", "--scheme", "combined:32", "--window", f"[0,{NINES})xA"],
+                 id="diffract combined:32 [0,9...9)xA"),
+    pytest.param(["diffract", "--scheme", "fibonacci", "--kmax", "1",
+                  "--window", f"[-{10 ** 307},{10 ** 307})"], id="diffract [-10^307,10^307)"),
 ], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys, alarm_guard):

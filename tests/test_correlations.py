@@ -127,7 +127,7 @@ def test_correlation_support_is_complete():
 
 def test_correlations_equal_self_and_mismatch():
     m = correlation_measure(FIB, W, 2, 3.0)
-    assert correlations_equal(m, m, tol=0.0).equal
+    assert correlations_equal(m, m, tol=0.0) == (True, None)
     m2 = correlation_measure(FIB, W, 2, 4.0)
     with pytest.raises(ParameterError):
         correlations_equal(m, m2)
@@ -141,9 +141,9 @@ def test_correlations_equal_reports_witness():
     m1 = correlation_measure(FIB, W, 2, 3.0)
     shrunk = parse_window("[-0.9,1/tau)")
     m2 = correlation_measure(FIB, shrunk, 2, 3.0)
-    res = correlations_equal(m1, m2, tol=1e-9)
-    assert not res.equal and res.witness is not None
-    key, v1, v2 = res.witness
+    equal, witness = correlations_equal(m1, m2, tol=1e-9)
+    assert not equal and witness is not None
+    key, v1, v2 = witness
     assert abs(v1 - v2) > 1e-9
 
 

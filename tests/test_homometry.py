@@ -84,14 +84,6 @@ def test_pattern_table_sum_rule():
     assert sum(t2.counts.values()) == 16 * 16
 
 
-def test_pattern_table_csv(tmp_path):
-    path = tmp_path / "t.csv"
-    pattern_table(SET_A, 2).to_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "tuple,count,frequency"
-    assert len(lines) == 33
-
-
 def test_thinned_full_residues_is_plain_model_set():
     full = ResidueSet(32, range(32))
     thin = thinned_model_set(W, full, (-100, 100))

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from modelsets import (DualPoint, ParameterError, ProductWindow, QuadLatticePoint, QuadNum,
-                       ResidueSet, freq_exact, make_scheme, parse_window, star,
+                       ResidueSet, freq_exact, generate, make_scheme, parse_window, star,
                        window_intersect)
 
 FIB = make_scheme("fibonacci")
@@ -149,12 +149,28 @@ def test_product_window_algebra_acts_factor_by_factor():
     rs1, rs2 = ResidueSet(32, (0, 7, 8)), ResidueSet(32, (7, 9))
     p1, p2 = ProductWindow(iu1, rs1), ProductWindow(iu2, rs2)
     assert p1.intersect(p2) == ProductWindow(iu1.intersect(iu2), rs1.intersect(rs2))
-    assert p1.union(p2) == ProductWindow(iu1.union(iu2), rs1.union(rs2))
     assert p1.translate((QuadNum(0, 1), 30)) == ProductWindow(iu1.translate(QuadNum(0, 1)),
                                                                rs1.translate(30))
     assert window_intersect(p1, p2) == p1.intersect(p2)
     with pytest.raises(ParameterError):
         window_intersect(iu1, rs1)
+
+
+@pytest.mark.parametrize("n, w1, w2", [
+    (32, "[0,1)x{0,7,8}@32", "[1/2,3)x{7,8,9}@32"),
+    (3, "[0,1)u[1.5,2.25)x{0,1,2}@3", "[1/2,2)x{1,2}@3"),
+    (4, "[-1,1/tau)x{0,1}@4", "[0,2)x{2,3}@4"),      # disjoint residue sets
+    (2, "[0,1)x{0}@2", "[5,6)x{1}@2"),               # disjoint in both factors
+    (5, "[-1,1/tau)x{1,3}@5", "[-1,1/tau)x{1,3}@5"),
+])
+def test_patch_of_a_product_intersection_is_the_intersection_of_patches(n, w1, w2):
+    combined = make_scheme("combined", n)
+    p1, p2 = parse_window(w1), parse_window(w2)
+
+    def columns(w):
+        return set(zip(*generate(combined, w, (-200, 200)).coords.tolist()))
+
+    assert columns(p1.intersect(p2)) == columns(p1) & columns(p2)
 
 
 CASES = [

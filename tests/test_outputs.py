@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from modelsets import (correlation_measure, diffraction, generate, make_scheme,
-                       parse_scheme, parse_window, pattern_table, save_pointset)
+                       parse_scheme, parse_window, save_pointset)
 from modelsets.cli import EXIT_OK, EXIT_USAGE, expand_window_literal, main
 
 # the "Command line" examples of the README, with the sha256 of every file they write
@@ -118,7 +118,6 @@ WRITERS = {
     "CorrelationMeasure.to_csv": lambda path: correlation_measure(FIB, W, 2, 2.0).to_csv(path),
     "Spectrum.to_csv": lambda path: diffraction(P32, A, 1.0).to_csv(path),
     "Spectrum.to_svg": lambda path: diffraction(P32, A, 1.0).to_svg(path),
-    "PatternTable.to_csv": lambda path: pattern_table(A, 2).to_csv(path),
 }
 
 
