@@ -19,7 +19,7 @@ from .spectra import (DeckGrid, DualPoint, Spectrum, deck_functions, diffraction
                       residue_deck_tables, sample_window, window_ft, zero_condition)
 from .reconstruct import (PhaseField, PhaseQuotient, ReconstructionReport,
                           align_up_to_translation, phase_quotient,
-                          propagate_phase, reconstruct_window, roundtrip)
+                          propagate_phase, roundtrip)
 from .homometry import (PatternTable, cyclotomic_pair, pattern_table, rigid_equivalent,
                         tables_equal, thinned_model_set)
 

@@ -70,7 +70,6 @@ class CorrelationMeasure:
     """
 
     scheme: Scheme
-    window: Window
     order: int
     cutoff: float
     entries: dict
@@ -172,7 +171,7 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) ->
                 scheme, reduce(window_intersect, [cuts[i] for i in key] or [w]))
         if f > 0:
             entries[tup] = f
-    return CorrelationMeasure(scheme, w, order, cutoff, entries)
+    return CorrelationMeasure(scheme, order, cutoff, entries)
 
 
 def _first_difference(t1: Mapping, t2: Mapping, tol: float = 0):

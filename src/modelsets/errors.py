@@ -63,12 +63,12 @@ def check_real(name: str, x, low: float | None = None, positive: bool = False) -
     return f
 
 
-def check_count(name: str, n) -> int:
-    """``n`` as a positive int, or ParameterError."""
+def check_int(name: str, n, low: int | None = None) -> int:
+    """``operator.index(n)``, or ParameterError if ``n`` is no integer or lies below ``low``."""
     try:
         m = operator.index(n)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {n!r}") from None
-    if m < 1:
-        raise ParameterError(f"{name} must be positive, got {m}")
+    if low is not None and m < low:
+        raise ParameterError(f"{name} must be at least {low}, got {m}")
     return m

@@ -226,18 +226,20 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
     return np.stack((uflat, np.repeat(vs, counts)))
 
 
-def _check_float_positions(lo: float, hi: float, gap: float) -> None:
+def _check_float_positions(lo: float, hi: float, width: float | None) -> None:
     """Refuse a region where float positions can no longer tell neighbouring points apart.
 
-    ``gap`` is a lower bound on the distance between two points: 1 for
-    ``periodic:N``, and 1/w for a window of hull width w, since two points
-    differ by z in Z[tau] with |z*| < w and |z z*| >= 1.
+    The distance between two points is at least 1 for ``periodic:N``
+    (``width`` None), and 1/w for a window of hull width w, since two points
+    differ by z in Z[tau] with |z*| < w and |z z*| >= 1.  The message names w.
     """
+    gap = 1.0 if width is None else 1 / width
     spacing = float(np.spacing(max(-lo, hi)))
     if spacing > gap:
+        why = "" if width is None else f" = 1/(window hull width {width:.6g})"
         raise ParameterError(
             f"region [{lo}, {hi}] is too far out for float positions: their spacing "
-            f"there ({spacing:g}) exceeds the smallest gap between points ({gap:.3g})")
+            f"there ({spacing:g}) exceeds the smallest gap between points ({gap:.3g}{why})")
 
 
 def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet:
@@ -245,14 +247,14 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
     lo, hi = _check_region(region)
     iu, _ = window_factors(scheme, w)
     if iu is None:
-        _check_float_positions(lo, hi, 1.0)
+        _check_float_positions(lo, hi, None)
         check_budget(hi - lo, MAX_CANDIDATES, "shrink the region")
         cand = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)[None]
     elif iu.is_empty():
         cand = np.zeros((2, 0), dtype=np.int64)
     else:
         wlo, whi = iu.hull()
-        _check_float_positions(lo, hi, 1 / float(whi - wlo))
+        _check_float_positions(lo, hi, float(whi - wlo))
         cand = _quad_candidates((float(wlo), float(whi)), (lo, hi), MAX_CANDIDATES,
                                 "shrink the region")
     coords = cand[:, _in_window(scheme, w, cand, (lo, hi))]

@@ -98,6 +98,7 @@ def phase_quotient(deck: DeckGrid) -> PhaseQuotient:
     eps_zero = float(EPS_ZERO_FACTOR * absF.max())
     if not eps_zero > 0 or np.count_nonzero(absF >= eps_zero) <= 1:
         raise DegenerateInputError("no usable frequencies beyond k = 0")
+    absF.flags.writeable = False
     return PhaseQuotient(deck, absF, eps_zero)
 
 
@@ -209,16 +210,8 @@ def _normalize_gauge(phi, known, grading, absF, psi2: PhaseQuotient):
     return out
 
 
-def reconstruct_window(psi2: PhaseQuotient, phase: PhaseField) -> np.ndarray:
-    """Inverse transform of |F| * phi, thresholded at 1/2 into a 0/1 grid.
-
-    Unknown frequencies are zero-filled.  Requires the phase to be known on at
-    least ``MIN_KNOWN_FRAC`` of the usable frequencies D.
-    """
-    return (_raw_reconstruction(psi2, phase) >= 0.5).astype(np.int64)
-
-
 def _raw_reconstruction(psi2: PhaseQuotient, phase: PhaseField) -> np.ndarray:
+    """|F| * phi, zero-filled, transformed back to cells; needs MIN_KNOWN_FRAC of D known."""
     D = psi2.D
     nD = int(np.count_nonzero(D))
     covered = int(np.count_nonzero(phase.known & D))

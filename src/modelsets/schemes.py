@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Union
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 
 TAU = (1 + 5**0.5) / 2
 TAU_PRIME = (1 - 5**0.5) / 2
@@ -399,10 +399,12 @@ class ResidueSet:
     elems: tuple  # built from any iterable of ints
 
     def __post_init__(self):
-        if not 1 <= self.modulus < COORD_LIMIT:
+        N = check_int("modulus", self.modulus)
+        if not 1 <= N < COORD_LIMIT:
             raise ParameterError("modulus must be a positive integer below 2^62")
-        object.__setattr__(self, "elems", tuple(sorted({e % self.modulus for e in self.elems})))
-        object.__setattr__(self, "modulus", int(self.modulus))
+        residues = {check_int("residue", e) % N for e in self.elems}
+        object.__setattr__(self, "elems", tuple(sorted(residues)))
+        object.__setattr__(self, "modulus", N)
 
     def is_empty(self) -> bool:
         return not self.elems
@@ -494,9 +496,9 @@ def make_scheme(kind: str, modulus: int | None = None) -> Scheme:
         if modulus is not None:
             raise ParameterError("fibonacci scheme takes no modulus")
         return Scheme(FIBONACCI, None)
-    if modulus is None or not 2 <= int(modulus) < COORD_LIMIT:
+    if modulus is None or not 2 <= check_int(f"{kind} modulus", modulus) < COORD_LIMIT:
         raise ParameterError(f"{kind} scheme requires an integer modulus >= 2 and below 2^62")
-    return Scheme(kind, int(modulus))
+    return Scheme(kind, operator.index(modulus))
 
 
 def parse_scheme(text: str) -> Scheme:

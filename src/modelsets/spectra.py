@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (MAX_CANDIDATES, MAX_DECK_CELLS, MAX_ENTRIES, ParameterError,
-                     check_budget, check_count, check_real)
+                     check_budget, check_int, check_real)
 from .homometry import _pattern_counts
 from .pointsets import _atomic_write, _quad_candidates
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
@@ -106,19 +106,19 @@ def window_ft(scheme: Scheme, w: Window, kstar) -> complex:
     iu, rs = window_factors(scheme, w)
     # a frequency has the window's factors: a pair on combined:N, else the one
     kappa, b = kstar if iu is not None and rs is not None else (kstar, kstar)
-    return _product(None if iu is None else _interval_ft(iu, kappa, SQRT5),
+    return _product(None if iu is None else _interval_ft(iu, kappa),
                     None if rs is None else _residue_ft(rs, int(b)))
 
 
-def _interval_ft(iu: IntervalUnion, kappa, c: float) -> complex:
+def _interval_ft(iu: IntervalUnion, kappa) -> complex:
     kf = float(kappa)
     if kf == 0.0:  # the k = 0 limit, also for a nonzero kappa that floats to zero
-        return complex(float(iu.length()) / c)
+        return complex(float(iu.length()) / SQRT5)
     total = 0j
     for a, b in iu.intervals:
         ea = cmath.exp(-2j * math.pi * kf * float(a))
         eb = cmath.exp(-2j * math.pi * kf * float(b))
-        total += (eb - ea) / (-2j * math.pi * kf * c)
+        total += (eb - ea) / (-2j * math.pi * kf * SQRT5)
     return total
 
 
@@ -136,7 +136,6 @@ class Spectrum:
     """Pure-point diffraction: dual points and their intensities."""
 
     scheme: Scheme
-    window: Window
     peaks: tuple  # ((DualPoint, intensity), ...) ordered by (|k|, labels)
 
     def __len__(self):
@@ -257,7 +256,7 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
                 if include_zeros or inten >= min_intensity:
                     peaks.append((dp, inten))
     peaks.sort(key=lambda t: (abs(t[0].k), t[0].labels))
-    return Spectrum(scheme, w, tuple(peaks))
+    return Spectrum(scheme, tuple(peaks))
 
 
 def _golden_dual_labels(kmax: float, kappa_bound: float, b: int, N: int) -> np.ndarray:
@@ -290,37 +289,29 @@ def _cyclotomic(n: int) -> tuple:
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_divide_exact(poly, list(_cyclotomic(d)))
+            poly, rem = _poly_divmod(poly, _cyclotomic(d))
+            if any(rem):
+                raise AssertionError("non-exact polynomial division")
     return tuple(poly)
 
 
-def _poly_divide_exact(num: list, den: list) -> list:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        coef = num[i + len(den) - 1] // den[-1]
-        out[i] = coef
+def _poly_divmod(num, den) -> tuple[list, list]:
+    """(quotient, remainder) of ``num`` by a monic integer ``den``; coefficients ascending."""
+    rem = list(num)
+    quot = [0] * (len(rem) - len(den) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = coef = rem[i + len(den) - 1]
         for j, d in enumerate(den):
-            num[i + j] -= coef * d
-    if any(num):
-        raise AssertionError("non-exact polynomial division")
-    return out
+            rem[i + j] -= coef * d
+    return quot, rem[:len(den) - 1]
 
 
 def _root_sum_is_zero(exponent_counts: Mapping[int, int], n: int) -> bool:
     """Exact test of sum_j c_j zeta^j = 0 for zeta = exp(2 pi i / n)."""
-    rem = [0] * n
+    poly = [0] * n
     for e, c in exponent_counts.items():
-        rem[e % n] += c
-    phi = list(_cyclotomic(n))
-    # reduce modulo the cyclotomic polynomial (monic, integer)
-    for i in range(len(rem) - 1, len(phi) - 2, -1):
-        coef = rem[i]
-        if coef == 0:
-            continue
-        for j, d in enumerate(phi):
-            rem[i - (len(phi) - 1) + j] -= coef * d
-    return not any(rem)
+        poly[e % n] += c
+    return not any(_poly_divmod(poly, _cyclotomic(n))[1])
 
 
 def zero_condition(N: int, windows: Mapping[int, IntervalUnion], b: int) -> bool:
@@ -369,12 +360,11 @@ class DeckGrid:
     the dense float ``I2`` is built on each read.  ``I1hat`` and ``I2hat``
     are the transforms of the deck data, everything the reconstruction stage
     is allowed to see; ``I2hat`` is the transpose view of a C-ordered buffer
-    holding I2hat[k1, k2] at [k2, k1].
+    holding I2hat[k1, k2] at [k2, k1].  ``deck_functions`` makes every array read-only.
     """
 
     M: int
     l_half: float
-    f: np.ndarray
     I1: np.ndarray
     rows: np.ndarray
     counts: np.ndarray
@@ -399,7 +389,7 @@ def sample_window(iu: IntervalUnion, M: int, l_half) -> np.ndarray:
     >= a up to the first grid point >= b; both are found by bisection with
     exact Q(tau) comparisons.
     """
-    check_count("grid size M", M)
+    check_int("grid size M", M, 1)
     check_real("half-length L", l_half, positive=True)
     L = Fraction(l_half)
     h = 2 * L / M
@@ -426,7 +416,7 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     Precondition: the support diameter must stay below l_half/2 so circular
     correlations agree with correlations on the line.
     """
-    check_count("grid size M", M)
+    check_int("grid size M", M, 1)
     check_real("half-length L", l_half, positive=True)
     f = np.asarray(f)
     if f.shape != (M,):
@@ -490,7 +480,9 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     I1 = h * n1
     I1hat = h * np.fft.fft(I1)
 
-    deck = DeckGrid(M, float(l_half), f.astype(np.int64), I1, rows, counts, I1hat, T.T)
+    deck = DeckGrid(M, float(l_half), I1, rows, counts, I1hat, T.T)
+    for a in (I1, rows, counts, I1hat, deck.I2hat):
+        a.flags.writeable = False
     _verify_deck(deck, h * Ff)
     return deck
 

@@ -197,7 +197,7 @@ def test_criterion_7_deck_transform_identity():
     j = np.arange(M64)
     Wmat = np.exp(-2j * np.pi * np.outer(j, j) / M64)
     I2hat_direct = deck.cell**2 * (Wmat @ deck.I2 @ Wmat.T)
-    F_direct = deck.cell * (Wmat @ deck.f)
+    F_direct = deck.cell * (Wmat @ f)
     idx = (j[:, None] + j[None, :]) % M64
     pred = np.conj(F_direct)[:, None] * np.conj(F_direct)[None, :] * F_direct[idx]
     scale = np.abs(I2hat_direct).max()

@@ -336,6 +336,10 @@ def test_alias_expansion():
                   "--region", "0", "1"], id="generate [9...9,1)"),
     pytest.param(["generate", "--scheme", "fibonacci", "--window", f"[0,{NINES})",
                   "--region", "0", "1"], id="generate [0,9...9)"),
+    # a window so wide that the smallest gap between points, 1/(hull width),
+    # falls below the float spacing of the region
+    pytest.param(["generate", "--scheme", "fibonacci", "--window", f"[0,{2**62 - 1})",
+                  "--region", "0", "1"], id="generate [0,2^62-1)"),
     pytest.param(["correlate", "--scheme", "fibonacci", "--window", f"[0,{NINES})"],
                  id="correlate [0,9...9)"),
     pytest.param(["correlate", "--scheme", "fibonacci", "--window", f"[-{NINES},0)"],
@@ -358,6 +362,8 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys, alarm_gua
         assert "averaging radius R" in err
     if any(str(2**62) in a or str(2**63) in a for a in argv):
         assert "below 2^62" in err
+    if f"[0,{2**62 - 1})" in argv:
+        assert "window hull width 4.61169e+18" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modelsets import (DegenerateInputError, ReconstructionError,
-                       align_up_to_translation, deck_functions, parse_window,
-                       phase_quotient, propagate_phase, reconstruct_window,
+import modelsets
+from modelsets import (CorrelationMeasure, DeckGrid, DegenerateInputError,
+                       ReconstructionError, Spectrum, align_up_to_translation,
+                       deck_functions, parse_window, phase_quotient, propagate_phase,
                        roundtrip, sample_window)
 from modelsets.reconstruct import PhaseField, _raw_reconstruction, uncertain_cells
 
@@ -53,7 +54,7 @@ def test_phase_quotient_symmetric_window_signs():
     f[:width + 1] = 1
     f[-width:] = 1  # support {-width..width} mod M: even
     deck = deck_functions(f, M, L)
-    Fr = deck.cell * np.fft.fft(deck.f)
+    Fr = deck.cell * np.fft.fft(f)
     assert np.abs(Fr.imag).max() < 1e-9 * np.abs(Fr).max()
     psi2 = phase_quotient(deck)
     sign = np.sign(Fr.real)
@@ -128,7 +129,7 @@ def test_reconstruct_window_roundtrip_unit_interval():
     f, deck = _deck("[0,1)")
     psi2 = phase_quotient(deck)
     phase = propagate_phase(psi2.absF, psi2)
-    rec = reconstruct_window(psi2, phase)
+    rec = (_raw_reconstruction(psi2, phase) >= 0.5).astype(np.int64)
     shift, mismatch = align_up_to_translation(f, rec)
     assert mismatch <= 0.01
 
@@ -137,7 +138,7 @@ def test_reconstruct_recovers_translate_not_reflection():
     f, deck = _deck("[0,1)u[1.5,2.25)")
     psi2 = phase_quotient(deck)
     phase = propagate_phase(psi2.absF, psi2)
-    rec = reconstruct_window(psi2, phase)
+    rec = (_raw_reconstruction(psi2, phase) >= 0.5).astype(np.int64)
     _, mismatch = align_up_to_translation(f, rec)
     assert mismatch < 0.01
     reflected = rec[(-np.arange(M)) % M]
@@ -155,7 +156,7 @@ def test_reconstruct_symmetric_window_with_trivial_phase():
     psi2 = phase_quotient(deck)
     trivial = PhaseField(np.ones(M, dtype=complex), np.ones(M, dtype=bool),
                          np.zeros(M, dtype=np.int64))
-    rec = reconstruct_window(psi2, trivial)
+    rec = (_raw_reconstruction(psi2, trivial) >= 0.5).astype(np.int64)
     assert np.array_equal(rec, f)
 
 
@@ -165,7 +166,7 @@ def test_reconstruct_requires_phase_coverage():
     sparse = PhaseField(np.where(np.arange(M) == 0, 1.0 + 0j, 0), np.arange(M) == 0,
                         np.zeros(M, dtype=np.int64))
     with pytest.raises(ReconstructionError) as err:
-        reconstruct_window(psi2, sparse)
+        _raw_reconstruction(psi2, sparse)
     assert err.value.partial is not None and len(err.value.partial) == M
 
 
@@ -178,16 +179,23 @@ def test_uncertain_cells_counted():
 
 
 def test_recovery_reads_deck_data_only():
-    # the recovery never reads the indicator: a deck without it gives the same bits
-    _, deck = _deck("[0,1)u[1.5,2.25)")
-    runs = []
-    for d in (deck, dataclasses.replace(deck, f=None)):
-        psi2 = phase_quotient(d)
-        phase = propagate_phase(psi2.absF, psi2)
-        runs.append((psi2.absF, psi2.eps_zero, phase.phi, phase.known, phase.grading,
-                     _raw_reconstruction(psi2, phase)))
-    for a, b in zip(*runs):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    # the deck holds the deck data and no indicator, the correlation table and
+    # the spectrum hold no window, and the recovery thresholds in one place
+    def names(cls):
+        return {field.name for field in dataclasses.fields(cls)}
+
+    assert names(DeckGrid) == {"M", "l_half", "I1", "rows", "counts", "I1hat", "I2hat"}
+    assert "window" not in names(CorrelationMeasure) | names(Spectrum)
+    assert not hasattr(modelsets.reconstruct, "reconstruct_window")
+    assert not hasattr(modelsets, "reconstruct_window")
+
+
+def test_recovery_arrays_are_read_only():
+    _, deck = _deck("[0,1)")
+    psi2 = phase_quotient(deck)
+    for a in (deck.I1, deck.rows, deck.counts, deck.I1hat, deck.I2hat, psi2.absF):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_align_examples():

@@ -61,6 +61,8 @@ def test_make_scheme_normalizations():
     fib = make_scheme("fibonacci")
     assert window_measure(fib, parse_window("[0,1)")) == pytest.approx(1 / SQRT5)
     per = make_scheme("periodic", 32)
+    assert make_scheme("periodic", np.int64(32)) == per
+    assert ResidueSet(np.int64(32), [np.int64(33)]).literal() == "{1}@32"
     assert window_measure(per, ResidueSet(32, [5])) == pytest.approx(1 / 32)
     comb = make_scheme("combined", 32)
     assert window_measure(comb, parse_window("[0,1)x{5}@32")) == pytest.approx(1 / (SQRT5 * 32))
@@ -75,6 +77,19 @@ def test_make_scheme_rejects_bad_modulus():
         make_scheme("fibonacci", 7)
     with pytest.raises(ParameterError):
         make_scheme("penrose")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ResidueSet(32.5, [1, 40]),
+    lambda: ResidueSet(32, [1.5]),
+    lambda: make_scheme("periodic", 32.7),
+    lambda: make_scheme("periodic", "x"),
+    lambda: ResidueSet("32", [1]),
+], ids=["float modulus", "float residue", "float scheme modulus", "text scheme modulus",
+        "text modulus"])
+def test_moduli_and_residues_must_be_integers(make):
+    with pytest.raises(ParameterError, match="must be an integer, got"):
+        make()
 
 
 def test_star_examples():
