@@ -6,8 +6,7 @@ real window from order-1/order-2 deck transforms (the constructive inverse
 problem), and the exact homometric counterexamples over Z/32Z.
 """
 
-from .errors import (DegenerateInputError, ParameterError, ReconstructionError,
-                     ResourceError)
+from .errors import ParameterError, ReconstructionError, ResourceError
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, IntervalUnion, ProductWindow,
                       QuadLatticePoint, QuadNum, ResidueSet, Scheme, format_window,
                       make_scheme, parse_scheme, parse_window, star, window_intersect,

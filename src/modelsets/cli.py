@@ -20,8 +20,7 @@ import numpy as np
 from . import homometry, reconstruct, spectra
 from .correlations import (_coord_text, correlation_measure, correlations_equal,
                            freq_empirical)
-from .errors import (DegenerateInputError, ParameterError, ReconstructionError,
-                     ResourceError, check_real)
+from .errors import ParameterError, ReconstructionError, ResourceError, check_real
 from .pointsets import _atomic_write, generate, save_pointset
 from .schemes import (PERIODIC, IntervalUnion, ResidueSet, _excerpt, _split_top,
                       parse_scheme, parse_window)
@@ -253,9 +252,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegenerateInputError as e:
-        print(f"error: degenerate input: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceError as e:
         print(f"error: resource limit: {e}", file=sys.stderr)

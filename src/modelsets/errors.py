@@ -5,15 +5,11 @@ import operator
 
 
 class ParameterError(ValueError):
-    """Invalid argument or incompatible scheme/window combination."""
+    """Invalid argument, incompatible scheme/window combination or degenerate input."""
 
 
 class ResourceError(RuntimeError):
     """Requested computation exceeds the configured memory/size budget."""
-
-
-class DegenerateInputError(ValueError):
-    """Input data carries no usable information (e.g. all spectra below threshold)."""
 
 
 class ReconstructionError(RuntimeError):

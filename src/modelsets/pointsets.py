@@ -262,25 +262,20 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
     return PointSet(scheme, w, coords[:, order], (lo, hi))
 
 
-def gap_sequence(ps: PointSet, absent_sites: bool = False, cyclic: bool = False):
+def gap_sequence(ps: PointSet, absent_sites: bool = False):
     """Gaps between successive points.
 
-    With ``absent_sites`` (integer schemes only) each gap is reported as the
-    number of missing integer sites between successive points; with ``cyclic``
-    the wrap-around gap over one period is appended.
+    With ``absent_sites`` (periodic scheme only) the gaps are the numbers of
+    absent integer sites between successive points around one period, the
+    wrap-around gap last.
     """
     if len(ps) < 2:
         raise ParameterError("need at least two points for a gap sequence")
-    if absent_sites or cyclic:
+    if absent_sites:
         if ps.scheme.kind != PERIODIC:
-            raise ParameterError("site-count/cyclic gap conventions need the periodic scheme")
-        ns = ps.coords[0]
-        gaps = np.diff(ns).tolist()
-        if cyclic:
-            gaps.append(ps.scheme.modulus + int(ns[0]) - int(ns[-1]))
-        if absent_sites:
-            gaps = [g - 1 for g in gaps]
-        return gaps
+            raise ParameterError("the absent-site gap convention needs the periodic scheme")
+        ns = ps.coords[0].tolist()
+        return [b - a - 1 for a, b in zip(ns, ns[1:] + [ns[0] + ps.scheme.modulus])]
     return list(np.diff(ps.physical()))
 
 

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, ReconstructionError
+from . import spectra
+from .errors import ParameterError, ReconstructionError
 from .spectra import DeckGrid, row_blocks, wrapped_rows
 
 #: default extinction threshold, as a fraction of the largest |F|
@@ -97,7 +98,7 @@ def phase_quotient(deck: DeckGrid) -> PhaseQuotient:
     absF = np.sqrt(np.clip(deck.I1hat.real, 0.0, None))
     eps_zero = float(EPS_ZERO_FACTOR * absF.max())
     if not eps_zero > 0 or np.count_nonzero(absF >= eps_zero) <= 1:
-        raise DegenerateInputError("no usable frequencies beyond k = 0")
+        raise ParameterError("degenerate input: no usable frequencies beyond k = 0")
     absF.flags.writeable = False
     return PhaseQuotient(deck, absF, eps_zero)
 
@@ -125,7 +126,7 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
     M = psi2.M
     D = psi2.D
     if not D[0]:
-        raise DegenerateInputError("the zero frequency is below eps_zero")
+        raise ParameterError("degenerate input: the zero frequency is below eps_zero")
 
     phi = np.zeros(M, dtype=complex)
     known = np.zeros(M, dtype=bool)
@@ -276,10 +277,7 @@ class ReconstructionReport:
 
 def roundtrip(f: np.ndarray, M: int, l_half: float) -> ReconstructionReport:
     """Compute deck data from an indicator, forget it, reconstruct, align, report."""
-    # looked up at call time, so a wrapper installed on spectra.deck_functions
-    # (the benchmark's span hooks) sees this call
-    from .spectra import deck_functions
-    deck = deck_functions(f, M, l_half)
+    deck = spectra.deck_functions(f, M, l_half)  # a wrapper set on the module sees the call
     psi2 = phase_quotient(deck)
     phase = propagate_phase(psi2.absF, psi2)
     raw = _raw_reconstruction(psi2, phase)

@@ -124,11 +124,7 @@ class QuadNum:
 
     @staticmethod
     def coerce(x: Real) -> "QuadNum":
-        if isinstance(x, QuadNum):
-            return x
-        if type(x) is int:
-            return _make(x, 0, 1)
-        return QuadNum(_as_fraction(x), 0)
+        return x if isinstance(x, QuadNum) else QuadNum(x)
 
     # -- ring/field operations -------------------------------------------
     def __add__(self, other):
@@ -441,6 +437,12 @@ class ProductWindow:
     intervals: IntervalUnion
     residues: ResidueSet
 
+    def __post_init__(self):
+        iu, rs = self.intervals, self.residues
+        if not (isinstance(iu, IntervalUnion) and isinstance(rs, ResidueSet)):
+            raise ParameterError(f"product window needs an IntervalUnion x ResidueSet, got "
+                                 f"{type(iu).__name__} x {type(rs).__name__}")
+
     def is_empty(self) -> bool:
         return self.intervals.is_empty() or self.residues.is_empty()
 
@@ -472,33 +474,30 @@ _KINDS = (FIBONACCI, PERIODIC, COMBINED)
 
 @dataclass(frozen=True)
 class Scheme:
-    """Cut-and-project scheme descriptor; its kind fixes the internal measure."""
+    """Cut-and-project scheme; its kind fixes the internal measure.  The constructor,
+    exported also as ``make_scheme``, refuses all but the three supported schemes."""
 
     kind: str
     modulus: int | None = None
 
-    def window_kind_ok(self, w: Window) -> bool:
-        if self.kind == FIBONACCI:
-            return isinstance(w, IntervalUnion)
-        if self.kind == PERIODIC:
-            return isinstance(w, ResidueSet) and w.modulus == self.modulus
-        return isinstance(w, ProductWindow) and w.residues.modulus == self.modulus
+    def __post_init__(self):
+        kind, modulus = self.kind, self.modulus
+        if kind not in _KINDS:
+            raise ParameterError(f"unknown scheme kind {_excerpt(str(kind))}; "
+                                 f"expected one of {_KINDS}")
+        if kind == FIBONACCI:
+            if modulus is not None:
+                raise ParameterError("fibonacci scheme takes no modulus")
+        elif modulus is None or not 2 <= check_int(f"{kind} modulus", modulus) < COORD_LIMIT:
+            raise ParameterError(f"{kind} scheme requires an integer modulus >= 2 and below 2^62")
+        else:
+            object.__setattr__(self, "modulus", operator.index(modulus))
 
     def label(self) -> str:
         return self.kind if self.modulus is None else f"{self.kind}:{self.modulus}"
 
 
-def make_scheme(kind: str, modulus: int | None = None) -> Scheme:
-    """Build one of the three supported schemes; modulus required for periodic/combined."""
-    if kind not in _KINDS:
-        raise ParameterError(f"unknown scheme kind {_excerpt(kind)}; expected one of {_KINDS}")
-    if kind == FIBONACCI:
-        if modulus is not None:
-            raise ParameterError("fibonacci scheme takes no modulus")
-        return Scheme(FIBONACCI, None)
-    if modulus is None or not 2 <= check_int(f"{kind} modulus", modulus) < COORD_LIMIT:
-        raise ParameterError(f"{kind} scheme requires an integer modulus >= 2 and below 2^62")
-    return Scheme(kind, operator.index(modulus))
+make_scheme = Scheme
 
 
 def parse_scheme(text: str) -> Scheme:
@@ -535,11 +534,14 @@ def star(scheme: Scheme, p):
 def window_factors(scheme: Scheme, w: Window) -> tuple[IntervalUnion | None, ResidueSet | None]:
     """(real factor, residue factor) of a window: (W, None) on fibonacci, (None, S) on
     periodic:N, (W, S) on combined:N; a window of the wrong kind is a ParameterError."""
-    if not scheme.window_kind_ok(w):
-        raise ParameterError(f"window {type(w).__name__} incompatible with scheme {scheme.label()}")
-    if isinstance(w, ProductWindow):
+    kind, N = scheme.kind, scheme.modulus
+    if kind == FIBONACCI and isinstance(w, IntervalUnion):
+        return w, None
+    if kind == PERIODIC and isinstance(w, ResidueSet) and w.modulus == N:
+        return None, w
+    if kind == COMBINED and isinstance(w, ProductWindow) and w.residues.modulus == N:
         return w.intervals, w.residues
-    return (w, None) if isinstance(w, IntervalUnion) else (None, w)
+    raise ParameterError(f"window {type(w).__name__} incompatible with scheme {scheme.label()}")
 
 
 def _product(real, residue):

@@ -8,7 +8,7 @@ import pytest
 from modelsets import reconstruct
 from modelsets.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY,
                            expand_window_literal, main)
-from modelsets.errors import DegenerateInputError, ReconstructionError
+from modelsets.errors import ParameterError, ReconstructionError
 
 
 NINES = "9" * 400
@@ -202,7 +202,8 @@ def test_diffract_refusal_writes_no_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error, code, line", [
-    (DegenerateInputError("no signal"), EXIT_USAGE, "error: degenerate input: no signal\n"),
+    (ParameterError("degenerate input: no signal"), EXIT_USAGE,
+     "error: degenerate input: no signal\n"),
     (ReconstructionError("no phase"), EXIT_VERIFY, "error: reconstruction failed: no phase\n"),
 ])
 def test_recovery_errors_map_to_exit_codes(error, code, line, tmp_path, capsys, monkeypatch):

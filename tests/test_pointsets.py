@@ -86,7 +86,7 @@ def test_meyer_difference_set_spacing():
 def test_gap_sequence_absent_site_convention():
     per = make_scheme("periodic", 32)
     ps = generate(per, SET_A, (0, 31))
-    gaps = gap_sequence(ps, absent_sites=True, cyclic=True)
+    gaps = gap_sequence(ps, absent_sites=True)
     assert gaps == [6, 0, 0, 2, 2, 1, 0, 0, 0, 0, 0, 3, 0, 1, 0, 1]
     assert gaps[:4] == [6, 0, 0, 2] and gaps[-3:] == [1, 0, 1]
 

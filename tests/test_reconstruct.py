@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import modelsets
-from modelsets import (CorrelationMeasure, DeckGrid, DegenerateInputError,
-                       ReconstructionError, Spectrum, align_up_to_translation,
-                       deck_functions, parse_window, phase_quotient, propagate_phase,
-                       roundtrip, sample_window)
+from modelsets import (CorrelationMeasure, DeckGrid, ParameterError, ReconstructionError,
+                       Spectrum, align_up_to_translation, deck_functions, parse_window,
+                       phase_quotient, propagate_phase, roundtrip, sample_window)
 from modelsets.reconstruct import PhaseField, _raw_reconstruction, uncertain_cells
 
 M, L = 512, 8.0
@@ -70,7 +69,7 @@ def test_phase_quotient_degenerate():
     for k0 in (1.0, 0.0):
         I1hat = np.zeros(M, dtype=complex)
         I1hat[0] = k0
-        with pytest.raises(DegenerateInputError, match="no usable frequencies"):
+        with pytest.raises(ParameterError, match="^degenerate input: no usable frequencies"):
             phase_quotient(dataclasses.replace(deck, I1hat=I1hat))
 
 

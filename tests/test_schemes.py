@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import modelsets
 from modelsets import (IntervalUnion, ParameterError, ProductWindow, QuadLatticePoint,
-                       QuadNum, ResidueSet, diffraction, format_window, generate, make_scheme,
-                       parse_scheme, parse_window, star, support_differences, window_ft,
-                       window_intersect, window_measure)
+                       QuadNum, ResidueSet, Scheme, diffraction, format_window, generate,
+                       make_scheme, parse_scheme, parse_window, star, support_differences,
+                       window_ft, window_intersect, window_measure)
 from modelsets.schemes import SQRT5, TAU, parse_expr, window_factors
 
 TAU_OVER_SQRT5 = 0.7236067977499789  # length tau = 1 + 1/tau, divided by sqrt5
@@ -77,6 +79,26 @@ def test_make_scheme_rejects_bad_modulus():
         make_scheme("fibonacci", 7)
     with pytest.raises(ParameterError):
         make_scheme("penrose")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Scheme("periodic", 32.5),
+    lambda: Scheme("fibonacci", 3),
+    lambda: Scheme("quasi"),
+    lambda: make_scheme(3),
+    lambda: ProductWindow(parse_window("[0,1)"), "x"),
+    lambda: ProductWindow("[0,1)", ResidueSet(32, [1])),
+], ids=["float modulus", "fibonacci modulus", "unknown kind", "kind not text",
+        "residue factor not a set", "real factor not a union"])
+def test_scheme_and_product_constructors_check_arguments(make):
+    with pytest.raises(ParameterError) as exc:
+        make()
+    assert "\n" not in str(exc.value)
+
+
+def test_make_scheme_is_the_checked_constructor():
+    assert make_scheme is Scheme
+    assert type(Scheme("periodic", np.int64(32)).modulus) is int
 
 
 @pytest.mark.parametrize("make", [
@@ -191,12 +213,42 @@ def test_wrong_kind_window_is_one_error(call, scheme, window):
 
 
 def test_only_window_factors_checks_window_kinds():
-    calls = [(path.name, node.lineno)
-             for path in sorted(Path(modelsets.__file__).parent.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "window_kind_ok"]
-    assert [name for name, _ in calls] == ["schemes.py"], calls
+    """The ``incompatible with scheme`` message is built once, in ``window_factors``."""
+    found = []
+    for path in sorted(Path(modelsets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        found += [(path.name, [f.name for f in funcs if node in ast.walk(f)])
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "incompatible with scheme" in node.value]
+    assert found == [("schemes.py", ["window_factors"])], found
+
+
+KINDS = ("fibonacci", "periodic", "combined")
+#: small moduli, so that scheme and window moduli often agree, and any below 2^62
+MODULI = st.integers(2, 6) | st.integers(2, 2**62 - 1)
+
+
+@st.composite
+def schemes(draw):
+    kind = draw(st.sampled_from(KINDS))
+    return Scheme(kind, None if kind == "fibonacci" else draw(MODULI))
+
+
+@given(schemes(), st.sampled_from(KINDS), st.just(1) | MODULI)
+def test_window_factors_accepts_exactly_the_matching_windows(scheme, kind, n):
+    iu, rs = parse_window("[0,1)"), ResidueSet(n, [0])
+    w, factors = {"fibonacci": (iu, (iu, None)), "periodic": (rs, (None, rs)),
+                  "combined": (ProductWindow(iu, rs), (iu, rs))}[kind]
+    if kind == scheme.kind and (kind == "fibonacci" or n == scheme.modulus):
+        assert window_factors(scheme, w) == factors
+    else:
+        with pytest.raises(ParameterError) as exc:
+            window_factors(scheme, w)
+        assert str(exc.value) == (f"window {type(w).__name__} incompatible with scheme "
+                                  f"{scheme.label()}")
+    assert parse_scheme(scheme.label()) == scheme
 
 
 def resource_errors(tree) -> list:
