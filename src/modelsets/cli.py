@@ -90,8 +90,8 @@ def cmd_diffract(args) -> int:
                                include_zeros=include_zeros)
     if scheme.kind == PERIODIC:
         # one full period k = 0..kmax, matching the stick-plot layout
-        keep = tuple(p for p in spec.peaks if p[0].labels[0] >= 0)
-        spec = spectra.Spectrum(scheme, keep)
+        keep = spec.labels[:, 0] >= 0
+        spec = spectra.Spectrum(scheme, spec.labels[keep], spec.k[keep], spec.intensity[keep])
     if args.svg:  # first: the plot refuses an empty spectrum before any file is written
         spec.to_svg(args.svg)
     spec.to_csv(args.output)

@@ -267,15 +267,19 @@ def gap_sequence(ps: PointSet, absent_sites: bool = False):
 
     With ``absent_sites`` (periodic scheme only) the gaps are the numbers of
     absent integer sites between successive points around one period, the
-    wrap-around gap last.
+    wrap-around gap last; the patch's region must hold exactly one period.
     """
     if len(ps) < 2:
         raise ParameterError("need at least two points for a gap sequence")
     if absent_sites:
         if ps.scheme.kind != PERIODIC:
             raise ParameterError("the absent-site gap convention needs the periodic scheme")
+        N, (lo, hi) = ps.scheme.modulus, ps.region
+        if math.floor(hi) - math.ceil(lo) + 1 != N:
+            raise ParameterError(f"the absent-site gap convention needs a region of one "
+                                 f"period, exactly {N} integer sites")
         ns = ps.coords[0].tolist()
-        return [b - a - 1 for a, b in zip(ns, ns[1:] + [ns[0] + ps.scheme.modulus])]
+        return [b - a - 1 for a, b in zip(ns, ns[1:] + [ns[0] + N])]
     return list(np.diff(ps.physical()))
 
 

@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -39,9 +40,15 @@ from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
 # dual points
 # ---------------------------------------------------------------------------
 
-def _over_sqrt5(x: int, y: int, N: int) -> QuadNum:
-    """(x + y*tau)/(N*sqrt5) = ((2y - x) + (2x + y)*tau)/(5N), as sqrt5 = 2*tau - 1."""
-    return _norm(2 * y - x, 2 * x + y, 5 * N)
+def _golden_numerators(m, n, b, N):
+    """(pk, pkappa, q): k = (pk + q*tau)/(5N) and kappa = (pkappa - q*tau)/(5N).
+
+    The unreduced numerators of the golden-ratio dual point (m, n, b) mod N,
+    from k*sqrt5 = m + n*tau + beta*tau' and kappa*sqrt5 = -(m + n*tau' +
+    beta*tau), beta = b/N, with sqrt5 = 2*tau - 1 and tau' = 1 - tau.  Takes
+    ints or int64 arrays.
+    """
+    return (2 * n - m) * N - 3 * b, (m + 3 * n) * N - 2 * b, (2 * m + n) * N + b
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,14 @@ class DualPoint:
             (j,) = self.labels
             return Fraction(j, self.scheme.modulus)
         m, n, b, N = self._golden()
-        return _over_sqrt5(m * N + b, n * N - b, N)  # tau' = 1 - tau
+        pk, _, q = _golden_numerators(m, n, b, N)
+        return _norm(pk, q, 5 * N)
 
     def _kappa(self) -> QuadNum:
         """Real internal component: kappa*sqrt5 = -(m + n*tau' + beta*tau)."""
         m, n, b, N = self._golden()
-        return _over_sqrt5(-(m + n) * N, n * N - b, N)
+        _, pkappa, q = _golden_numerators(m, n, b, N)
+        return _norm(pkappa, -q, 5 * N)
 
     def kstar(self):
         """Internal component of the dual point (exact)."""
@@ -95,15 +104,23 @@ class DualPoint:
 # window Fourier transform and diffraction
 # ---------------------------------------------------------------------------
 
-def window_ft(scheme: Scheme, w: Window, kstar) -> complex:
+def window_ft(scheme: Scheme, w: Window, kstar):
     """Transform of the window indicator at an internal frequency.
 
     Closed forms: an interval [a, b) contributes
     (exp(-2 pi i k b) - exp(-2 pi i k a)) / (-2 pi i k sqrt5) with the k = 0
     limit (b - a)/sqrt5; a residue set contributes sum exp(-2 pi i a b/N)/N;
     the transform is the product over the window's factors.
+
+    On an interval-union window ``kstar`` may also be a float array of
+    kappas.  The result is then a complex array equal, entry by entry and bit
+    for bit, to the scalar result at the same float kappa.
     """
     iu, rs = window_factors(scheme, w)
+    if isinstance(kstar, np.ndarray):
+        if rs is not None:
+            raise ParameterError("an array of frequencies needs an interval-union window")
+        return _interval_cols(iu, kstar)
     # a frequency has the window's factors: a pair on combined:N, else the one
     kappa, b = kstar if iu is not None and rs is not None else (kstar, kstar)
     return _product(None if iu is None else _interval_ft(iu, kappa),
@@ -127,42 +144,93 @@ def _residue_ft(rs: ResidueSet, b: int) -> complex:
     return sum(cmath.exp(-2j * math.pi * a * b / N) for a in rs.elems) / N
 
 
+def _interval_cols(iu: IntervalUnion, kf: np.ndarray) -> np.ndarray:
+    """``_interval_ft`` at each float kappa of ``kf``.
+
+    CPython's complex arithmetic written out on float arrays: -2j*pi*x has
+    real part +-0 and imaginary part -2pi*x, exp of that is (cos, sin), and
+    dividing by (+-0, y) is (re, im) -> (im/y, -re/y).
+    """
+    zero = kf == 0.0  # masked, not divided by
+    y = (-2 * math.pi) * np.where(zero, 1.0, kf)
+    dim = y * SQRT5
+    z = np.zeros(len(kf), complex)
+    for a, b in iu.intervals:
+        ya, yb = y * float(a), y * float(b)
+        z.real += (np.sin(yb) - np.sin(ya)) / dim
+        z.imag -= (np.cos(yb) - np.cos(ya)) / dim
+    z[zero] = float(iu.length()) / SQRT5
+    return z
+
+
 #: (width, height) of the stick plot in SVG user units
 SVG_SIZE = (640, 320)
 
+#: CSV column names of a spectrum's labels, by scheme kind
+_LABEL_NAMES = {FIBONACCI: ["m", "n"], PERIODIC: ["b"], COMBINED: ["m", "n", "b"]}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Pure-point diffraction: dual points and their intensities."""
+    """Pure-point diffraction: dual-point labels, positions and intensities.
+
+    ``labels`` (one int64 row per peak: ``(m, n)``, ``(j,)`` or ``(m, n, b)``),
+    ``k`` and ``intensity`` are read-only arrays, ordered by (|k|, labels) on
+    construction.  ``peaks``, the (DualPoint, intensity) pairs, is built on
+    request.
+    """
 
     scheme: Scheme
-    peaks: tuple  # ((DualPoint, intensity), ...) ordered by (|k|, labels)
+    labels: np.ndarray
+    k: np.ndarray
+    intensity: np.ndarray
+
+    def __post_init__(self):
+        labels, k, inten = map(np.asarray, (self.labels, self.k, self.intensity))
+        d = len(_LABEL_NAMES[self.scheme.kind])
+        if (labels.dtype.kind not in "iu" or labels.ndim != 2 or labels.shape[1] != d
+                or k.dtype.kind not in "iuf" or inten.dtype.kind not in "iuf"
+                or k.shape != (len(labels),) or inten.shape != k.shape):
+            raise ParameterError(
+                f"a {self.scheme.label()} spectrum needs n x {d} int labels and n real k "
+                f"and intensities, got {labels.dtype} {labels.shape}, {k.dtype} {k.shape} "
+                f"and {inten.dtype} {inten.shape}")
+        order = np.lexsort((*labels.T[::-1], np.abs(k)))
+        for name, a, dtype in (("labels", labels, np.int64), ("k", k, float),
+                               ("intensity", inten, float)):
+            a = a.astype(dtype)[order]  # a private copy
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __len__(self):
-        return len(self.peaks)
+        return len(self.k)
+
+    @cached_property
+    def peaks(self) -> tuple:
+        """((DualPoint, intensity), ...) in the order of the arrays."""
+        return tuple((DualPoint(self.scheme, tuple(lab)), inten)
+                     for lab, inten in zip(self.labels.tolist(), self.intensity.tolist()))
 
     def intensity_at(self, *labels: int) -> float:
-        for dp, inten in self.peaks:
-            if dp.labels == tuple(labels):
-                return inten
+        if len(labels) == self.labels.shape[1]:
+            hit = np.flatnonzero((self.labels == labels).all(axis=1))
+            if len(hit):
+                return float(self.intensity[hit[0]])
         return 0.0
 
     def to_csv(self, path: str) -> None:
-        names = {FIBONACCI: ["m", "n"], PERIODIC: ["b"], COMBINED: ["m", "n", "b"]}
-        header = ",".join(names[self.scheme.kind] + ["k", "intensity"])
-        lines = [header]
-        for dp, inten in self.peaks:
-            cells = [str(x) for x in dp.labels] + [f"{dp.k:.15g}", f"{inten:.15g}"]
-            lines.append(",".join(cells))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        header = ",".join(_LABEL_NAMES[self.scheme.kind] + ["k", "intensity"])
+        row = ",".join(["{}"] * self.labels.shape[1] + ["{:.15g}", "{:.15g}"])
+        rows = map(row.format, *self.labels.T.tolist(), self.k.tolist(),
+                   self.intensity.tolist())
+        _atomic_write(path, "\n".join([header, *rows]) + "\n")
 
     def to_svg(self, path: str) -> None:
         """Stick plot: one vertical line per peak, height proportional to intensity."""
-        if not self.peaks:
+        if not len(self):
             raise ParameterError("empty spectrum")
         width, height = SVG_SIZE
-        ks = [dp.k for dp, _ in self.peaks]
-        hs = [inten for _, inten in self.peaks]
+        ks, hs = self.k.tolist(), self.intensity.tolist()
         kmin, kmax = min(ks), max(ks)
         span = (kmax - kmin) or 1.0
         top = max(hs) or 1.0
@@ -177,9 +245,8 @@ class Spectrum:
                  'stroke="black" stroke-width="1"/>']
         if self.scheme.kind == PERIODIC:
             N = self.scheme.modulus
-            for dp, _ in self.peaks:
-                j = dp.labels[0]
-                xx = x(dp.k)
+            for j, k in zip(self.labels[:, 0].tolist(), ks):
+                xx = x(k)
                 parts.append(f'<line x1="{xx:.2f}" y1="{mtop + ph}" x2="{xx:.2f}" '
                              f'y2="{mtop + ph + 4}" stroke="black" stroke-width="1"/>')
                 parts.append(f'<text x="{xx:.2f}" y="{mtop + ph + 16}" font-size="9" '
@@ -193,8 +260,8 @@ class Spectrum:
                              f'text-anchor="middle">{kk:.3g}</text>')
             parts.append(f'<text x="{mleft + pw / 2:.2f}" y="{height - 6}" font-size="11" '
                          f'text-anchor="middle">k</text>')
-        for dp, inten in self.peaks:
-            xx = x(dp.k)
+        for k, inten in zip(ks, hs):
+            xx = x(k)
             parts.append(f'<line x1="{xx:.2f}" y1="{mtop + ph}" x2="{xx:.2f}" '
                          f'y2="{y(inten):.2f}" stroke="black" stroke-width="1.5"/>')
         parts.append("</svg>")
@@ -214,23 +281,29 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     residue factor and is the single pass b = 0, labelled (m, n); on
     combined:N the residue factor's transform is shared by every label with
     the same b, and a b whose factor caps the intensity below
-    ``min_intensity`` is skipped.  Before any label is built, the labels to
-    visit (every j for periodic:N, N boxes of ``_golden_dual_labels``
-    otherwise) are held to ``MAX_ENTRIES``: each is a ``window_ft`` call.
+    ``min_intensity`` is skipped.  Each such pass is one array computation,
+    bit for bit the scalar ``window_ft`` of each label.  Before any label is
+    built, the labels to visit (every j for periodic:N, each a scalar
+    ``window_ft`` call; N boxes of ``_golden_dual_labels`` otherwise, each
+    label a few array entries) are held to ``MAX_ENTRIES``.
     """
     check_real("kmax", kmax, 0)
     check_real("min_intensity", min_intensity)
     iu, rs = window_factors(scheme, w)
+    d = len(_LABEL_NAMES[scheme.kind])
+    passes = [(np.empty((0, d), np.int64), np.empty(0), np.empty(0))]
 
-    peaks = []
+    def add(labels, k, inten):
+        keep = slice(None) if include_zeros else inten >= min_intensity
+        passes.append((labels[keep], k[keep], inten[keep]))
+
     if iu is None:
         N = rs.modulus
         check_budget(2 * kmax * N + 1, MAX_ENTRIES, "reduce kmax")
-        jmax = math.floor(kmax * N + 1e-9)
-        for j in range(math.ceil(-kmax * N - 1e-9), jmax + 1):
-            inten = abs(window_ft(scheme, w, j % N)) ** 2
-            if include_zeros or inten >= min_intensity:
-                peaks.append((DualPoint(scheme, (j,)), inten))
+        js = range(math.ceil(-kmax * N - 1e-9), math.floor(kmax * N + 1e-9) + 1)
+        # int / int rounds correctly, as float(Fraction(j, N)) does, also for N >= 2**53
+        add(np.array(js, np.int64)[:, None], np.array([j / N for j in js], float),
+            np.array([abs(window_ft(scheme, w, j % N)) ** 2 for j in js], float))
     else:
         if min_intensity <= 0:
             raise ParameterError("a positive min_intensity is required on dense duals")
@@ -244,19 +317,26 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
         check_budget(N * rows * (2 * SQRT5 * min(kmax, kappa_bound) + 4), MAX_ENTRIES,
                      "reduce kmax or raise min_intensity")
         for b in range(N):
-            rft, tail = None, ()
             if rs is not None:
-                rft, tail = _residue_ft(rs, (-b) % N), (b,)
+                rft = _residue_ft(rs, (-b) % N)
                 cap = (abs(rft) * float(iu.length()) / SQRT5) ** 2
                 if not include_zeros and cap < min_intensity:
                     continue
-            for m, n in zip(*_golden_dual_labels(kmax, kappa_bound, b, N).tolist()):
-                dp = DualPoint(scheme, (m, n) + tail)
-                inten = abs(_product(window_ft(fib, iu, -dp._kappa()), rft)) ** 2
-                if include_zeros or inten >= min_intensity:
-                    peaks.append((dp, inten))
-    peaks.sort(key=lambda t: (abs(t[0].k), t[0].labels))
-    return Spectrum(scheme, tuple(peaks))
+            m, n = _golden_dual_labels(kmax, kappa_bound, b, N)
+            # k and -kappa as DualPoint's QuadNums; under the budget the unreduced ints
+            # stay below 2**53, so each division rounds as the reduced one does
+            pk, pkappa, q = _golden_numerators(m, n, b, N)
+            qtau = q / (5 * N) * TAU
+            k = pk / (5 * N) + qtau
+            z = window_ft(fib, iu, -pkappa / (5 * N) + qtau)
+            if rs is not None:  # z * rft in CPython's order; numpy's complex product fuses it
+                z.real, z.imag = (z.real * rft.real - z.imag * rft.imag,
+                                  z.real * rft.imag + z.imag * rft.real)
+            # abs(z) ** 2 as CPython computes it: libm hypot, then libm pow(x, 2.0), not x * x
+            inten = np.fromiter(map(pow, np.hypot(z.real, z.imag).tolist(), repeat(2.0)),
+                                float, len(k))
+            add(np.stack((m, n, np.full_like(m, b))[:d], axis=1), k, inten)
+    return Spectrum(scheme, *map(np.concatenate, zip(*passes)))
 
 
 def _golden_dual_labels(kmax: float, kappa_bound: float, b: int, N: int) -> np.ndarray:

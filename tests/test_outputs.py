@@ -89,12 +89,16 @@ GOLDEN_RATIO_EXAMPLES = [
      "-o", "fib_labels.csv"],
     ["diffract", "--scheme", "combined:32", "--window", "fib x A", "--kmax", "1",
      "--include-zeros", "-o", "fibxA_labels.csv"],
+    # 256,363 rows
+    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "1000",
+     "--min-intensity", "1e-5", "-o", "fib_k1000.csv"],
 ]
 GOLDEN_RATIO_DIGESTS = {
     "fib.csv": "eb9df5e4786f484fd606733a075eb2f8b573d81dca6064d391931be6fa5d4d8e",
     "fib.svg": "3b7ac8d065732126296097460227387e8b1d84db5966c844f9df911ad04073ac",
     "fibxA.csv": "9b6dbf569b470c7160bf3d72b1d168a4e00c286c20029dcc915faf87a06ab27a",
     "fibxA.txt": "f9202a2d2c2b5476f255026fde94c529c077f98a1bfd16889402c2dc14e65f06",
+    "fib_k1000.csv": "b2b71f3c6530d2afcec3193403c4e7b3b2fb89d258625a12b1c404f57e6eedb9",
     "fib_labels.csv": "f534271592458cb8daf57d0f97a7c50ab613eb6864e7aca59753707f719532e6",
     "fibxA_labels.csv": "1cc08e94818d2915b05988765103b74950f67bd41c51837098e26c55f9d60920",
 }

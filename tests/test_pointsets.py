@@ -105,6 +105,11 @@ def test_gap_sequence_errors():
     fibs = generate(FIB, FIB_WINDOW, (0, 10))
     with pytest.raises(ParameterError):
         gap_sequence(fibs, absent_sites=True)
+    # two periods, and part of one: the wrap-around gap would read -31 and 11
+    for region in ((0, 63), (0, 20)):
+        with pytest.raises(ParameterError, match="^the absent-site gap convention needs a "
+                                                 "region of one period, exactly 32 integer"):
+            gap_sequence(generate(per, SET_A, region), absent_sites=True)
 
 
 def test_generate_resource_guard():

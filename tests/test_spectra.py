@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modelsets import (DualPoint, ParameterError, ProductWindow, QuadLatticePoint, QuadNum,
-                       ResidueSet, ResourceError, cyclotomic_pair, deck_functions, diffraction,
-                       generate, make_scheme, parse_window, residue_deck_tables,
-                       sample_window, spectra, window_ft, window_measure, zero_condition)
+from modelsets import (DualPoint, IntervalUnion, ParameterError, ProductWindow,
+                       QuadLatticePoint, QuadNum, ResidueSet, ResourceError, cyclotomic_pair,
+                       deck_functions, diffraction, generate, make_scheme, parse_window,
+                       residue_deck_tables, sample_window, spectra, window_ft, window_measure,
+                       zero_condition)
 from modelsets.errors import check_real
 from modelsets.schemes import SQRT5, TAU, TAU_PRIME
 from modelsets.spectra import _golden_dual_labels
@@ -224,6 +225,120 @@ def test_spectrum_outputs(tmp_path):
     spec.to_svg(str(svg))
     text = svg.read_text()
     assert text.startswith("<svg") and "k/32" in text
+
+
+def scalar_spectrum(scheme, w, kmax, min_intensity, include_zeros):
+    """Rows (labels, k, intensity) by one DualPoint and one scalar window_ft per label,
+    sorted by (|k|, labels): the per-label oracle of the columnar diffraction."""
+    N = scheme.modulus or 1
+    if scheme.kind == "periodic":
+        labels = [(j,) for j in range(math.ceil(-kmax * N - 1e-9),
+                                      math.floor(kmax * N + 1e-9) + 1)]
+    else:
+        iu = w.intervals if scheme.kind == "combined" else w
+        kappa_bound = max(1, len(iu.intervals)) / (math.pi * SQRT5 * math.sqrt(min_intensity))
+        labels = [(m, n, b)[:3 if scheme.kind == "combined" else 2] for b in range(N)
+                  for m, n in double_loop_dual_labels(kmax, kappa_bound, b, N)]
+    rows = []
+    for lab in labels:
+        # the intensity at k is |FT|^2 at -k*, the k* of the dual point -k
+        minus = DualPoint(scheme, tuple(-x for x in lab)).kstar()
+        inten = abs(window_ft(scheme, w, minus)) ** 2
+        if include_zeros or inten >= min_intensity:
+            rows.append((lab, DualPoint(scheme, lab).k, inten))
+    return sorted(rows, key=lambda r: (abs(r[1]), r[0]))
+
+
+quad_endpoints = st.builds(lambda a, d, b: QuadNum(Fraction(a, d), b),
+                           st.integers(-12, 12), st.integers(1, 4), st.integers(-2, 2))
+
+
+@st.composite
+def interval_unions(draw):
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(quad_endpoints)
+        pairs.append((lo, lo + QuadNum(Fraction(draw(st.integers(1, 12)), 4), 0)))
+    return IntervalUnion(pairs)
+
+
+kmaxes = st.integers(0, 32).map(lambda i: i / 16)
+
+
+@st.composite
+def spectrum_cases(draw):
+    """(scheme, window, kmax, min_intensity) small enough for the per-label oracle."""
+    kind = draw(st.sampled_from(["periodic", "combined", "fibonacci"]))
+    if kind == "periodic":
+        # a modulus of 2^53 or more floats inexactly: k must still be float(Fraction(j, N))
+        N = draw(st.sampled_from([2, 5, 32, 2**53 + 1, 2**60 + 33]))
+        elems = draw(st.sets(st.integers(0, N - 1), max_size=5))
+        kmax = draw(kmaxes) * min(1, 64 / N)
+        return make_scheme("periodic", N), ResidueSet(N, elems), kmax, 0.01
+    w, kmax = draw(interval_unions()), draw(kmaxes)
+    if kind == "fibonacci":
+        return FIB, w, kmax, draw(st.sampled_from([1e-3, 1e-4]))
+    min_intensity = draw(st.sampled_from([1e-2, 1e-3]))
+    N = draw(st.sampled_from([2, 3, 5]))
+    rs = ResidueSet(N, draw(st.sets(st.integers(0, N - 1), max_size=N)))
+    return make_scheme("combined", N), ProductWindow(w, rs), kmax, min_intensity
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum_cases(), st.booleans())
+@example((make_scheme("periodic", 2**53 + 1), ResidueSet(2**53 + 1, (0, 5, 77)), 4e-14, 0.01),
+         True)
+@example((COMB32, ProductWindow(W, SET_A), 0.5, 1e-3), False)
+def test_columnar_diffraction_matches_the_per_label_oracle(case, include_zeros):
+    scheme, w, kmax, min_intensity = case
+    spec = diffraction(scheme, w, kmax, min_intensity, include_zeros)
+    rows = scalar_spectrum(scheme, w, kmax, min_intensity, include_zeros)
+    assert [tuple(lab) for lab in spec.labels.tolist()] == [r[0] for r in rows]
+    assert [x.hex() for x in spec.k.tolist()] == [r[1].hex() for r in rows]
+    assert [x.hex() for x in spec.intensity.tolist()] == [r[2].hex() for r in rows]
+    assert [(dp.labels, i) for dp, i in spec.peaks] == [(r[0], r[2]) for r in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(lambda p, q, d: QuadNum(Fraction(p, d), Fraction(q, d)),
+                          st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
+                          st.integers(1, 60)), min_size=1, max_size=6),
+       interval_unions())
+# F41 - F40*tau is about 4.4e-9, but its float cancels to 0.0: the k = 0 limit
+@example([QuadNum(165580141, -102334155), QuadNum(0, 0), QuadNum(1, 0)],
+         parse_window("[0,1)"))
+def test_columnar_window_ft_matches_the_scalar_one(kappas, w):
+    got = window_ft(FIB, w, np.array([float(q) for q in kappas]))
+    want = [window_ft(FIB, w, q) for q in kappas]
+    assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == \
+        [(z.real.hex(), z.imag.hex()) for z in want]
+    for scheme, window in ((COMB32, ProductWindow(w, SET_A)), (PER32, SET_A)):
+        with pytest.raises(ParameterError, match="^an array of frequencies needs an interval-"):
+            window_ft(scheme, window, np.array([0.0]))
+
+
+def test_spectrum_arrays_are_read_only():
+    spec = diffraction(FIB, W, 1.0, min_intensity=1e-3)
+    for a in (spec.labels, spec.k, spec.intensity):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert spec.labels.dtype == np.int64 and spec.labels.shape == (len(spec), 2)
+    assert spec.intensity_at(0, 0) > 0 and spec.intensity_at(0, 0, 0) == 0.0
+
+
+def test_spectrum_checks_its_arrays():
+    spec = spectra.Spectrum(FIB, [[1, 0], [0, 0]], [0.5, 0.0], [0.25, 1])  # lists are taken
+    assert spec.labels.tolist() == [[0, 0], [1, 0]] and spec.labels.dtype == np.int64
+    assert spec.k.tolist() == [0.0, 0.5] and spec.intensity.tolist() == [1.0, 0.25]
+    bad = [([[0, 0], [1, 0]], [0.0, 0.5], [1.0, 0.5, 0.25]),  # a third intensity
+           ([[0, 0], [1, 0]], [0.0], [1.0, 0.5]),             # one k short
+           ([[0, 0, 0], [1, 0, 0]], [0.0, 0.5], [1.0, 0.5]),  # combined labels
+           ([[0.0, 0.0], [1.0, 0.0]], [0.0, 0.5], [1.0, 0.5]),  # float labels
+           ([0, 1], [0.0, 0.5], [1.0, 0.5]),                  # one label row
+           ([[0, 0], [1, 0]], ["0", "0.5"], [1.0, 0.5])]      # k as text
+    for labels, k, inten in bad:
+        with pytest.raises(ParameterError, match="^a fibonacci spectrum needs n x 2 int labels"):
+            spectra.Spectrum(FIB, labels, k, inten)
 
 
 # ---------------------------------------------------------------------------
