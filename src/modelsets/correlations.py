@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import (MAX_DIFFERENCE_CANDIDATES, MAX_ENTRIES, ParameterError, check_budget,
                      check_real)
-from .pointsets import PointSet, _atomic_write, _lattice_coords, _physical, _quad_candidates
+from .pointsets import (PointSet, _atomic_write, _float_slack, _lattice_coords, _physical,
+                        _quad_candidates)
 from .schemes import (PERIODIC, QuadLatticePoint, Scheme, Window, star, window_factors,
                       window_intersect, window_measure)
 
@@ -134,7 +135,7 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     hull = iu.hull()
     if hull is None:
         return []
-    width = float(hull[1]) - float(hull[0])
+    width = float(hull[1]) - float(hull[0]) + _float_slack(hull[0]) + _float_slack(hull[1])
     cand = _quad_candidates((-width, width), (-cutoff, cutoff), MAX_DIFFERENCE_CANDIDATES,
                             "reduce the cutoff")
     near = cand[:, np.abs(_physical(cand)) <= cutoff + 1e-12].tolist()
@@ -144,7 +145,7 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
 
 
 def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) -> CorrelationMeasure:
-    """All difference tuples within the cutoff carrying positive frequency.
+    """All difference tuples within the cutoff carrying positive frequency (decided exactly).
 
     Keys are the ordered tuples of ``support_differences``.  The window of
     {0, x1, ..., xn} is the intersection of the pair cuts W cut (W - xi*), so
@@ -167,10 +168,11 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) ->
         key = frozenset(idx) - trivial
         f = freqs.get(key)
         if f is None:
-            f = freqs[key] = window_measure(
-                scheme, reduce(window_intersect, [cuts[i] for i in key] or [w]))
-        if f > 0:
-            entries[tup] = f
+            cut = reduce(window_intersect, [cuts[i] for i in key] or [w])
+            # (non-empty, measure): the float of a cancelling length can read 0
+            f = freqs[key] = (not cut.is_empty(), window_measure(scheme, cut))
+        if f[0]:
+            entries[tup] = f[1]
     return CorrelationMeasure(scheme, order, cutoff, entries)
 
 

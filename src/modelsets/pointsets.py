@@ -2,7 +2,8 @@
 
 Generation enumerates the lattice exactly: for the golden-ratio schemes the
 conjugate coordinate is bounded by the window hull and the physical coordinate
-by the requested region, so every admissible (u, v) pair is visited.  A float
+by the requested region, each widened only by a bound on its float error, so
+every admissible (u, v) pair is visited and hardly any other.  A float
 prefilter does the bulk of the membership testing; candidates within a guard
 band of any interval endpoint are re-checked with exact arithmetic.  The band
 grows with the size of the coordinates, so the prefilter stays sound wherever
@@ -33,6 +34,16 @@ from .schemes import (COORD_LIMIT, FLOAT_GUARD, TAU, TAU_PRIME, PERIODIC, Interv
 #: u + v*tau' is within FLOAT_REL * (|u| + |v|) of the exact one (a few
 #: roundings of at most 2^-53 each; 2^-48 leaves a wide margin)
 FLOAT_REL = 2.0 ** -48
+
+
+def _float_slack(q: QuadNum) -> float:
+    """Bound on |float(q) - q|: float(q) rounds a + b*tau like u + v*tau above.
+
+    It is 0 where q is a float, so a window such as [0,1) keeps its exact width.
+    """
+    if q.b == 0 and float(q.a) == q.a:
+        return 0.0
+    return FLOAT_REL * (abs(float(q.a)) + abs(float(q.b)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +157,7 @@ def _bands(x, g, bounds):
     sure = np.zeros(len(x), dtype=bool)
     possible = np.zeros(len(x), dtype=bool)
     for a, b in bounds:
-        ga = g + FLOAT_REL * sum(abs(float(c)) for c in (a.a, a.b, b.a, b.b))
+        ga = g + _float_slack(a) + _float_slack(b)
         af, bf = float(a), float(b)
         sure |= (x >= af + ga) & (x <= bf - ga)
         possible |= (x >= af - ga) & (x <= bf + ga)
@@ -202,8 +213,10 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
 
     This is the one enumeration of Z[tau] in a (physical, internal) box: patches,
     support differences and dual labels all take their candidates here and
-    apply their own exact filter.  Each row v visits the u where both ranges
-    overlap, widened by one on each side against float error.  Over
+    apply their own exact filter.  The ranges are taken as exact; callers
+    holding floats of exact endpoints widen them first.  Each row v visits
+    the u where both ranges overlap, the bounds rounded outward by a guard
+    against the float error of w - v*tau' and x - v*tau (at most 1).  Over
     ``budget`` candidates is a ResourceError that ends with ``advice``.
     """
     (wlo_f, whi_f), (lo, hi) = star, phys
@@ -216,8 +229,13 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
     if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
         raise ParameterError("region or window too far from the origin for int64 coordinates")
     vs = np.arange(vmin, vmax + 1, dtype=np.int64)
-    u_lo = np.ceil(np.maximum(wlo_f - vs * TAU_PRIME, lo - vs * TAU)).astype(np.int64) - 1
-    u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU)).astype(np.int64) + 1
+    g = FLOAT_GUARD + FLOAT_REL * (max(-wlo_f, whi_f, -lo, hi) + np.abs(vs))
+    # where the guard reaches 1 (beyond 2^48) it is one unit on the integer bounds,
+    # as a float y - 1 may round back to y there
+    far = g >= 1
+    g[far] = 0
+    u_lo = np.ceil(np.maximum(wlo_f - vs * TAU_PRIME, lo - vs * TAU) - g).astype(np.int64) - far
+    u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU) + g).astype(np.int64) + far
     counts = np.clip(u_hi - u_lo + 1, 0, None)
     total = int(counts.sum())
 
@@ -254,9 +272,9 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
         cand = np.zeros((2, 0), dtype=np.int64)
     else:
         wlo, whi = iu.hull()
-        _check_float_positions(lo, hi, float(whi - wlo))
-        cand = _quad_candidates((float(wlo), float(whi)), (lo, hi), MAX_CANDIDATES,
-                                "shrink the region")
+        star = (float(wlo) - _float_slack(wlo), float(whi) + _float_slack(whi))
+        _check_float_positions(lo, hi, star[1] - star[0])
+        cand = _quad_candidates(star, (lo, hi), MAX_CANDIDATES, "shrink the region")
     coords = cand[:, _in_window(scheme, w, cand, (lo, hi))]
     order = np.argsort(_physical(coords), kind="stable")
     return PointSet(scheme, w, coords[:, order], (lo, hi))
@@ -280,7 +298,7 @@ def gap_sequence(ps: PointSet, absent_sites: bool = False):
                                  f"period, exactly {N} integer sites")
         ns = ps.coords[0].tolist()
         return [b - a - 1 for a, b in zip(ns, ns[1:] + [ns[0] + N])]
-    return list(np.diff(ps.physical()))
+    return np.diff(ps.physical()).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +329,38 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def save_pointset(ps: PointSet, path: str) -> None:
-    """Write the patch; the write is atomic (temp file + rename)."""
+    """Write the patch, one ``"%d %d"`` line per point in array passes; the write is
+    atomic (temp file + rename)."""
     header = (f"# modelsets pointset scheme={ps.scheme.label()} "
               f"window={format_window(ps.window)} region=[{ps.region[0]!r},{ps.region[1]!r}]")
-    line = " ".join(["%d"] * len(ps.coords)) + "\n"
-    body = (line * len(ps)) % tuple(ps.coords.T.ravel().tolist())
-    _atomic_write(path, header + "\n" + body)
+    _atomic_write(path, header + "\n" + _int_lines(ps.coords))
+
+
+def _int_lines(coords: np.ndarray) -> str:
+    """The lines ``"%d %d"`` (one field per row) of the columns of an int64 array.
+
+    The digits come from repeated // 10, on int32 when every |c| < 2^31.  A
+    field is a run of byte columns (sign, D digits, separator) with NUL for
+    leading zeros and for the sign of a non-negative value; the lines are the
+    rows of the stacked columns with the NULs dropped.
+    """
+    q = np.abs(coords)
+    top = int(q.max()) if q.size else 0
+    q = q.astype(np.int32 if top < 2 ** 31 else np.int64)
+    digits = []  # least significant first
+    for j in range(len(str(top))):
+        nq = q // 10
+        d = (q - nq * 10).astype(np.uint8) | ord("0")
+        if j:  # the units digit always prints
+            d *= q > 0
+        digits.append(d)
+        q = nq
+    sign = (coords < 0).astype(np.uint8) * ord("-")
+    cols = []
+    for r, end in enumerate(" " * (len(coords) - 1) + "\n"):
+        cols += [sign[r], *(d[r] for d in reversed(digits)),
+                 np.full(coords.shape[1], ord(end), np.uint8)]
+    return np.stack(cols, axis=1).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _bad_line(path: str, body: str, width: int) -> ParameterError:

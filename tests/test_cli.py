@@ -77,6 +77,27 @@ def test_generate_resource_limit(tmp_path):
     assert code == EXIT_RESOURCE
 
 
+# exactly [-1, 1 + 1.6e-18): F(87) - F(86)*tau = tau^-86, but the float of the right end is 0.0
+CANCELLING = "[-1,1+679891637638612258-420196140727489673*tau)"
+
+
+@pytest.mark.parametrize("argv, extra", [
+    # the star of the point (1, 0) is 1, inside the window
+    (["generate", "--region", "-50", "50"], {"1 0"}),
+    # the pair cut of +-2 is [-1, -1 + 1.6e-18), not empty
+    (["correlate", "--order", "2", "--cutoff", "3"], {"-2+0*tau", "2+0*tau"}),
+], ids=["generate", "correlate"])
+def test_a_window_end_whose_float_cancels(argv, extra, tmp_path):
+    body = {}
+    for window in ("[-1,1)", CANCELLING):
+        path = tmp_path / "out"
+        assert run(argv[0], "--scheme", "fibonacci", "--window", window, *argv[1:],
+                   "-o", str(path)) == EXIT_OK
+        body[window] = {line.split(",")[0] for line in path.read_text().splitlines()[1:]}
+    assert body[CANCELLING] == body["[-1,1)"] | extra
+    assert len(body[CANCELLING]) == len(body["[-1,1)"]) + len(extra)
+
+
 def test_correlate_contains_expected_row(tmp_path):
     out = tmp_path / "corr.csv"
     code = run("correlate", "--scheme", "fibonacci", "--window", "fib",

@@ -61,10 +61,20 @@ PATCH_EXAMPLES = [
      "-o", "fib.txt"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--order", "2", "--cutoff", "5",
      "--empirical", "9e4", "-o", "emp.csv"],
+    # coordinates beyond 2^31 (724 and 362 points), and a periodic patch (999 points)
+    ["generate", "--scheme", "fibonacci", "--window", "fib",
+     "--region", "10000000000", "10000001000", "-o", "fib_far.txt"],
+    ["generate", "--scheme", "combined:32", "--window", "fib x A",
+     "--region", "-10000001000", "-10000000000", "-o", "fibxA_far.txt"],
+    ["generate", "--scheme", "periodic:32", "--window", "A", "--region", "-1000", "1000",
+     "-o", "A.txt"],
 ]
 PATCH_DIGESTS = {
     "fib.txt": "2778b1c7aed0084ea9d1a07ee5c51f14d784b080e8467f77ae64c2cf65bfca9a",
     "emp.csv": "7792db9276c740f05cde9b5e1b7f29aed647e93c5f36cfacfc40e872791baba9",
+    "fib_far.txt": "c9cc67d14fe56f26843704cfe03e5f9dc5c1d36634a666ecc7ce8630f186a1e1",
+    "fibxA_far.txt": "7ca1848f394ec0a250745e1499039b5ac3c956247da76b10e6ffdf639d504ec2",
+    "A.txt": "b7277fb61e253f495b1089e46f34523cdf2b419536488e7efa3eb14a95dc1e50",
 }
 
 

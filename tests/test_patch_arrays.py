@@ -2,20 +2,26 @@
 
 Each oracle here walks lattice-point objects one at a time and decides every
 membership in Q(tau), the way patches were handled before they became
-coordinate arrays; the array code must agree with it exactly.
+coordinate arrays; the array code must agree with it exactly.  The point-file
+writer is held to ``%d`` formatting, and the exact-width lattice enumeration
+to the one-unit-margin row loop it replaced.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from modelsets import (IntervalUnion, ProductWindow, QuadLatticePoint, QuadNum,
-                       ResidueSet, freq_empirical, generate, load_pointset,
-                       make_scheme, parse_window, save_pointset)
+from modelsets import (IntervalUnion, ParameterError, PointSet, ProductWindow,
+                       QuadLatticePoint, QuadNum, ResidueSet, correlations, freq_empirical,
+                       generate, load_pointset, make_scheme, parse_window, pointsets,
+                       save_pointset, spectra, support_differences)
+from modelsets.pointsets import _float_slack, _int_lines, _quad_candidates
 from modelsets.schemes import COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME
+from modelsets.spectra import _golden_dual_labels
 
 FIB = make_scheme("fibonacci")
 W = parse_window("[-1,1/tau)")
@@ -168,3 +174,164 @@ def test_freq_empirical_counts_known_pattern():
     ps = PATCHES["fib"]
     assert freq_empirical(ps, (QuadLatticePoint(0, 1),), R) == \
         freq_loop(ps, (QuadLatticePoint(0, 1),), R) > 0
+
+
+# -- the point-file writer -----------------------------------------------------------
+
+def percent_lines(coords) -> str:
+    """Oracle: the file body as "%d" formatting writes it, one line per column."""
+    line = " ".join(["%d"] * len(coords)) + "\n"
+    return (line * coords.shape[1]) % tuple(coords.T.ravel().tolist())
+
+
+# 0, +-(10^k - 1), +-10^k, the int32 boundary +-2^31 and the coordinate limit
+EDGES = [0, 2**31 - 1, 2**31, 2**62 - 1] + [10**k + d for k in range(1, 19) for d in (-1, 0)]
+coordinates = st.one_of(st.integers(-2**62 + 1, 2**62 - 1), st.integers(-1000, 1000),
+                        st.sampled_from(EDGES + [-e for e in EDGES]))
+
+
+@st.composite
+def coordinate_arrays(draw):
+    rows, n = draw(st.sampled_from([1, 2])), draw(st.integers(0, 8))
+    return np.array(draw(st.lists(coordinates, min_size=rows * n, max_size=rows * n)),
+                    dtype=np.int64).reshape(rows, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate_arrays())
+@example(np.zeros((1, 0), dtype=np.int64))
+@example(np.zeros((2, 0), dtype=np.int64))
+@example(np.array([[-2**31, 2**31 - 1, 0], [2**31, -(2**31 - 1), -1]], dtype=np.int64))
+def test_int_lines_match_percent_formatting(coords):
+    assert _int_lines(coords) == percent_lines(coords)
+
+
+def test_empty_patch_file_is_the_header_line(tmp_path):
+    path = tmp_path / "empty.txt"
+    save_pointset(PointSet(FIB, W, np.zeros((2, 0), dtype=np.int64), (0.0, 1.0)), str(path))
+    assert path.read_text() == "# modelsets pointset scheme=fibonacci window=[-1,-1+1*tau) " \
+                               "region=[0.0,1.0]\n"
+
+
+# -- lattice candidates ------------------------------------------------------------
+
+def unit_margin_candidates(star, phys, budget, advice) -> np.ndarray:
+    """Oracle: each row's u range widened by one on each side, one row at a time."""
+    (wlo, whi), (lo, hi) = star, phys
+    cols = []
+    for v in range(math.floor((lo - whi) / math.sqrt(5)) - 2,
+                   math.ceil((hi - wlo) / math.sqrt(5)) + 3):
+        u_lo = math.ceil(max(wlo - v * TAU_PRIME, lo - v * TAU)) - 1
+        u_hi = math.floor(min(whi - v * TAU_PRIME, hi - v * TAU)) + 1
+        cols += [(u, v) for u in range(u_lo, u_hi + 1)]
+    return np.array(cols, dtype=np.int64).reshape(-1, 2).T
+
+
+def with_candidates(enumerate_, f, *args):
+    """f(*args) with every caller of the lattice enumeration using ``enumerate_``."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (pointsets, correlations, spectra):
+            mp.setattr(module, "_quad_candidates", enumerate_)
+        try:
+            return f(*args)
+        except ParameterError as e:
+            return str(e)
+
+
+def same_result(a, b) -> bool:
+    if isinstance(a, PointSet):
+        return isinstance(b, PointSet) and np.array_equal(a.coords, b.coords)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+FIBS = [0, 1]
+while len(FIBS) < 90:
+    FIBS.append(FIBS[-1] + FIBS[-2])
+
+
+@st.composite
+def eighth_endpoints(draw):
+    """Endpoints (a + b*tau)/8 with |value| < 4."""
+    return [q for q in (QuadNum(Fraction(draw(st.integers(-40, 40)), 8),
+                                Fraction(draw(st.integers(-24, 24)), 8))
+                        for _ in range(draw(st.sampled_from([2, 4]))))
+            if abs(float(q)) < 4]
+
+
+@st.composite
+def cancelling_endpoints(draw):
+    """Endpoints c/8 +- (F(n+1) - F(n)*tau), within tau^-n of c/8 but with coefficients ~F(n)."""
+    return [QuadNum(Fraction(draw(st.integers(-24, 24)), 8), 0)
+            + draw(st.sampled_from([1, -1])) * QuadNum(FIBS[n + 1], -FIBS[n])
+            for n in (draw(st.integers(30, 72)) for _ in range(draw(st.sampled_from([2, 4]))))]
+
+
+@st.composite
+def enumeration_cases(draw):
+    ends = sorted(set(draw(st.one_of(eighth_endpoints(), cancelling_endpoints()))))
+    assume(len(ends) >= 2)
+    iu = IntervalUnion(list(zip(ends[::2], ends[1::2])))
+    scheme, w = FIB, iu
+    if draw(st.booleans()):
+        scheme, w = make_scheme(COMBINED, 8), ProductWindow(iu, draw(residue_sets(8)))
+    if draw(st.booleans()):
+        lo = draw(st.floats(-60, 60))
+        region = (lo, lo + draw(st.floats(0.5, 40)))
+    else:  # at the float-position limit for this hull width, or one binade past it
+        a, b = iu.hull()
+        k = math.floor(52 - math.log2(float(b) - float(a) + _float_slack(a) + _float_slack(b)))
+        x = 2.0 ** (k + 1 + draw(st.integers(-2, 1))) - 100
+        region = (x, x + 60) if draw(st.booleans()) else (-x - 60, -x)
+    return scheme, w, region, draw(st.floats(0, 5))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(enumeration_cases())
+def test_exact_width_candidates_match_the_unit_margin(case):
+    scheme, w, region, cutoff = case
+    for f, args in [(generate, (scheme, w, region)),
+                    (support_differences, (scheme, w, cutoff))]:
+        assert same_result(with_candidates(_quad_candidates, f, *args),
+                           with_candidates(unit_margin_candidates, f, *args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0, 12), st.floats(0, 12), st.sampled_from([1, 2, 32]), st.integers(0, 31))
+def test_exact_width_dual_labels_match_the_unit_margin(kmax, kappa_bound, N, b):
+    args = (kmax, kappa_bound, b % N, N)
+    assert same_result(with_candidates(_quad_candidates, _golden_dual_labels, *args),
+                       with_candidates(unit_margin_candidates, _golden_dual_labels, *args))
+
+
+ranges = st.tuples(st.floats(-1e3, 1e3), st.floats(0, 30)).map(lambda t: (t[0], t[0] + t[1]))
+far_ranges = st.tuples(st.floats(-2.0 ** 60, 2.0 ** 60), st.floats(0, 30)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ranges, st.builds(lambda u, v, d: (u + v * TAU_PRIME, u + v * TAU_PRIME + d),
+                                   st.integers(-50, 50), st.integers(-50, 50),
+                                   st.sampled_from([0.0, 1.0, TAU]))),
+       st.one_of(ranges, far_ranges))
+def test_candidates_keep_every_box_point_and_visit_no_more(star, phys):
+    new = set(zip(*_quad_candidates(star, phys, 10**7, "").tolist()))
+    old = set(zip(*unit_margin_candidates(star, phys, 10**7, "").tolist()))
+    assert new <= old
+    (wlo, whi), (lo, hi) = ((QuadNum.coerce(Fraction(x)) for x in r) for r in (star, phys))
+    assert {(u, v) for u, v in old
+            if wlo <= QuadNum(u + v, -v) <= whi and lo <= QuadNum(u, v) <= hi} <= new
+
+
+def test_fibonacci_patch_visits_hardly_more_candidates_than_points(monkeypatch):
+    visited = []
+
+    def counting(*args):
+        cand = _quad_candidates(*args)
+        visited.append(cand.shape[1])
+        return cand
+
+    monkeypatch.setattr(pointsets, "_quad_candidates", counting)
+    ps = generate(FIB, W, (-5e5, 5e5))
+    assert visited[0] <= 1.01 * len(ps) + 2

@@ -94,7 +94,8 @@ def test_gap_sequence_absent_site_convention():
 def test_gap_sequence_two_points():
     per = make_scheme("periodic", 4)
     ps = generate(per, ResidueSet(4, (0, 1)), (0, 1))
-    assert gap_sequence(ps) == [1.0]
+    gaps = gap_sequence(ps)
+    assert gaps == [1.0] and type(gaps[0]) is float  # prints as 1.0, not np.float64(1.0)
 
 
 def test_gap_sequence_errors():
@@ -207,6 +208,8 @@ def test_generate_refuses_regions_beyond_float_resolution():
             generate(FIB, FIB_WINDOW, region)
     ps = generate(FIB, FIB_WINDOW, (3e15, 3e15 + 100))
     assert len(ps) > 50 and np.all(np.diff(ps.physical()) > 0)
+    # [0, 1) has an exact float width: a spacing of 1 is still no more than the gap
+    assert len(generate(FIB, parse_window("[0,1)"), (2.0**52, 2.0**52 + 10))) == 4
     # integers stay exact floats up to 2^53
     assert len(generate(make_scheme("periodic", 32), SET_A, (6e15, 6e15 + 63))) == 32
     with pytest.raises(ParameterError, match="too far out for float positions"):
