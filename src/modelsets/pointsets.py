@@ -244,13 +244,17 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
     return np.stack((uflat, np.repeat(vs, counts)))
 
 
-def _check_float_positions(lo: float, hi: float, width: float | None) -> None:
+def _check_float_positions(lo: float, hi: float, star: tuple[float, float] | None) -> None:
     """Refuse a region where float positions can no longer tell neighbouring points apart.
 
-    The distance between two points is at least 1 for ``periodic:N``
-    (``width`` None), and 1/w for a window of hull width w, since two points
-    differ by z in Z[tau] with |z*| < w and |z z*| >= 1.  The message names w.
+    The distance between two points is at least 1 for ``periodic:N`` (``star``
+    None), and 1/w for a window of hull width w, since two points differ by z
+    in Z[tau] with |z*| < w and |z z*| >= 1.  The message names w.  On the
+    golden-ratio schemes the region is also refused where the floats of
+    :func:`_quad_candidates` reach 2^52: below that each row bound rounds
+    within well under the one unit by which those rows are widened there.
     """
+    width = None if star is None else star[1] - star[0]
     gap = 1.0 if width is None else 1 / width
     spacing = float(np.spacing(max(-lo, hi)))
     if spacing > gap:
@@ -258,6 +262,15 @@ def _check_float_positions(lo: float, hi: float, width: float | None) -> None:
         raise ParameterError(
             f"region [{lo}, {hi}] is too far out for float positions: their spacing "
             f"there ({spacing:g}) exceeds the smallest gap between points ({gap:.3g}{why})")
+    if width is not None:
+        # a row v takes u from u* - v*tau' with u* in the star range and from
+        # x - v*tau with x in the region: the largest float there is about this
+        v_max = max(hi - star[0], star[1] - lo) / math.sqrt(5) + 3
+        reach = max(-star[0], star[1]) + TAU * v_max
+        if reach >= 2.0 ** 52:
+            raise ParameterError(
+                f"region [{lo}, {hi}] is too far out for float positions: lattice rows "
+                f"there reach {reach:.3g}, and their float bounds hold only below 2^52")
 
 
 def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet:
@@ -273,7 +286,7 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
     else:
         wlo, whi = iu.hull()
         star = (float(wlo) - _float_slack(wlo), float(whi) + _float_slack(whi))
-        _check_float_positions(lo, hi, star[1] - star[0])
+        _check_float_positions(lo, hi, star)
         cand = _quad_candidates(star, (lo, hi), MAX_CANDIDATES, "shrink the region")
     coords = cand[:, _in_window(scheme, w, cand, (lo, hi))]
     order = np.argsort(_physical(coords), kind="stable")

@@ -26,15 +26,20 @@ solver here constructs one solution:
 Frequencies with no admissible decomposition stay unknown and are counted;
 a partial result is legitimate output.
 
-psi2 is not stored; each entry is computed from I2hat when read.  The gauge
-measurement scans the pairs in row blocks that read X[(k1 + k2) % M] from the
-doubled vector, so no M x M index grid is built.  The recovered grid is
-aligned with the input by one FFT cross-correlation.
+Which pairs the sweep and the gauge measurement use depends only on D, |F|
+and the gradings, so both are planned on indices first.  psi2 is then read
+at those at most M + 1 pairs in one pass over the deck, which forms I2hat in
+checked column blocks and stores neither it nor psi2, and the phases are
+formed in plan order.  The gauge scan reads X[(k1 + k2) % M] as rows of the
+doubled vector and stops early by a bound on the holonomy (see
+``_gauge_relation``).  The recovered grid is aligned with the input by one
+FFT cross-correlation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +63,7 @@ class PhaseQuotient:
     """psi2 on the admissible pairs D2, read from the deck transforms on demand.
 
     Adds to the deck only |F| = sqrt(I1hat), never the true phase, and the
-    extinction threshold; psi2 reads the deck's ``I2hat`` in place.
+    extinction threshold; psi2 reads I2hat through ``deck.I2hat_at``.
     D2: k1, k2 and k1 + k2 in ``D``.
     """
 
@@ -75,9 +80,12 @@ class PhaseQuotient:
         return self.absF >= self.eps_zero
 
     def at(self, k1, k2):
-        """psi2(k1, k2) = I2hat[k1, k2] / (|F|[k1] |F|[k2] |F|[k1 + k2]), ints or index arrays."""
-        return self.deck.I2hat[k1, k2] / (self.absF[k1] * self.absF[k2]
-                                          * self.absF[(k1 + k2) % self.M])
+        """psi2(k1, k2) = I2hat[k1, k2] / (|F|[k1] |F|[k2] |F|[k1 + k2]), ints or index arrays.
+
+        One call is one checked pass over the deck's column blocks.
+        """
+        return self.deck.I2hat_at(k1, k2) / (self.absF[k1] * self.absF[k2]
+                                             * self.absF[(k1 + k2) % self.M])
 
 
 @dataclass(frozen=True)
@@ -121,33 +129,65 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
     Deterministic: sweeps in a fixed order (increasing |k|) until a sweep
     assigns nothing, with fixed tie-breaks.  Returns a partial field when
     some frequencies admit no decomposition.  The usable frequencies are
-    ``psi2.D``; ``absF`` ranks the candidate decompositions.
+    ``psi2.D``; ``absF`` ranks the candidate decompositions.  The sweep and
+    the gauge relation are planned on indices; psi2 is then read at the
+    planned pairs in one pass, and the phases are formed in plan order.
     """
     M = psi2.M
     D = psi2.D
     if not D[0]:
         raise ParameterError("degenerate input: the zero frequency is below eps_zero")
-
-    phi = np.zeros(M, dtype=complex)
-    known = np.zeros(M, dtype=bool)
-    grading = np.zeros(M, dtype=np.int64)
     order = _order_by_abs_k(M)
     seed = next((int(m) for m in order if m != 0 and D[m]), None)
+    plan, known, grading = _plan_assignments(order, seed, D, absF)
+    relation = None if seed is None else _gauge_relation(known, grading, absF, seed)
+    pairs = [(m1, m2) for _, m1, m2 in plan] + ([relation[:2]] if relation else [])
+    values = psi2.at(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+    phi = np.zeros(M, dtype=complex)
+    phi[0] = 1.0
+    if seed is not None:
+        phi[seed] = 1.0
+    for (m, m1, m2), v in zip(plan, values):
+        value = phi[m1] * phi[m2] * v
+        phi[m] = value / abs(value)
+    if relation is not None:
+        m1, m2, delta = relation
+        defect = phi[m1] * phi[m2] * values[-1] / phi[(m1 + m2) % M]
+        # defect = w^delta with w^M a root of unity to be absorbed; principal root
+        eta = np.exp(-1j * np.angle(defect) / delta)
+        phi = np.where(known, phi * eta**grading, 0.0)
+        phi[known] /= np.abs(phi[known])
+    return PhaseField(phi, known, grading)
+
+
+def _plan_assignments(order, seed, D, absF):
+    """The sweep on indices: ([(m, m1, m2), ...] in assignment order, known, grading).
+
+    Frequency m is assigned from the known pair m1 + m2 = m maximizing the
+    smaller of |F|[m1], |F|[m2], the first m1 on ties; its grading is the sum
+    of theirs.  0 and the seed (grading 1) are known from the start.
+    """
+    M = len(order)
+    known = np.zeros(M, dtype=bool)
+    grading = np.zeros(M, dtype=np.int64)
     # (k1, k2) is in D2 iff k1, k2, k1 + k2 are in D: for m in D, m = j + (m - j)
     # is admissible iff j and m - j are in D; only frequencies in D are assigned,
-    # so ``known`` marks exactly the usable ones
-    known_rev = _wrapped_reversed(known)
-    absF_rev = _wrapped_reversed(absF)
+    # so ``known`` marks exactly the usable ones.  ``score`` is |F| on the known
+    # frequencies and -1 elsewhere (every known |F| is at least eps_zero > 0);
+    # slice M - 1 - m of its wrapped reversal lines up score[m - j] with j
+    score = np.full(M, -1.0)
+    score_rev = _wrapped_reversed(score)
 
-    def assign(m: int, value: complex, grade: int) -> None:
-        phi[m] = value
+    def assign(m: int, grade: int) -> None:
         grading[m] = grade
-        known[m] = known_rev[M - 1 - m] = known_rev[2 * M - 1 - m] = True
+        known[m] = True
+        score[m] = score_rev[M - 1 - m] = score_rev[2 * M - 1 - m] = absF[m]
 
-    assign(0, 1.0, 0)
+    assign(0, 0)
     if seed is not None:
-        assign(seed, 1.0, 1)
-
+        assign(seed, 1)
+    plan = []
     changed = True
     while changed:
         changed = False
@@ -156,59 +196,54 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
             if known[m] or not D[m]:
                 continue
             s = M - 1 - m
-            ok = known & known_rev[s:s + M]
-            if not ok.any():
+            pair = np.minimum(score, score_rev[s:s + M])
+            m1 = int(np.argmax(pair))  # first maximizer: deterministic tie-break
+            if pair[m1] < 0:           # no known pair adds up to m
                 continue
-            score = np.where(ok, np.minimum(absF, absF_rev[s:s + M]), -np.inf)
-            m1 = int(np.argmax(score))  # first maximizer: deterministic tie-break
             mm2 = (m - m1) % M
-            value = phi[m1] * phi[mm2] * psi2.at(m1, mm2)
-            assign(m, value / abs(value), grading[m1] + grading[mm2])
+            plan.append((m, m1, mm2))
+            assign(m, grading[m1] + grading[mm2])
             changed = True
-
-    phi = _normalize_gauge(phi, known, grading, absF, psi2)
-    return PhaseField(phi, known, grading)
+    return plan, known, grading
 
 
-def _normalize_gauge(phi, known, grading, absF, psi2: PhaseQuotient):
-    """Rescale the seed gauge so the solution is an exact grid character times the truth.
+def _gauge_relation(known, grading, absF, seed: int):
+    """The relation (m1, m2, dc) that fixes the seed gauge, or None.
 
     Relations whose gradings do not add up expose the holonomy w^dc of the
-    seed value w around the frequency circle; dc is always a multiple of the
-    grid order along reachable relations.  One measurement fixes it: the
-    relation with the smallest nonzero |dc|, then the best-conditioned one,
-    then the first in row-major order over (k1, k2).
+    seed value w around the frequency circle.  One measurement fixes it: the
+    known pair with known sum with the smallest nonzero |dc|, then the best
+    score min(|F|[m1], |F|[m2], |F|[m1 + m2]), then the first in row-major
+    order.  Every assignment keeps grading[k] * seed = k (mod M), so every dc
+    is a multiple of q = M / gcd(seed, M); once a relation with |dc| = q is
+    found, only a strictly higher score can win, and a row m1 scores at most
+    |F|[m1], so the scan skips every row with |F|[m1] at or below the best
+    score.
     """
-    M = len(phi)
+    M = len(known)
+    q = M // math.gcd(seed, M)
     known_sum, grading_sum, absF_sum = (wrapped_rows(v) for v in (known, grading, absF))
+    step = next(row_blocks(M, M)).stop
+    todo = np.nonzero(known)[0]    # rows still to scan, in order
     best = None   # (|dc|, score, m1, m2, dc)
     # known frequencies all lie in D, so a known pair with known sum is in D2
-    for r in row_blocks(M, M):
-        valid = known[r, None] & known[None, :] & known_sum[r]
+    while len(todo):
+        r, todo = todo[:step], todo[step:]
+        valid = known[None, :] & known_sum[r]
         dc = grading[r, None] + grading[None, :] - grading_sum[r]
         valid &= dc != 0
-        if not valid.any():
-            continue
-        absdc = np.where(valid, np.abs(dc), np.iinfo(np.int64).max)
-        block_abs = absdc.min()
-        if best is not None and block_abs > best[0]:
-            continue
-        score = np.minimum(np.minimum(absF[r, None], absF[None, :]), absF_sum[r])
-        score = np.where(absdc == block_abs, score, -1.0)
-        i, m2 = np.unravel_index(int(np.argmax(score)), score.shape)
-        if best is None or block_abs < best[0] or score[i, m2] > best[1]:
-            best = (block_abs, score[i, m2], r.start + int(i), int(m2), int(dc[i, m2]))
-    if best is None:
-        return phi
-    _, _, m1, m2, delta = best
-    m = (m1 + m2) % M
-    defect = phi[m1] * phi[m2] * psi2.at(m1, m2) / phi[m]
-    # defect = w^delta with w^M a root of unity to be absorbed; principal root
-    eta = np.exp(-1j * np.angle(defect) / delta)
-    out = np.where(known, phi * eta**grading, 0.0)
-    mag = np.abs(out[known])
-    out[known] /= mag
-    return out
+        if valid.any():
+            absdc = np.where(valid, np.abs(dc), np.iinfo(np.int64).max)
+            block_abs = absdc.min()
+            if best is None or block_abs <= best[0]:
+                score = np.minimum(np.minimum(absF[r, None], absF[None, :]), absF_sum[r])
+                score = np.where(absdc == block_abs, score, -1.0)
+                i, m2 = np.unravel_index(int(np.argmax(score)), score.shape)
+                if best is None or block_abs < best[0] or score[i, m2] > best[1]:
+                    best = (block_abs, score[i, m2], int(r[i]), int(m2), int(dc[i, m2]))
+        if best is not None and best[0] == q:
+            todo = todo[absF[todo] > best[1]]
+    return None if best is None else best[2:]
 
 
 def _raw_reconstruction(psi2: PhaseQuotient, phase: PhaseField) -> np.ndarray:

@@ -439,8 +439,12 @@ class DeckGrid:
     other row of I2 is zero) and ``counts[i]`` is row ``rows[i]`` as int32;
     the dense float ``I2`` is built on each read.  ``I1hat`` and ``I2hat``
     are the transforms of the deck data, everything the reconstruction stage
-    is allowed to see; ``I2hat`` is the transpose view of a C-ordered buffer
-    holding I2hat[k1, k2] at [k2, k1].  ``deck_functions`` makes every array read-only.
+    is allowed to see.  I2hat is not stored either: ``row_hat[i]`` is the DFT
+    of row ``rows[i]`` of I2, the first half of fft2, and each read forms
+    I2hat in blocks of columns (:meth:`I2hat_at`, the dense ``I2hat``).
+    Every block is checked as it is formed against the indicator transform
+    ``_F``, which only that check reads.  ``deck_functions`` makes every
+    array read-only.
     """
 
     M: int
@@ -449,7 +453,8 @@ class DeckGrid:
     rows: np.ndarray
     counts: np.ndarray
     I1hat: np.ndarray
-    I2hat: np.ndarray
+    row_hat: np.ndarray
+    _F: np.ndarray
 
     @property
     def I2(self) -> np.ndarray:
@@ -458,8 +463,55 @@ class DeckGrid:
         return I2
 
     @property
+    def I2hat(self) -> np.ndarray:
+        """h^2 fft2(I2), read-only, assembled from every (checked) column block."""
+        T = np.empty((self.M, self.M), dtype=complex)
+        for c, block in self._column_blocks():
+            T[c] = block
+        T.flags.writeable = False
+        return T.T
+
+    def I2hat_at(self, k1, k2) -> np.ndarray:
+        """I2hat[k1, k2] at ints or index arrays, read in one pass over the checked blocks."""
+        k1, k2 = np.broadcast_arrays(np.asarray(k1) % self.M, np.asarray(k2) % self.M)
+        out = np.empty(k1.shape, dtype=complex)
+        for c, block in self._column_blocks():
+            sel = (k2 >= c.start) & (k2 < c.stop)
+            out[sel] = block[k2[sel] - c.start, k1[sel]]
+        return out
+
+    @property
     def cell(self) -> float:
         return 2 * self.l_half / self.M
+
+    def _column_blocks(self):
+        """(c, B) with B[i, k1] = I2hat[k1, c.start + i] for the slices c of row_blocks(M, M).
+
+        Each block scatters the row transforms of its columns at ``rows`` and
+        transforms along k1, as fft2's second axis does; B is one workspace,
+        overwritten by the next block.  Each block is checked as it is formed
+        (:func:`_factor_residual`); the verdict, against the largest |I2hat|
+        on the whole grid, comes after the last one.
+        """
+        M, h = self.M, self.cell
+        cF = np.conj(self._F)
+        Fsum = wrapped_rows(self._F)
+        step = next(row_blocks(M, M)).stop
+        # the columns off ``rows`` are never written, so they stay zero
+        z = np.zeros((step, M), dtype=complex)
+        B = np.empty((step, M), dtype=complex)
+        work = np.empty((step, M), dtype=complex), np.empty((step, M))
+        scale = err = 0.0
+        for c in row_blocks(M, M):
+            n = c.stop - c.start
+            z[:n, self.rows] = self.row_hat[:, c].T
+            block = np.fft.fft(z[:n], axis=1, out=B[:n])
+            block *= h * h
+            s, e = _factor_residual(block, c, cF, Fsum, work)
+            scale, err = max(scale, s), max(err, e)
+            yield c, block
+        if scale > 0 and err > 1e-8 * scale:
+            raise AssertionError("I2hat does not factor through the indicator transform")
 
 
 def sample_window(iu: IntervalUnion, M: int, l_half) -> np.ndarray:
@@ -525,28 +577,26 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     fb = f.astype(float)
     Ff = np.fft.fft(fb)
     n1 = np.rint(np.fft.ifft(Ff * np.conj(Ff)).real).astype(np.int64)
+    if not np.array_equal(n1, n1[(-np.arange(M)) % M]):
+        raise AssertionError("I1 lost its reflection symmetry")
     # I2 row j1 counts f * roll(f, j1) correlated with f; that product
     # vanishes unless the shift j1 keeps an overlap, i.e. n1[j1] > 0
     rows = np.nonzero(n1)[0]
     shifted = wrapped_rows(fb)   # [i] = roll(fb, M - i)
     cRf = np.conj(np.fft.rfft(fb))
     counts = np.empty((len(rows), M), dtype=np.int32)
-    # the 2-D transform of I2 axis by axis, as fft2 does: rows first, each
-    # row transform stored as a column of T, then the column transforms as
-    # contiguous rows of T in place; I2hat = T.T.  The zero rows of I2 stay
-    # zero columns of T.
-    T = np.zeros((M, M), dtype=complex)
+    # the first axis of fft2 over the nonzero rows of I2; the deck forms the
+    # second, along the columns, block by block on each read of I2hat
+    row_hat = np.empty((len(rows), M), dtype=complex)
     # one workspace for every block, the first (largest) one's size; blocks
     # allocated anew would each cost page faults once they pass the
     # allocator's mmap threshold
     step = next(row_blocks(len(rows), M)).stop
     g = np.empty((step, M))
     G = np.empty((step, M // 2 + 1), dtype=complex)
-    R = np.empty((step, M), dtype=complex)
     for block in row_blocks(len(rows), M):
         r = rows[block]
-        n = len(r)
-        gb, Gb = g[:n], G[:n]
+        gb, Gb = g[:len(r)], G[:len(r)]
         np.multiply(fb, shifted[M - r], out=gb)
         np.fft.rfft(gb, axis=1, out=Gb)
         Gb *= cRf
@@ -554,17 +604,15 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
         counts[block] = np.rint(gb, out=gb)
         # through the integer counts, so an empty cell is +0.0, never rint's -0.0
         np.multiply(counts[block], h, out=gb)
-        T[:, r] = np.fft.fft(gb, axis=1, out=R[:n]).T
-    np.fft.fft(T, axis=1, out=T)
-    T *= h * h
+        np.fft.fft(gb, axis=1, out=row_hat[block])
     I1 = h * n1
     I1hat = h * np.fft.fft(I1)
-
-    deck = DeckGrid(M, float(l_half), I1, rows, counts, I1hat, T.T)
-    for a in (I1, rows, counts, I1hat, deck.I2hat):
+    if I1hat.real.min() < -1e-10 * max(1.0, I1hat.real.max()):
+        raise AssertionError("I1hat is significantly negative")
+    F = h * Ff
+    for a in (I1, rows, counts, I1hat, row_hat, F):
         a.flags.writeable = False
-    _verify_deck(deck, h * Ff)
-    return deck
+    return DeckGrid(M, float(l_half), I1, rows, counts, I1hat, row_hat, F)
 
 
 #: cells per row block in the M x M deck and phase computations
@@ -582,35 +630,20 @@ def wrapped_rows(v: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate((v, v)), len(v))
 
 
-def _verify_deck(deck: DeckGrid, F: np.ndarray) -> None:
-    """Full-grid check I2hat[k1, k2] = conj(F[k1]) conj(F[k2]) F[k1 + k2] to 1e-8.
+def _factor_residual(block, c, cF, Fsum, work) -> tuple[float, float]:
+    """(max |I2hat|, max |I2hat - conj(F[k1]) conj(F[k2]) F[k1 + k2]|) over a column block.
 
-    ``F``, the scaled DFT of the indicator, is ground truth that only this check reads.
+    ``block`` holds the columns ``c`` of I2hat as rows (see
+    ``DeckGrid._column_blocks``); ``work`` is a (complex, real) pair of
+    workspaces at least as large.
     """
-    M = deck.M
-    n1 = np.rint(deck.I1 / deck.cell).astype(np.int64)
-    if not np.array_equal(n1, n1[(-np.arange(M)) % M]):
-        raise AssertionError("I1 lost its reflection symmetry")
-    if deck.I1hat.real.min() < -1e-10 * max(1.0, deck.I1hat.real.max()):
-        raise AssertionError("I1hat is significantly negative")
-    cF = np.conj(F)
-    Fsum = wrapped_rows(F)
-    # rows of I2hat.T (contiguous for the deck's own I2hat): row k2 holds
-    # I2hat[:, k2], checked against cF[k1] cF[k2] F[k1 + k2] for every k1
-    I2hatT = deck.I2hat.T
-    step = next(row_blocks(M, M)).stop
-    pred = np.empty((step, M), dtype=complex)
-    mag = np.empty((step, M))
-    scale = err = 0.0
-    for r in row_blocks(M, M):
-        I2hat, p, a = I2hatT[r], pred[:r.stop - r.start], mag[:r.stop - r.start]
-        scale = max(scale, np.abs(I2hat, out=a).max())
-        np.multiply(cF[None, :], cF[r, None], out=p)
-        p *= Fsum[r]
-        np.subtract(I2hat, p, out=p)
-        err = max(err, np.abs(p, out=a).max())
-    if scale > 0 and err > 1e-8 * scale:
-        raise AssertionError("I2hat does not factor through the indicator transform")
+    n = len(block)
+    p, a = work[0][:n], work[1][:n]
+    scale = np.abs(block, out=a).max()
+    np.multiply(cF[None, :], cF[c, None], out=p)
+    p *= Fsum[c]
+    np.subtract(block, p, out=p)
+    return scale, np.abs(p, out=a).max()
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,8 @@ def test_alias_expansion():
     ["generate", "--scheme", "periodic:32", "--window", "A", "--region", "0", "inf"],
     ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "nan", "1"],
     ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "6e15", "6.0000000001e15"],
+    ["generate", "--scheme", "fibonacci", "--window", "[0,11/4-13/8*tau)",
+     "--region", "3.6028797018963868e16", "3.602879701896393e16"],
     ["generate", "--scheme", "fibonacci", "--window", "[" + "(" * 400 + "1" + ")" * 400 + ",2)",
      "--region", "0", "1"],
     ["generate", "--scheme", "fibonacci", "--window", "[" + "-" * 3000 + "1,2)",

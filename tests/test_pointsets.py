@@ -1,11 +1,15 @@
 """Patch generation, gaps, densities, and the point-set file format."""
 
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modelsets import (IntervalUnion, ParameterError, QuadLatticePoint, ResidueSet,
+from modelsets import (IntervalUnion, ParameterError, QuadLatticePoint, QuadNum, ResidueSet,
                        ResourceError, gap_sequence, generate, load_pointset,
                        make_scheme, parse_window, save_pointset, window_measure)
 from modelsets.schemes import TAU
@@ -214,6 +218,78 @@ def test_generate_refuses_regions_beyond_float_resolution():
     assert len(generate(make_scheme("periodic", 32), SET_A, (6e15, 6e15 + 63))) == 32
     with pytest.raises(ParameterError, match="too far out for float positions"):
         generate(make_scheme("periodic", 32), SET_A, (1e16, 1e16 + 64))
+
+
+def floor_quad(x: QuadNum) -> int:
+    """floor((p + q*tau)/d) = floor((2p + q + q*sqrt5) / 2d), in integers."""
+    r = math.isqrt(5 * x.q * x.q)   # floor(|q| sqrt5), which is irrational unless q = 0
+    return (2 * x.p + x.q + (r if x.q >= 0 else -r - 1)) // (2 * x.d)
+
+
+def exact_patch(window: IntervalUnion, lo: float, hi: float) -> set:
+    """Every (u, v) with u + v*tau in [lo, hi] and u + v*tau' in the window, no float test."""
+    lo_q, hi_q = QuadNum(Fraction(lo)), QuadNum(Fraction(hi))
+    (a, b), = window.intervals
+    # rows: u + v*tau in [lo, hi] and u + v*tau' in [a, b) give v*sqrt5 within
+    # [lo - b, hi - a]; the margin covers the float error of the bounds
+    v_lo = math.floor((lo - float(b)) / math.sqrt(5)) - 16
+    v_hi = math.ceil((hi - float(a)) / math.sqrt(5)) + 16
+    points = set()
+    for v in range(v_lo, v_hi + 1):
+        vtau_prime = QuadNum(v, -v)
+        for u in range(-floor_quad(vtau_prime - a), floor_quad(b - vtau_prime) + 1):
+            if lo_q <= QuadNum(u, v) <= hi_q and window.contains(QuadNum(u + v, -v)):
+                points.add((u, v))
+    return points
+
+
+@st.composite
+def far_window_and_region(draw):
+    """[a, a + w) with a in Q(tau)/8 and w = c/tau^n, with a region near +-2^49 .. 2^56.
+
+    Narrow windows pass the spacing test farthest out, beyond where the float
+    error of a candidate row's bounds grows past one unit.
+    """
+    a = QuadNum(Fraction(draw(st.integers(-40, 40)), 8), Fraction(draw(st.integers(-20, 20)), 8))
+    w = QuadNum(Fraction(draw(st.integers(1, 8)), 8))
+    for _ in range(draw(st.integers(0, 7))):
+        w = w / QuadNum(0, 1)
+    lo = draw(st.sampled_from([-1, 1])) * 2.0 ** draw(st.integers(49, 56)) \
+        * (1 + draw(st.integers(0, 2**20)) / 2**20)
+    hi = lo + draw(st.integers(2, 64)) * max(1.0, float(np.spacing(abs(lo))))
+    return IntervalUnion([(a, a + w)]), lo, hi
+
+
+def assert_generate_is_exact_or_refused(window, lo, hi):
+    try:
+        ps = generate(FIB, window, (lo, hi))
+    except ParameterError as err:
+        assert "too far out for float positions" in str(err)
+        return
+    got = set(map(tuple, ps.coords.T.tolist()))
+    assert got == exact_patch(window, lo, hi) and len(got) == len(ps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(far_window_and_region())
+def test_generate_at_the_float_position_limit(case):
+    # beyond 2^48 the candidate rows are widened by one unit, not by their float guard
+    assert_generate_is_exact_or_refused(*case)
+
+
+def test_generate_refuses_a_far_narrow_window_rather_than_miss_points():
+    # hull width 0.12 passes the spacing test out to 2^56, but at 2^55 the float
+    # row bounds err by more than the one-unit margin: an exact search finds 4
+    # points, and the unit margin found 3 of them
+    window = parse_window("[-11/4+13/8*tau,0)")
+    region = (-3.602879701896393e16, -3.6028797018963868e16)
+    assert len(exact_patch(window, *region)) == 4
+    with pytest.raises(ParameterError, match=r"too far out for float positions: lattice rows "
+                                             r"there reach 2\.61e\+16, .* only below 2\^52$"):
+        generate(FIB, window, region)
+    # the same window inside the limit
+    assert_generate_is_exact_or_refused(window, -2.0**51 - 60, -2.0**51)
+    assert len(generate(FIB, window, (-2.0**51 - 60, -2.0**51))) > 0
 
 
 @pytest.mark.parametrize("scheme, window, line, why", [

@@ -9,6 +9,7 @@ arithmetic is the same, results must be equal bit for bit.
 """
 
 import json
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from modelsets import (IntervalUnion, ParameterError, QuadNum, align_up_to_translation,
                        deck_functions, parse_window, phase_quotient, propagate_phase,
                        roundtrip, sample_window, spectra)
-from modelsets.reconstruct import _order_by_abs_k
+from modelsets.reconstruct import _gauge_relation, _order_by_abs_k
 
 GOLDENS = json.loads((Path(__file__).parent / "reconstruct_goldens.json").read_text())
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -202,6 +203,83 @@ def test_known_frequencies_are_usable(case):
     psi2 = phase_quotient(deck_functions(f, len(f), L))
     phase = propagate_phase(psi2.absF, psi2)
     assert not (phase.known & ~psi2.D).any()
+
+
+@SETTINGS
+@given(small_indicator())
+def test_gradings_count_seed_steps(case):
+    # the gauge scan's bound rests on grading[k] * seed = k (mod M) for every known k
+    f, L = case
+    M = len(f)
+    psi2 = phase_quotient(deck_functions(f, M, L))
+    phase = propagate_phase(psi2.absF, psi2)
+    seed = next((int(m) for m in _order_by_abs_k(M) if m != 0 and psi2.D[m]), None)
+    k = np.nonzero(phase.known)[0]
+    if seed is None:
+        assert k.tolist() == [0]
+    else:
+        assert np.array_equal(phase.grading[k] * seed % M, k)
+
+
+def full_gauge_scan(known, grading, absF):
+    """The gauge relation over all M x M pairs: smallest nonzero |dc|, best score, first."""
+    M = len(known)
+    k = np.arange(M)
+    s = (k[:, None] + k) % M
+    dc = grading[:, None] + grading[None, :] - grading[s]
+    valid = known[:, None] & known[None, :] & known[s] & (dc != 0)
+    if not valid.any():
+        return None
+    absdc = np.where(valid, np.abs(dc), np.iinfo(np.int64).max)
+    score = np.minimum(np.minimum(absF[:, None], absF[None, :]), absF[s])
+    score = np.where(absdc == absdc.min(), score, -1.0)
+    m1, m2 = np.unravel_index(int(np.argmax(score)), score.shape)
+    return int(m1), int(m2), int(dc[m1, m2])
+
+
+def synthetic_gradings(rng, M, seed):
+    """(known, grading) with grading[k] * seed = k (mod M), 0 and seed known, as the sweep keeps."""
+    d = math.gcd(seed, M)
+    inv = pow(seed // d, -1, M // d) if M // d > 1 else 0
+    known = np.zeros(M, dtype=bool)
+    known[::d] = rng.random(M // d) < rng.uniform(0.2, 1.0)
+    known[0] = known[seed] = True
+    grading = (np.arange(M) // d * inv) % (M // d) + (M // d) * rng.integers(-2, 3, M)
+    grading[0], grading[seed] = 0, 1
+    assert np.array_equal(grading * seed % M, np.arange(M) - np.arange(M) % d)
+    return known, np.where(known, grading, 0).astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scores", ["distinct", "ties", "constant"])
+def test_pruned_gauge_scan_matches_full_scan(seed, scores, monkeypatch):
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(spectra, "BLOCK_CELLS", 100)   # several row blocks
+    for _ in range(150):
+        M = int(rng.choice([4, 6, 9, 12, 16, 30, 45, 64]))
+        if seed >= M:
+            continue
+        known, grading = synthetic_gradings(rng, M, seed)
+        if scores == "distinct":
+            absF = rng.uniform(0.1, 1.0, M)
+        elif scores == "ties":   # many equal scores: the first in row-major order wins
+            absF = rng.choice([0.25, 0.5, 1.0], M)
+        else:
+            absF = np.ones(M)
+        assert _gauge_relation(known, grading, absF, seed) == full_gauge_scan(known, grading, absF)
+
+
+def test_pruned_gauge_scan_keeps_the_first_of_tied_relations():
+    # M = 8, seed 1, grading[k] = k: every pair wrapping past M has dc = M = q;
+    # with constant scores the first of them in row-major order, (1, 7), wins
+    M = 8
+    known, grading = np.ones(M, dtype=bool), np.arange(M, dtype=np.int64)
+    assert _gauge_relation(known, grading, np.ones(M), 1) == (1, 7, 8)
+    # a strictly better score in a later row wins, the ties after it do not
+    absF = np.ones(M)
+    absF[[1, 7]] = 0.5
+    assert _gauge_relation(known, grading, absF, 1) == (2, 6, 8)
+    assert full_gauge_scan(known, grading, absF) == (2, 6, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Dual points, window transforms, diffraction, zero condition, deck grids."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -420,17 +419,49 @@ def test_deck_factorization_spot_check_512():
 
 @pytest.mark.parametrize("k1, k2", [(5, 2), (511, 509), (17, 300)],
                          ids=["first-block", "last-block", "off-diagonal"])
-def test_verify_deck_checks_every_cell(k1, k2):
-    M, L = 512, 8.0   # eight row blocks of 64 rows
+def test_verify_deck_checks_every_cell(k1, k2, monkeypatch):
+    M, L = 512, 8.0   # eight column blocks of 64 columns
     f = sample_window(parse_window("[0,1)u[1.5,2.25)"), M, L)
     deck = deck_functions(f, M, L)
-    assert deck.I2hat.T.flags.c_contiguous   # the walk reads contiguous rows
-    I2hat = deck.I2hat.copy(order="A")
-    F = deck.cell * np.fft.fft(f)
-    spectra._verify_deck(dataclasses.replace(deck, I2hat=I2hat), F)
-    I2hat[k1, k2] += 1e-6 * np.abs(I2hat).max()
+    bump = 1e-6 * np.abs(deck.I2hat).max()   # an unaltered read passes the check
+    check = spectra._factor_residual
+
+    def corrupted(block, c, *args):
+        # one cell of one block, after it is formed and before it is checked
+        if c.start <= k2 < c.stop:
+            block[k2 - c.start, k1] += bump
+        return check(block, c, *args)
+
+    monkeypatch.setattr(spectra, "_factor_residual", corrupted)
     with pytest.raises(AssertionError, match="factor"):
-        spectra._verify_deck(dataclasses.replace(deck, I2hat=I2hat), F)
+        deck.I2hat
+    # the verdict covers the whole grid, not only the entries read
+    with pytest.raises(AssertionError, match="factor"):
+        deck.I2hat_at(0, 0)
+
+
+@pytest.mark.parametrize("M", [32, 512])
+@pytest.mark.parametrize("cells", [1, 100, spectra.BLOCK_CELLS], ids=["1", "100", "default"])
+def test_one_read_checks_each_column_once(M, cells, monkeypatch):
+    f = sample_window(parse_window("[0,1)u[1.5,2.25)"), M, 8.0)
+    deck = deck_functions(f, M, 8.0)
+    dense = deck.I2hat
+    monkeypatch.setattr(spectra, "BLOCK_CELLS", cells)
+    checked = []
+    check = spectra._factor_residual
+
+    def recorded(block, c, *args):
+        assert len(block) == c.stop - c.start
+        checked.extend(range(c.start, c.stop))
+        return check(block, c, *args)
+
+    monkeypatch.setattr(spectra, "_factor_residual", recorded)
+    k1, k2 = np.array([3, 0, M - 1, 7]), np.array([M - 1, 0, 5, 7])
+    got = deck.I2hat_at(k1, k2)
+    assert checked == list(range(M))
+    assert got.tobytes() == dense[k1, k2].tobytes()
+    checked.clear()
+    assert deck.I2hat.tobytes() == dense.tobytes() and checked == list(range(M))
 
 
 def test_deck_takes_an_exact_half_length():
