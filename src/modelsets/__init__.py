@@ -15,11 +15,11 @@ from .pointsets import PointSet, gap_sequence, generate, load_pointset, save_poi
 from .correlations import (CorrelationMeasure, correlation_measure, correlations_equal,
                            freq_empirical, freq_exact, support_differences)
 from .spectra import (DeckGrid, DualPoint, Spectrum, deck_functions, diffraction,
-                      residue_deck_tables, sample_window, window_ft, zero_condition)
+                      sample_window, window_ft, zero_condition)
 from .reconstruct import (PhaseField, PhaseQuotient, ReconstructionReport,
                           align_up_to_translation, phase_quotient,
                           propagate_phase, roundtrip)
-from .homometry import (PatternTable, cyclotomic_pair, pattern_table, rigid_equivalent,
-                        tables_equal, thinned_model_set)
+from .homometry import (PatternTable, cyclotomic_pair, pattern_table, residue_deck_tables,
+                        rigid_equivalent, tables_equal, thinned_model_set)
 
 __version__ = "0.1.0"

@@ -132,6 +132,8 @@ def cmd_homometry(args) -> int:
             raise ParameterError("homometry sets must be residue sets")
         chosen.append(w)
     S, T = chosen
+    if S.modulus != T.modulus:
+        raise ParameterError(f"homometry sets need one modulus, got {S.modulus} and {T.modulus}")
     documented = (S, T) == (set_a, set_b)  # only its verdicts are PASS or FAIL
 
     lines = []

@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import (MAX_DIFFERENCE_CANDIDATES, MAX_ENTRIES, ParameterError, check_budget,
                      check_real)
-from .pointsets import (PointSet, _atomic_write, _float_slack, _lattice_coords, _physical,
-                        _quad_candidates)
-from .schemes import (PERIODIC, QuadLatticePoint, Scheme, Window, star, window_factors,
-                      window_intersect, window_measure)
+from .pointsets import PointSet, _atomic_write
+from .schemes import (COORD_LIMIT, PERIODIC, QuadLatticePoint, Scheme, Window, _float_hull,
+                      _physical, _quad_candidates, star, window_factors, window_intersect,
+                      window_measure)
 
 
 def _pair_cut(scheme: Scheme, w: Window, x) -> Window:
@@ -36,6 +36,17 @@ def freq_exact(scheme: Scheme, w: Window, pattern: Sequence) -> float:
     for x in pattern:
         cut = window_intersect(cut, w.translate(star(scheme, -x)))
     return window_measure(scheme, cut)
+
+
+def _lattice_coords(scheme: Scheme, pts) -> list[np.ndarray]:
+    """Lattice points given as objects (plain ints for periodic:N), each as an int64 column."""
+    kind = int if scheme.kind == PERIODIC else QuadLatticePoint
+    if not all(isinstance(x, kind) for x in pts):
+        raise ParameterError(f"{scheme.label()} pattern points must be of type {kind.__name__}")
+    cols = [(x,) if kind is int else (x.u, x.v) for x in pts]
+    if any(not -COORD_LIMIT < c < COORD_LIMIT for col in cols for c in col):
+        raise ParameterError("lattice coordinates must stay below 2^62 in magnitude")
+    return [np.array(col, dtype=np.int64).reshape(-1, 1) for col in cols]
 
 
 def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
@@ -115,7 +126,7 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
 
     The test is exact: the pair cut W cut (W - x*) is non-empty.  Without a
     real factor (periodic:N) the cut depends on x mod N only; otherwise the
-    patch enumeration ``_quad_candidates`` visits the whole lattice with star
+    lattice enumeration ``_quad_candidates`` visits the whole lattice with star
     within +-(hull width of W), so no positive-frequency difference can be
     missed (a patch-based harvest could miss tuples of arbitrarily small
     frequency).
@@ -132,11 +143,10 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
         positive = {x % N for x in firsts if not _pair_cut(scheme, w, x).is_empty()}
         return [x for x in range(-top, top + 1) if x % N in positive]
 
-    hull = iu.hull()
-    if hull is None:
+    if iu.is_empty():
         return []
-    width = float(hull[1]) - float(hull[0]) + _float_slack(hull[0]) + _float_slack(hull[1])
-    cand = _quad_candidates((-width, width), (-cutoff, cutoff), MAX_DIFFERENCE_CANDIDATES,
+    lo, hi = _float_hull(iu)
+    cand = _quad_candidates((lo - hi, hi - lo), (-cutoff, cutoff), MAX_DIFFERENCE_CANDIDATES,
                             "reduce the cutoff")
     near = cand[:, np.abs(_physical(cand)) <= cutoff + 1e-12].tolist()
     out = [x for x in map(QuadLatticePoint, *near) if not _pair_cut(scheme, w, x).is_empty()]

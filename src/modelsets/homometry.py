@@ -1,4 +1,4 @@
-"""Exact machinery for homometric residue sets and thinned golden-ratio sets.
+"""Homometric residue sets, their pattern and deck tables, and thinned golden-ratio sets.
 
 Centrepiece: a pair of 16-element subsets of Z/32Z that share all 2- and
 3-point pattern counts yet are not related by any rigid motion x -> +-x + t.
@@ -99,6 +99,28 @@ def pattern_table(S: ResidueSet, order: int) -> PatternTable:
     keys = list(combinations_with_replacement(range(N), order - 1))
     values = full[tuple(np.array(keys).T)].tolist()
     return PatternTable(order, N, dict(zip(keys, values)))
+
+
+@dataclass(frozen=True)
+class ResidueDeckTables:
+    """Integer deck tables of a residue window and their exact-scale transforms."""
+
+    modulus: int
+    n1: np.ndarray      # n1[w]      = card(S cut (w + S))
+    n2: np.ndarray      # n2[w1, w2] = card(S cut (w1 + S) cut (w2 + S))
+    I1hat: np.ndarray
+    I2hat: np.ndarray
+
+
+def residue_deck_tables(S: ResidueSet) -> ResidueDeckTables:
+    N = S.modulus
+    # n1[w] and n2[w1, w2] count the patterns {0, -w} and {0, -w1, -w2}
+    neg = -np.arange(N) % N
+    n1 = _pattern_counts(S, 2)[neg]
+    n2 = _pattern_counts(S, 3)[neg][:, neg]
+    I1hat = np.fft.fft(n1) / N**2
+    I2hat = np.fft.fft2(n2) / N**3
+    return ResidueDeckTables(N, n1, n2, I1hat, I2hat)
 
 
 def tables_equal(t1: PatternTable, t2: PatternTable):

@@ -1,13 +1,11 @@
 """Finite patches of model sets.
 
-Generation enumerates the lattice exactly: for the golden-ratio schemes the
-conjugate coordinate is bounded by the window hull and the physical coordinate
-by the requested region, each widened only by a bound on its float error, so
-every admissible (u, v) pair is visited and hardly any other.  A float
-prefilter does the bulk of the membership testing; candidates within a guard
-band of any interval endpoint are re-checked with exact arithmetic.  The band
-grows with the size of the coordinates, so the prefilter stays sound wherever
-int64 coordinates reach.
+Generation takes its candidates from the lattice enumeration of
+:mod:`.schemes`, in the box of the window hull and the requested region.  A
+float prefilter does the bulk of the membership testing; candidates within a
+guard band of any interval endpoint are re-checked with exact arithmetic.  The
+band grows with the size of the coordinates, so the prefilter stays sound
+wherever int64 coordinates reach.
 
 A patch is stored as an int64 array with one column per point and one row
 per lattice coordinate: rows u and v for the golden-ratio schemes, the single
@@ -26,24 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MAX_CANDIDATES, ParameterError, check_budget, check_real
-from .schemes import (COORD_LIMIT, FLOAT_GUARD, TAU, TAU_PRIME, PERIODIC, IntervalUnion,
-                      QuadLatticePoint, QuadNum, ResidueSet, Scheme, Window,
-                      format_window, parse_scheme, parse_window, window_factors)
-
-#: relative float error bound: for int64 u, v the float value of u + v*tau or
-#: u + v*tau' is within FLOAT_REL * (|u| + |v|) of the exact one (a few
-#: roundings of at most 2^-53 each; 2^-48 leaves a wide margin)
-FLOAT_REL = 2.0 ** -48
-
-
-def _float_slack(q: QuadNum) -> float:
-    """Bound on |float(q) - q|: float(q) rounds a + b*tau like u + v*tau above.
-
-    It is 0 where q is a float, so a window such as [0,1) keeps its exact width.
-    """
-    if q.b == 0 and float(q.a) == q.a:
-        return 0.0
-    return FLOAT_REL * (abs(float(q.a)) + abs(float(q.b)))
+from .schemes import (COORD_LIMIT, FLOAT_GUARD, FLOAT_REL, TAU, TAU_PRIME, PERIODIC,
+                      IntervalUnion, QuadNum, Scheme, Window, _float_hull,
+                      _float_slack, _physical, _quad_candidates, format_window, parse_scheme,
+                      parse_window, window_factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,13 +100,6 @@ def _first_misplaced(ps: PointSet):
     return i, f"point {tuple(col[:, 0].tolist())} {where}"
 
 
-def _physical(coords: np.ndarray) -> np.ndarray:
-    """Float physical positions u + v*tau (or n) of int64 lattice coordinates."""
-    if len(coords) == 1:
-        return coords[0].astype(float)
-    return coords[0] + coords[1] * TAU
-
-
 def _check_region(region) -> tuple[float, float]:
     lo, hi = (check_real("region endpoint", x) for x in region)
     if not lo < hi:
@@ -130,17 +107,6 @@ def _check_region(region) -> tuple[float, float]:
     if max(-lo, hi) >= COORD_LIMIT:
         raise ParameterError("region endpoints must stay below 2^62 in magnitude")
     return lo, hi
-
-
-def _lattice_coords(scheme: Scheme, pts) -> list[np.ndarray]:
-    """Lattice points given as objects (plain ints for periodic:N), each as an int64 column."""
-    kind = int if scheme.kind == PERIODIC else QuadLatticePoint
-    if not all(isinstance(x, kind) for x in pts):
-        raise ParameterError(f"{scheme.label()} pattern points must be of type {kind.__name__}")
-    cols = [(x,) if kind is int else (x.u, x.v) for x in pts]
-    if any(not -COORD_LIMIT < c < COORD_LIMIT for col in cols for c in col):
-        raise ParameterError("lattice coordinates must stay below 2^62 in magnitude")
-    return [np.array(col, dtype=np.int64).reshape(-1, 1) for col in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +151,6 @@ def _quad_mask(iu: IntervalUnion, coords: np.ndarray, region=None) -> np.ndarray
     return sure
 
 
-def _residue_mask(rs: ResidueSet, n) -> np.ndarray:
-    return np.isin(n % rs.modulus, np.array(rs.elems, dtype=np.int64))
-
-
 def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np.ndarray:
     """Exact mask: the star of each point (column of ``coords``) lies in ``w``.
 
@@ -198,50 +160,13 @@ def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np
     iu, rs = window_factors(scheme, w)
     if rs is None:
         return _quad_mask(iu, coords, region)
-    keep = _residue_mask(rs, coords[0])
+    keep = np.isin(coords[0] % rs.modulus, np.array(rs.elems, dtype=np.int64))
     if iu is not None:
         keep[keep] = _quad_mask(iu, coords[:, keep], region)
     elif region is not None:
         n = coords[0]
         keep &= (n >= math.ceil(region[0])) & (n <= math.floor(region[1]))
     return keep
-
-
-def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
-                     budget: int, advice: str) -> np.ndarray:
-    """Columns (u, v) covering every u+v*tau in the ``phys`` range with u+v*tau' in ``star``.
-
-    This is the one enumeration of Z[tau] in a (physical, internal) box: patches,
-    support differences and dual labels all take their candidates here and
-    apply their own exact filter.  The ranges are taken as exact; callers
-    holding floats of exact endpoints widen them first.  Each row v visits
-    the u where both ranges overlap, the bounds rounded outward by a guard
-    against the float error of w - v*tau' and x - v*tau (at most 1).  Over
-    ``budget`` candidates is a ResourceError that ends with ``advice``.
-    """
-    (wlo_f, whi_f), (lo, hi) = star, phys
-    vmin = math.floor((lo - whi_f) / math.sqrt(5)) - 2
-    vmax = math.ceil((hi - wlo_f) / math.sqrt(5)) + 2
-    # before allocating: a row visits at most the narrower width + 3 candidates
-    # (+ 4 leaves one for float rounding), so this bounds the total
-    check_budget((vmax - vmin + 1) * (min(whi_f - wlo_f, hi - lo) + 4), budget, advice)
-    # |u| <= |u*| + |v| + 1 with u* in the star range
-    if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
-        raise ParameterError("region or window too far from the origin for int64 coordinates")
-    vs = np.arange(vmin, vmax + 1, dtype=np.int64)
-    g = FLOAT_GUARD + FLOAT_REL * (max(-wlo_f, whi_f, -lo, hi) + np.abs(vs))
-    # where the guard reaches 1 (beyond 2^48) it is one unit on the integer bounds,
-    # as a float y - 1 may round back to y there
-    far = g >= 1
-    g[far] = 0
-    u_lo = np.ceil(np.maximum(wlo_f - vs * TAU_PRIME, lo - vs * TAU) - g).astype(np.int64) - far
-    u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU) + g).astype(np.int64) + far
-    counts = np.clip(u_hi - u_lo + 1, 0, None)
-    total = int(counts.sum())
-
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    uflat = np.repeat(u_lo, counts) + (np.arange(total) - np.repeat(starts, counts))
-    return np.stack((uflat, np.repeat(vs, counts)))
 
 
 def _check_float_positions(lo: float, hi: float, star: tuple[float, float] | None) -> None:
@@ -284,8 +209,7 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
     elif iu.is_empty():
         cand = np.zeros((2, 0), dtype=np.int64)
     else:
-        wlo, whi = iu.hull()
-        star = (float(wlo) - _float_slack(wlo), float(whi) + _float_slack(whi))
+        star = _float_hull(iu)
         _check_float_positions(lo, hi, star)
         cand = _quad_candidates(star, (lo, hi), MAX_CANDIDATES, "shrink the region")
     coords = cand[:, _in_window(scheme, w, cand, (lo, hi))]

@@ -29,19 +29,25 @@ Only the ``IntervalUnion`` constructor, which the parser uses, sorts and
 merges intervals; ``translate`` and ``intersect`` keep canonical unions
 canonical without re-sorting.  Whatever ``Fraction`` reads exactly (ints,
 binary floats, decimals, numpy integers, numeric strings) is an exact
-coefficient and anything else a ParameterError; a 1e-9 guard band only
-decides when fast float prefilters fall back to exact arithmetic.
+coefficient and anything else a ParameterError.  Floats decide only outside
+a guard band (1e-9 plus ``FLOAT_REL`` times the size of the coordinates)
+around exact values; the same bound widens the row bounds of
+:func:`_quad_candidates`, the one enumeration of the lattice Z[tau], which
+visits every lattice point of its box and hardly any other.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Union
 
-from .errors import ParameterError, check_int
+import numpy as np
+
+from .errors import ParameterError, check_budget, check_int
 
 TAU = (1 + 5**0.5) / 2
 TAU_PRIME = (1 - 5**0.5) / 2
@@ -49,6 +55,11 @@ SQRT5 = 5**0.5
 
 #: guard band inside which float prefilters defer to exact comparisons
 FLOAT_GUARD = 1e-9
+
+#: relative float error bound: for int64 u, v the float value of u + v*tau or
+#: u + v*tau' is within FLOAT_REL * (|u| + |v|) of the exact one (a few
+#: roundings of at most 2^-53 each; 2^-48 leaves a wide margin)
+FLOAT_REL = 2.0 ** -48
 
 #: lattice coordinates, residue moduli and the endpoints the ``IntervalUnion``
 #: constructor takes stay below this in magnitude, so the sum of a point and a
@@ -281,6 +292,66 @@ class QuadLatticePoint(NamedTuple):
     def star_quad(self) -> QuadNum:
         """Conjugate u + v*tau' as an exact QuadNum."""
         return QuadNum(self.u + self.v, -self.v)
+
+
+def _float_slack(q: QuadNum) -> float:
+    """Bound on |float(q) - q|: float(q) rounds a + b*tau as ``FLOAT_REL`` bounds u + v*tau.
+
+    It is 0 where q is a float, so a window such as [0,1) keeps its exact width.
+    """
+    if q.b == 0 and float(q.a) == q.a:
+        return 0.0
+    return FLOAT_REL * (abs(float(q.a)) + abs(float(q.b)))
+
+
+def _float_hull(iu: IntervalUnion) -> tuple[float, float]:
+    """The hull of a nonempty union as floats widened by their slack, so they hold it."""
+    a, b = iu.hull()
+    return float(a) - _float_slack(a), float(b) + _float_slack(b)
+
+
+def _physical(coords: np.ndarray) -> np.ndarray:
+    """Float physical positions u + v*tau (or n) of int64 lattice coordinates."""
+    if len(coords) == 1:
+        return coords[0].astype(float)
+    return coords[0] + coords[1] * TAU
+
+
+def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
+                     budget: int, advice: str) -> np.ndarray:
+    """Columns (u, v) covering every u+v*tau in the ``phys`` range with u+v*tau' in ``star``.
+
+    This is the one enumeration of Z[tau] in a (physical, internal) box: patches,
+    support differences and dual labels all take their candidates here and
+    apply their own exact filter.  The ranges are taken as exact; callers
+    holding floats of exact endpoints widen them first.  Each row v visits
+    the u where both ranges overlap, the bounds rounded outward by a guard
+    against the float error of w - v*tau' and x - v*tau (at most 1).  Over
+    ``budget`` candidates is a ResourceError that ends with ``advice``.
+    """
+    (wlo_f, whi_f), (lo, hi) = star, phys
+    vmin = math.floor((lo - whi_f) / math.sqrt(5)) - 2
+    vmax = math.ceil((hi - wlo_f) / math.sqrt(5)) + 2
+    # before allocating: a row visits at most the narrower width + 3 candidates
+    # (+ 4 leaves one for float rounding), so this bounds the total
+    check_budget((vmax - vmin + 1) * (min(whi_f - wlo_f, hi - lo) + 4), budget, advice)
+    # |u| <= |u*| + |v| + 1 with u* in the star range
+    if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
+        raise ParameterError("region or window too far from the origin for int64 coordinates")
+    vs = np.arange(vmin, vmax + 1, dtype=np.int64)
+    g = FLOAT_GUARD + FLOAT_REL * (max(-wlo_f, whi_f, -lo, hi) + np.abs(vs))
+    # where the guard reaches 1 (beyond 2^48) it is one unit on the integer bounds,
+    # as a float y - 1 may round back to y there
+    far = g >= 1
+    g[far] = 0
+    u_lo = np.ceil(np.maximum(wlo_f - vs * TAU_PRIME, lo - vs * TAU) - g).astype(np.int64) - far
+    u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU) + g).astype(np.int64) + far
+    counts = np.clip(u_hi - u_lo + 1, 0, None)
+    total = int(counts.sum())
+
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    uflat = np.repeat(u_lo, counts) + (np.arange(total) - np.repeat(starts, counts))
+    return np.stack((uflat, np.repeat(vs, counts)))
 
 
 # ---------------------------------------------------------------------------

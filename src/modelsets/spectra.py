@@ -1,4 +1,4 @@
-"""Dual points, window Fourier transforms, diffraction, and deck grids.
+"""Dual points, window Fourier transforms, diffraction, and deck grids of real windows.
 
 The diffraction of a regular model set is pure point: the intensity at a dual
 point k is |FT of the window indicator at -k*|^2.  Dual points carry exact
@@ -29,11 +29,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (MAX_CANDIDATES, MAX_DECK_CELLS, MAX_ENTRIES, ParameterError,
                      check_budget, check_int, check_real)
-from .homometry import _pattern_counts
-from .pointsets import _atomic_write, _quad_candidates
+from .pointsets import _atomic_write
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
                       IntervalUnion, QuadNum, ResidueSet, Scheme, Window, _norm,
-                      _product, make_scheme, window_factors)
+                      _product, _quad_candidates, make_scheme, window_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -433,33 +432,31 @@ class DeckGrid:
     """Window self-intersection data on a circle of circumference 2*L_half.
 
     ``I1[j]`` is the measure of the window cut with its translate by j cells
-    and ``I2[j1, j2]`` the measure of the triple cut; both are exact integer
-    cell counts times the cell width.  I2 is stored as those counts on its
-    nonzero rows only: ``rows`` lists the shifts j1 with I1[j1] > 0 (every
-    other row of I2 is zero) and ``counts[i]`` is row ``rows[i]`` as int32;
-    the dense float ``I2`` is built on each read.  ``I1hat`` and ``I2hat``
-    are the transforms of the deck data, everything the reconstruction stage
-    is allowed to see.  I2hat is not stored either: ``row_hat[i]`` is the DFT
-    of row ``rows[i]`` of I2, the first half of fft2, and each read forms
-    I2hat in blocks of columns (:meth:`I2hat_at`, the dense ``I2hat``).
-    Every block is checked as it is formed against the indicator transform
-    ``_F``, which only that check reads.  ``deck_functions`` makes every
-    array read-only.
+    and ``I2[j1, j2]`` the measure of the triple cut, both exact integer cell
+    counts times the cell width; their transforms ``I1hat`` and ``I2hat`` are
+    all that the reconstruction stage may see.  I2 is held once, as the DFTs
+    ``row_hat[i]`` (the first axis of fft2) of its rows ``rows[i]``, the shifts
+    j1 with I1[j1] > 0; its other rows are zero.  ``I2`` rounds them back to
+    whole cell counts on each read, and each read of I2hat forms it in
+    blocks of columns (:meth:`I2hat_at`, the dense ``I2hat``), each checked as
+    it is formed against the indicator transform ``_F``, which only that check
+    reads.  ``deck_functions`` makes every array read-only.
     """
 
     M: int
     l_half: float
     I1: np.ndarray
     rows: np.ndarray
-    counts: np.ndarray
     I1hat: np.ndarray
     row_hat: np.ndarray
     _F: np.ndarray
 
     @property
     def I2(self) -> np.ndarray:
+        h = self.cell
         I2 = np.zeros((self.M, self.M))
-        I2[self.rows] = self.cell * self.counts
+        # + 0.0: an empty cell is +0.0, never rint's -0.0
+        I2[self.rows] = h * (np.rint(np.fft.ifft(self.row_hat, axis=1).real / h) + 0.0)
         return I2
 
     @property
@@ -584,7 +581,6 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     rows = np.nonzero(n1)[0]
     shifted = wrapped_rows(fb)   # [i] = roll(fb, M - i)
     cRf = np.conj(np.fft.rfft(fb))
-    counts = np.empty((len(rows), M), dtype=np.int32)
     # the first axis of fft2 over the nonzero rows of I2; the deck forms the
     # second, along the columns, block by block on each read of I2hat
     row_hat = np.empty((len(rows), M), dtype=complex)
@@ -601,18 +597,18 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
         np.fft.rfft(gb, axis=1, out=Gb)
         Gb *= cRf
         np.fft.irfft(Gb, n=M, axis=1, out=gb)
-        counts[block] = np.rint(gb, out=gb)
-        # through the integer counts, so an empty cell is +0.0, never rint's -0.0
-        np.multiply(counts[block], h, out=gb)
+        np.rint(gb, out=gb)   # the cell counts of these rows of I2
+        gb += 0.0             # an empty cell is +0.0, never rint's -0.0
+        gb *= h
         np.fft.fft(gb, axis=1, out=row_hat[block])
     I1 = h * n1
     I1hat = h * np.fft.fft(I1)
     if I1hat.real.min() < -1e-10 * max(1.0, I1hat.real.max()):
         raise AssertionError("I1hat is significantly negative")
     F = h * Ff
-    for a in (I1, rows, counts, I1hat, row_hat, F):
+    for a in (I1, rows, I1hat, row_hat, F):
         a.flags.writeable = False
-    return DeckGrid(M, float(l_half), I1, rows, counts, I1hat, row_hat, F)
+    return DeckGrid(M, float(l_half), I1, rows, I1hat, row_hat, F)
 
 
 #: cells per row block in the M x M deck and phase computations
@@ -644,29 +640,3 @@ def _factor_residual(block, c, cF, Fsum, work) -> tuple[float, float]:
     p *= Fsum[c]
     np.subtract(block, p, out=p)
     return scale, np.abs(p, out=a).max()
-
-
-# ---------------------------------------------------------------------------
-# deck tables over a finite internal group (for the discrete counterexamples)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidueDeckTables:
-    """Integer deck tables of a residue window and their exact-scale transforms."""
-
-    modulus: int
-    n1: np.ndarray      # n1[w]      = card(S cut (w + S))
-    n2: np.ndarray      # n2[w1, w2] = card(S cut (w1 + S) cut (w2 + S))
-    I1hat: np.ndarray
-    I2hat: np.ndarray
-
-
-def residue_deck_tables(S: ResidueSet) -> ResidueDeckTables:
-    N = S.modulus
-    # n1[w] and n2[w1, w2] count the patterns {0, -w} and {0, -w1, -w2}
-    neg = -np.arange(N) % N
-    n1 = _pattern_counts(S, 2)[neg]
-    n2 = _pattern_counts(S, 3)[neg][:, neg]
-    I1hat = np.fft.fft(n1) / N**2
-    I2hat = np.fft.fft2(n2) / N**3
-    return ResidueDeckTables(N, n1, n2, I1hat, I2hat)

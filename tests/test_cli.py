@@ -343,6 +343,7 @@ def test_alias_expansion():
     ["reconstruct", "--window", "[0,1)", "--max-mismatch", "-1"],
     ["reconstruct", "--window", "{0,1}@4"],
     ["homometry", "--sets", "[0,1)", "A"],
+    ["homometry", "--sets", "{0,1}@4", "{0,2}@5"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "-1"],
     ["diffract", "--scheme", "fibonacci", "--window", "fib", "--min-intensity", "0"],
     ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "1", "0"],
@@ -388,6 +389,8 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys, alarm_gua
         assert "below 2^62" in err
     if f"[0,{2**62 - 1})" in argv:
         assert "window hull width 4.61169e+18" in err
+    if "{0,2}@5" in argv:
+        assert "4 and 5" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,8 +19,9 @@ from modelsets import (IntervalUnion, ParameterError, PointSet, ProductWindow,
                        QuadLatticePoint, QuadNum, ResidueSet, correlations, freq_empirical,
                        generate, load_pointset, make_scheme, parse_window, pointsets,
                        save_pointset, spectra, support_differences)
-from modelsets.pointsets import _float_slack, _int_lines, _quad_candidates
-from modelsets.schemes import COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME
+from modelsets.pointsets import _int_lines
+from modelsets.schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
+                               _float_slack, _quad_candidates)
 from modelsets.spectra import _golden_dual_labels
 
 FIB = make_scheme("fibonacci")

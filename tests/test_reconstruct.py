@@ -11,7 +11,7 @@ import pytest
 import modelsets
 from modelsets import (CorrelationMeasure, DeckGrid, ParameterError, ReconstructionError,
                        Spectrum, align_up_to_translation, deck_functions, parse_window,
-                       phase_quotient, propagate_phase, roundtrip, sample_window)
+                       phase_quotient, propagate_phase, roundtrip, sample_window, spectra)
 from modelsets.reconstruct import PhaseField, _raw_reconstruction, uncertain_cells
 
 M, L = 512, 8.0
@@ -183,7 +183,7 @@ def test_recovery_reads_deck_data_only():
         return {field.name for field in dataclasses.fields(cls)}
 
     # the indicator transform _F is kept for the deck's own check of I2hat alone
-    assert names(DeckGrid) == {"M", "l_half", "I1", "rows", "counts", "I1hat", "row_hat", "_F"}
+    assert names(DeckGrid) == {"M", "l_half", "I1", "rows", "I1hat", "row_hat", "_F"}
     assert "window" not in names(CorrelationMeasure) | names(Spectrum)
     assert not hasattr(modelsets.reconstruct, "reconstruct_window")
     assert not hasattr(modelsets, "reconstruct_window")
@@ -199,7 +199,7 @@ def test_reconstruction_never_reads_the_indicator_transform():
 def test_recovery_arrays_are_read_only():
     _, deck = _deck("[0,1)")
     psi2 = phase_quotient(deck)
-    for a in (deck.I1, deck.rows, deck.counts, deck.I1hat, deck.row_hat, deck.I2hat, psi2.absF):
+    for a in (deck.I1, deck.rows, deck.I1hat, deck.row_hat, deck.I2hat, psi2.absF):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
 
@@ -240,10 +240,10 @@ def test_gauge_covariance_under_translation():
 
 
 def test_roundtrip_traced_peak_at_largest_grid():
-    # I2 is kept as int32 counts and I2hat as the row transforms, both on the
-    # nonzero rows (575 of 2048 here, 23.5 MB together); psi2 and the column
-    # blocks of I2hat are formed on read and never stored, so an M x M copy of
-    # either (64 MB complex at M = 2048) would break this bound
+    # I2 is held once, as the transforms of its nonzero rows (575 of 2048 here,
+    # 18.8 MB; the traced peak is 21.8 MB); psi2 and the column blocks of I2hat
+    # are formed on read and never stored, so a second rows x M array (4.7 MB
+    # even as int32) or an M x M copy of either (64 MB complex) breaks this bound
     f = sample_window(parse_window("[0,1)u[1.5,2.25)"), 2048, L)
     tracemalloc.start()
     try:
@@ -252,7 +252,24 @@ def test_roundtrip_traced_peak_at_largest_grid():
     finally:
         tracemalloc.stop()
     assert rep.mismatch < 0.01
-    assert peak <= 30e6
+    assert peak <= 24e6
+
+
+def test_roundtrip_checks_each_column_once(monkeypatch):
+    # each psi2 read is one checked pass over the deck, whatever it reads, so a
+    # solver that read psi2 entry by entry would pass over the deck per entry
+    monkeypatch.setattr(spectra, "BLOCK_CELLS", 3000)   # 5 columns a block, 2 in the last
+    checked = []
+    check = spectra._factor_residual
+
+    def recorded(block, c, *args):
+        checked.extend(range(c.start, c.stop))
+        return check(block, c, *args)
+
+    monkeypatch.setattr(spectra, "_factor_residual", recorded)
+    rep = roundtrip(sample_window(parse_window("[0,1)u[1.5,2.25)"), M, L), M, L)
+    assert rep.mismatch < 0.01
+    assert checked == list(range(M))
 
 
 def test_roundtrip_report_json():

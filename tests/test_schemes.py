@@ -225,6 +225,36 @@ def test_only_window_factors_checks_window_kinds():
     assert found == [("schemes.py", ["window_factors"])], found
 
 
+def test_lattice_layer_and_residue_decks_have_one_home():
+    """The float model and the enumeration of Z[tau] are defined in ``schemes`` alone,
+    ``_lattice_coords`` in ``correlations`` alone, and ``spectra`` imports nothing from
+    ``homometry``."""
+    homes = {"FLOAT_REL": "schemes.py", "_float_slack": "schemes.py",
+             "_physical": "schemes.py", "_quad_candidates": "schemes.py",
+             "_lattice_coords": "correlations.py"}
+    found = {name: [] for name in homes}
+    for path in sorted(Path(modelsets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name in found:
+                    found[name].append(path.name)
+        if path.name == "spectra.py":
+            imports = [node for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))]
+            imported = {alias.name for node in imports for alias in node.names}
+            imported |= {getattr(node, "module", None) or "" for node in imports}
+            assert not {name for name in imported if "homometry" in name}, imported
+    assert found == {name: [home] for name, home in homes.items()}, found
+
+
 KINDS = ("fibonacci", "periodic", "combined")
 #: small moduli, so that scheme and window moduli often agree, and any below 2^62
 MODULI = st.integers(2, 6) | st.integers(2, 2**62 - 1)
