@@ -159,9 +159,9 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) ->
 
     Keys are the ordered tuples of ``support_differences``.  The window of
     {0, x1, ..., xn} is the intersection of the pair cuts W cut (W - xi*), so
-    each difference is translated once, and a frequency depends only on the
-    set of cuts used: each such set is measured once and its value is shared
-    by every ordered tuple that uses it.
+    each difference is translated once.  Equal cuts share one id, and the memo
+    is keyed on sets of ids: each set of cuts is measured once and its value
+    is shared by every ordered tuple that uses it.
     """
     if order not in (2, 3, 4):
         raise ParameterError("order must be 2, 3 or 4")
@@ -169,13 +169,14 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) ->
     base = support_differences(scheme, w, cutoff)
     n = order - 1
     check_budget(len(base) ** n, MAX_ENTRIES, "reduce the cutoff")
-    cuts = [_pair_cut(scheme, w, x) for x in base]
-    # a cut equal to W (x = 0, or x = 0 mod N for periodic:N) changes no intersection
-    trivial = {i for i, cut in enumerate(cuts) if cut == w}
+    # equal cuts share one id; W's id 0 (x = 0, or x = 0 mod N) changes no intersection
+    ids = {w: 0}
+    cut_ids = [ids.setdefault(_pair_cut(scheme, w, x), len(ids)) for x in base]
+    cuts, w_id = list(ids), {0}
     freqs = {}
     entries = {}
-    for idx, tup in zip(product(range(len(base)), repeat=n), product(base, repeat=n)):
-        key = frozenset(idx) - trivial
+    for idx, tup in zip(product(cut_ids, repeat=n), product(base, repeat=n)):
+        key = frozenset(idx) - w_id
         f = freqs.get(key)
         if f is None:
             cut = reduce(window_intersect, [cuts[i] for i in key] or [w])

@@ -26,7 +26,8 @@ MAX_CANDIDATES = 50_000_000
 MAX_DIFFERENCE_CANDIDATES = 500_000
 #: Python-level items one call may build: correlation tuples, dual labels
 MAX_ENTRIES = 2_000_000
-#: int64 cells of the N x N shift matrix, or of the N^3 counts, behind a pattern table
+#: int64 cells of the N x N shift matrix, or of the N^3 counts, behind a pattern table;
+#: also the N^2 steps in which ``zero_condition`` cuts x^N - 1 into cyclotomic factors
 MAX_PATTERN_CELLS = 1_000_000
 #: cells of one dense M x M deck transform
 MAX_DECK_CELLS = 2048 ** 2

@@ -131,13 +131,15 @@ def tables_equal(t1: PatternTable, t2: PatternTable):
 
 
 def rigid_equivalent(S: ResidueSet, T: ResidueSet):
-    """First transform x -> sign*x + t mapping S onto T, or None."""
+    """First transform x -> sign*x + t mapping S onto T, or None; each sign tries only
+    the t that map some x onto min T (t = 0 if S is empty), smallest first."""
     if S.modulus != T.modulus:
         raise ParameterError("modulus mismatch")
     N = S.modulus
     target = set(T.elems)
+    low = min(target, default=0)
     for sign in (1, -1):
-        for t in range(N):
+        for t in sorted({(low - sign * x) % N for x in S.elems} or {0}):
             if {(sign * x + t) % N for x in S.elems} == target:
                 return sign, t
     return None

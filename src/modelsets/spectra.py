@@ -27,8 +27,8 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (MAX_CANDIDATES, MAX_DECK_CELLS, MAX_ENTRIES, ParameterError,
-                     check_budget, check_int, check_real)
+from .errors import (MAX_CANDIDATES, MAX_DECK_CELLS, MAX_ENTRIES, MAX_PATTERN_CELLS,
+                     ParameterError, check_budget, check_int, check_real)
 from .pointsets import _atomic_write
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
                       IntervalUnion, QuadNum, ResidueSet, Scheme, Window, _norm,
@@ -281,10 +281,9 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     combined:N the residue factor's transform is shared by every label with
     the same b, and a b whose factor caps the intensity below
     ``min_intensity`` is skipped.  Each such pass is one array computation,
-    bit for bit the scalar ``window_ft`` of each label.  Before any label is
-    built, the labels to visit (every j for periodic:N, each a scalar
-    ``window_ft`` call; N boxes of ``_golden_dual_labels`` otherwise, each
-    label a few array entries) are held to ``MAX_ENTRIES``.
+    bit for bit the scalar ``window_ft`` of each label; periodic:N takes it
+    once per class j mod N present.  Before any label is built, the labels to
+    visit (every j, or N boxes of ``_golden_dual_labels``) are held to ``MAX_ENTRIES``.
     """
     check_real("kmax", kmax, 0)
     check_real("min_intensity", min_intensity)
@@ -299,10 +298,11 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     if iu is None:
         N = rs.modulus
         check_budget(2 * kmax * N + 1, MAX_ENTRIES, "reduce kmax")
-        js = range(math.ceil(-kmax * N - 1e-9), math.floor(kmax * N + 1e-9) + 1)
+        js = np.arange(math.ceil(-kmax * N - 1e-9), math.floor(kmax * N + 1e-9) + 1)
+        bs, b_of_j = np.unique(js % N, return_inverse=True)
         # int / int rounds correctly, as float(Fraction(j, N)) does, also for N >= 2**53
-        add(np.array(js, np.int64)[:, None], np.array([j / N for j in js], float),
-            np.array([abs(window_ft(scheme, w, j % N)) ** 2 for j in js], float))
+        add(js[:, None], np.array([j / N for j in js.tolist()], float),
+            np.array([abs(window_ft(scheme, w, b)) ** 2 for b in bs.tolist()], float)[b_of_j])
     else:
         if min_intensity <= 0:
             raise ParameterError("a positive min_intensity is required on dense duals")
@@ -402,6 +402,7 @@ def zero_condition(N: int, windows: Mapping[int, IntervalUnion], b: int) -> bool
     """
     if N < 1:
         raise ParameterError("modulus must be positive")
+    check_budget(N * N, MAX_PATTERN_CELLS, "use a smaller modulus")  # _cyclotomic: ~N^2 steps
     cuts = set()
     live = {a: w for a, w in windows.items() if not w.is_empty()}
     if not live:

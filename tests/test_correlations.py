@@ -275,6 +275,71 @@ def test_correlation_measure_translates_each_difference_once(monkeypatch, scheme
     assert len(calls) == len(base)
 
 
+def index_keyed_entries(scheme, w, order, cutoff):
+    """The memo keyed on sets of indices into the support list, with the indices of
+    cuts equal to W dropped: the oracle of the memo keyed on distinct cuts."""
+    base = support_differences(scheme, w, cutoff)
+    cuts = [correlations._pair_cut(scheme, w, x) for x in base]
+    trivial = {i for i, cut in enumerate(cuts) if cut == w}
+    freqs, entries = {}, {}
+    for idx, tup in zip(product(range(len(base)), repeat=order - 1),
+                        product(base, repeat=order - 1)):
+        key = frozenset(idx) - trivial
+        if key not in freqs:
+            cut = w
+            for i in key:
+                cut = window_intersect(cut, cuts[i])
+            freqs[key] = (not cut.is_empty(), window_measure(scheme, cut))
+        if freqs[key][0]:
+            entries[tup] = freqs[key][1]
+    return entries
+
+
+MEMO_CASES = [(s, w, order, cutoffs[order - 2]) for s, w, cutoffs in ORACLE_CASES
+              for order in (2, 3, 4)] + \
+             [("fibonacci", w, order, 25.0) for w in ("[0,1)u[1.5,2.25)", "[0,0.4)u[0.6,1.1)")
+              for order in (2, 3)]
+
+
+@pytest.mark.parametrize("scheme_text,window_text,order,cutoff", MEMO_CASES)
+def test_correlation_measure_matches_the_index_keyed_memo(scheme_text, window_text, order,
+                                                           cutoff):
+    scheme = parse_scheme(scheme_text)
+    w = parse_window(expand_window_literal(window_text))
+    assert correlation_measure(scheme, w, order, cutoff).entries == \
+        index_keyed_entries(scheme, w, order, cutoff)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(interval_windows, st.integers(2, 12), st.sets(st.integers(0, 11)),
+       st.sampled_from(["fibonacci", "periodic", "combined"]), st.integers(2, 4),
+       st.floats(0, 1))
+def test_correlation_measure_matches_the_index_keyed_memo_on_random_windows(
+        iu, N, residues, kind, order, scale):
+    rs = ResidueSet(N, residues)
+    scheme = make_scheme(kind) if kind == "fibonacci" else make_scheme(kind, N)
+    w = {"fibonacci": iu, "periodic": rs, "combined": ProductWindow(iu, rs)}[kind]
+    cutoff = scale * {2: 12.0, 3: 6.0, 4: 2.5}[order]
+    assert correlation_measure(scheme, w, order, cutoff).entries == \
+        index_keyed_entries(scheme, w, order, cutoff)
+
+
+@pytest.mark.parametrize("scheme_text,window_text,cutoff,differences,cuts,evaluations", [
+    ("fibonacci", "[0,1)u[1.5,2.25)", 25.0, 101, 97, 4657),  # the index key: 5051
+    ("periodic:32", "A", 100.0, 195, 31, 466),               # the index key: 17767
+])
+def test_correlation_measure_evaluates_each_set_of_distinct_cuts_once(
+        monkeypatch, scheme_text, window_text, cutoff, differences, cuts, evaluations):
+    scheme = parse_scheme(scheme_text)
+    w = parse_window(expand_window_literal(window_text))
+    base = support_differences(scheme, w, cutoff)
+    assert len(base) == differences
+    assert len({correlations._pair_cut(scheme, w, x) for x in base}) == cuts
+    calls = _counting(monkeypatch, "window_measure")
+    correlation_measure(scheme, w, 3, cutoff)
+    assert len(calls) == evaluations
+
+
 def test_csv_deterministic(tmp_path):
     m = correlation_measure(FIB, W, 2, 4.0)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,9 +1,12 @@
 """The mod-32 homometric pair and the thinned golden-ratio counterexample."""
 
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modelsets import (ParameterError, ResidueSet, cyclotomic_pair, gap_sequence,
                        generate, make_scheme, parse_window, pattern_table,
@@ -60,6 +63,49 @@ def test_rigid_equivalence_cases():
     mirrored = ResidueSet(32, ((5 - a) % 32 for a in SET_A.elems))
     assert rigid_equivalent(SET_A, mirrored) == (-1, 5)
     assert rigid_equivalent(SET_A, SET_B) is None
+
+
+def scan_rigid(S, T):
+    """The search over every shift t of Z/N: the oracle of the candidate-shift search."""
+    N = S.modulus
+    for sign in (1, -1):
+        for t in range(N):
+            if {(sign * x + t) % N for x in S.elems} == set(T.elems):
+                return sign, t
+    return None
+
+
+@st.composite
+def residue_pairs(draw):
+    """(S, T) in Z/N with N <= 40, either set possibly empty; T is often a rigid image."""
+    N = draw(st.integers(1, 40))
+    S = ResidueSet(N, draw(st.sets(st.integers(0, N - 1))))
+    if draw(st.booleans()):
+        sign, t = draw(st.sampled_from([1, -1])), draw(st.integers(0, N - 1))
+        return S, ResidueSet(N, (sign * x + t for x in S.elems))
+    return S, ResidueSet(N, draw(st.sets(st.integers(0, N - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_pairs())
+@example((ResidueSet(5, ()), ResidueSet(5, ())))
+@example((ResidueSet(5, ()), ResidueSet(5, (2,))))
+@example((ResidueSet(5, (2,)), ResidueSet(5, ())))
+@example((ResidueSet(1, ()), ResidueSet(1, (0,))))
+def test_rigid_equivalent_matches_the_full_scan(pair):
+    S, T = pair
+    assert rigid_equivalent(S, T) == scan_rigid(S, T)
+
+
+def test_rigid_equivalent_at_a_huge_modulus():
+    N = 2**61
+    S = ResidueSet(N, (0, 1))
+    start = time.perf_counter()
+    assert rigid_equivalent(S, ResidueSet(N, (0, 3))) is None
+    assert rigid_equivalent(S, ResidueSet(N, (2**60, 2**60 + 1))) == (1, 2**60)
+    # {0, 1, 3} is no translate of its mirror image
+    assert rigid_equivalent(ResidueSet(N, (0, 1, 3)), ResidueSet(N, (-7, -8, -10))) == (-1, N - 7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pattern_table_translation_invariance():

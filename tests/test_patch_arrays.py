@@ -21,7 +21,7 @@ from modelsets import (IntervalUnion, ParameterError, PointSet, ProductWindow,
                        save_pointset, spectra, support_differences)
 from modelsets.pointsets import _int_lines
 from modelsets.schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
-                               _float_slack, _quad_candidates)
+                               _float_hull, _quad_candidates)
 from modelsets.spectra import _golden_dual_labels
 
 FIB = make_scheme("fibonacci")
@@ -281,8 +281,8 @@ def enumeration_cases(draw):
         lo = draw(st.floats(-60, 60))
         region = (lo, lo + draw(st.floats(0.5, 40)))
     else:  # at the float-position limit for this hull width, or one binade past it
-        a, b = iu.hull()
-        k = math.floor(52 - math.log2(float(b) - float(a) + _float_slack(a) + _float_slack(b)))
+        lo, hi = _float_hull(iu)
+        k = math.floor(52 - math.log2(hi - lo))
         x = 2.0 ** (k + 1 + draw(st.integers(-2, 1))) - 100
         region = (x, x + 60) if draw(st.booleans()) else (-x - 60, -x)
     return scheme, w, region, draw(st.floats(0, 5))

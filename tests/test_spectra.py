@@ -316,6 +316,47 @@ def test_columnar_window_ft_matches_the_scalar_one(kappas, w):
             window_ft(scheme, window, np.array([0.0]))
 
 
+def per_label_periodic(scheme, w, kmax, min_intensity, include_zeros):
+    """The periodic pass with one scalar window_ft call per label j: the oracle of the
+    pass that takes it once per residue class."""
+    N = scheme.modulus
+    js = range(math.ceil(-kmax * N - 1e-9), math.floor(kmax * N + 1e-9) + 1)
+    labels = np.array(js, np.int64)[:, None]
+    k = np.array([j / N for j in js], float)
+    inten = np.array([abs(window_ft(scheme, w, j % N)) ** 2 for j in js], float)
+    keep = slice(None) if include_zeros else inten >= min_intensity
+    return spectra.Spectrum(scheme, labels[keep], k[keep], inten[keep])
+
+
+@st.composite
+def periodic_cases(draw):
+    N = draw(st.one_of(st.integers(2, 64), st.sampled_from([2**53 + 1, 2**61 - 1])))
+    elems = draw(st.sets(st.integers(0, N - 1), max_size=8))
+    kmax = draw(st.floats(0, 40)) * min(1, 64 / N)
+    return make_scheme("periodic", N), ResidueSet(N, elems), kmax
+
+
+@settings(max_examples=150, deadline=None)
+@given(periodic_cases(), st.sampled_from([0.0, 1e-4, 0.01, 0.25]), st.booleans())
+def test_periodic_diffraction_matches_the_per_label_loop(case, min_intensity, include_zeros):
+    scheme, w, kmax = case
+    spec = diffraction(scheme, w, kmax, min_intensity, include_zeros)
+    want = per_label_periodic(scheme, w, kmax, min_intensity, include_zeros)
+    for got, expected in ((spec.labels, want.labels), (spec.k, want.k),
+                          (spec.intensity, want.intensity)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_periodic_diffraction_takes_one_window_ft_per_residue_class(monkeypatch):
+    calls = []
+    inner = spectra.window_ft
+    monkeypatch.setattr(spectra, "window_ft", lambda *a: calls.append(a[2]) or inner(*a))
+    spec = diffraction(PER32, SET_A, 20_000.0)
+    assert len(calls) == 32 and sorted(calls) == list(range(32))
+    assert spec.labels[:, 0].min() == -640_000 and spec.labels[:, 0].max() == 640_000
+
+
 def test_spectrum_arrays_are_read_only():
     spec = diffraction(FIB, W, 1.0, min_intensity=1e-3)
     for a in (spec.labels, spec.k, spec.intensity):
@@ -363,6 +404,16 @@ def test_zero_condition_unequal_windows():
 
 def test_zero_condition_empty_collection():
     assert zero_condition(8, {}, 3) is True
+
+
+def test_zero_condition_refuses_a_large_modulus():
+    # cutting x^N - 1 into cyclotomic factors takes ~N^2 steps: N^2 is held to the
+    # pattern-table budget of 1,000,000 before any window is cut
+    windows = {0: parse_window("[0,1)"), 1: parse_window("[0,1)")}
+    assert zero_condition(1_000, windows, 500) is True and not zero_condition(1_000, windows, 1)
+    for N in (1_001, 10**6):
+        with pytest.raises(ResourceError, match="use a smaller modulus$"):
+            zero_condition(N, windows, 1)
 
 
 # ---------------------------------------------------------------------------
