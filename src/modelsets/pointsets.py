@@ -5,7 +5,9 @@ Generation takes its candidates from the lattice enumeration of
 float prefilter does the bulk of the membership testing; candidates within a
 guard band of any interval endpoint are re-checked with exact arithmetic.  The
 band grows with the size of the coordinates, so the prefilter stays sound
-wherever int64 coordinates reach.
+wherever int64 coordinates reach.  Membership is tested, and point files are
+written, in column chunks of ``PATCH_CHUNK``, so the working memory beyond
+the patch itself stays bounded.
 
 A patch is stored as an int64 array with one column per point and one row
 per lattice coordinate: rows u and v for the golden-ratio schemes, the single
@@ -18,8 +20,10 @@ import io
 import math
 import os
 import secrets
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .errors import MAX_CANDIDATES, ParameterError, check_budget, check_real
 from .schemes import (COORD_LIMIT, FLOAT_GUARD, FLOAT_REL, TAU, TAU_PRIME, PERIODIC,
                       IntervalUnion, QuadNum, Scheme, Window, _float_hull,
                       _float_slack, _physical, _quad_candidates, format_window, parse_scheme,
-                      parse_window, window_factors)
+                      parse_window, patch_chunks, window_factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +61,7 @@ class PointSet:
         c.flags.writeable = False
         ph = _physical(c)
         ph.flags.writeable = False
-        if len(ph) > 1 and not np.all(np.diff(ph) > 0):
+        if not np.all(ph[1:] > ph[:-1]):
             raise ParameterError("physical positions must be strictly increasing")
         object.__setattr__(self, "coords", c)
         object.__setattr__(self, "region", (lo, hi))
@@ -156,17 +160,24 @@ def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np
 
     With a ``region`` the physical position must also lie in that closed
     interval.  The real factor is tested only where the residue factor holds.
+    The columns are tested in chunks of ``PATCH_CHUNK``, so the float
+    temporaries stay that size whatever the number of points.
     """
     iu, rs = window_factors(scheme, w)
-    if rs is None:
-        return _quad_mask(iu, coords, region)
-    keep = np.isin(coords[0] % rs.modulus, np.array(rs.elems, dtype=np.int64))
-    if iu is not None:
-        keep[keep] = _quad_mask(iu, coords[:, keep], region)
-    elif region is not None:
-        n = coords[0]
-        keep &= (n >= math.ceil(region[0])) & (n <= math.floor(region[1]))
-    return keep
+    mask = np.empty(coords.shape[1], dtype=bool)
+    for c in patch_chunks(coords.shape[1]):
+        chunk = coords[:, c]
+        if rs is None:
+            mask[c] = _quad_mask(iu, chunk, region)
+            continue
+        keep = np.isin(chunk[0] % rs.modulus, np.array(rs.elems, dtype=np.int64))
+        if iu is not None:
+            keep[keep] = _quad_mask(iu, chunk[:, keep], region)
+        elif region is not None:
+            n = chunk[0]
+            keep &= (n >= math.ceil(region[0])) & (n <= math.floor(region[1]))
+        mask[c] = keep
+    return mask
 
 
 def _check_float_positions(lo: float, hi: float, star: tuple[float, float] | None) -> None:
@@ -213,8 +224,10 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
         _check_float_positions(lo, hi, star)
         cand = _quad_candidates(star, (lo, hi), MAX_CANDIDATES, "shrink the region")
     coords = cand[:, _in_window(scheme, w, cand, (lo, hi))]
-    order = np.argsort(_physical(coords), kind="stable")
-    return PointSet(scheme, w, coords[:, order], (lo, hi))
+    del cand
+    # rebinding drops the unsorted columns before PointSet copies the sorted ones
+    coords = coords[:, np.argsort(_physical(coords), kind="stable")]
+    return PointSet(scheme, w, coords, (lo, hi))
 
 
 def gap_sequence(ps: PointSet, absent_sites: bool = False):
@@ -242,12 +255,14 @@ def gap_sequence(ps: PointSet, absent_sites: bool = False):
 # file format: one point per line ("u v" or "n"), single header line
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a sibling temp file and a rename.
+def _atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or an iterable of string chunks, to ``path``
+    through a sibling temp file and a rename.
 
     Readers see the old file or the new one, never a partial write.  On any
-    failure the temp file is removed and an existing ``path`` keeps its bytes.
-    Every output file of the package is written here.
+    failure, also one raised while the chunks are produced, the temp file is
+    removed and an existing ``path`` keeps its bytes.  Every output file of
+    the package is written here.
     """
     # in the directory of ``path`` as given ("" -> the working directory)
     tmp = os.path.join(os.path.dirname(path),
@@ -256,7 +271,7 @@ def _atomic_write(path: str, text: str) -> None:
         fh = open(tmp, "x")  # exclusive create; mode bits follow the umask
         try:
             with fh:
-                fh.write(text)
+                fh.writelines([text] if isinstance(text, str) else text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -266,11 +281,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def save_pointset(ps: PointSet, path: str) -> None:
-    """Write the patch, one ``"%d %d"`` line per point in array passes; the write is
-    atomic (temp file + rename)."""
+    """Write the patch, one ``"%d %d"`` line per point, formed and written one
+    chunk of ``PATCH_CHUNK`` points at a time; the write is atomic (temp file +
+    rename)."""
     header = (f"# modelsets pointset scheme={ps.scheme.label()} "
               f"window={format_window(ps.window)} region=[{ps.region[0]!r},{ps.region[1]!r}]")
-    _atomic_write(path, header + "\n" + _int_lines(ps.coords))
+    _atomic_write(path, chain([header + "\n"], (_int_lines(ps.coords[:, c])
+                                                for c in patch_chunks(len(ps)))))
 
 
 def _int_lines(coords: np.ndarray) -> str:

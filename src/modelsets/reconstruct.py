@@ -132,6 +132,16 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
     ``psi2.D``; ``absF`` ranks the candidate decompositions.  The sweep and
     the gauge relation are planned on indices; psi2 is then read at the
     planned pairs in one pass, and the phases are formed in plan order.
+
+    For a mirror-symmetric sampled window (any single run of cells, such as
+    [0,1), [-0.5,0.5) or [-1,1/tau) at L = 8) the gauge defect is real up to
+    rounding: its angle / pi lies within 4e-13 of -1 at M = 512 and 2048 and
+    of +1 at M = 1024.  Which branch ``np.angle`` takes, and with it the
+    recovered shift, is decided by the last bits of the deck FFT: reading
+    psi2 as conj psi2(-k1, -k2) moves the shift by one cell in the ``unit``
+    and ``centred`` recovery goldens at M = 512 and 2048, the mismatch
+    staying 0.  The recovery goldens therefore pin the deck FFT's rounding:
+    reordering that FFT needs new benchmark goldens.
     """
     M = psi2.M
     D = psi2.D

@@ -314,7 +314,20 @@ def _physical(coords: np.ndarray) -> np.ndarray:
     """Float physical positions u + v*tau (or n) of int64 lattice coordinates."""
     if len(coords) == 1:
         return coords[0].astype(float)
-    return coords[0] + coords[1] * TAU
+    x = coords[1] * TAU
+    x += coords[0]  # u + v*tau, the same float sum with one temporary less
+    return x
+
+
+#: columns per chunk of the patch passes: lattice candidates (in row blocks of
+#: about this many), exact membership and point-file lines
+PATCH_CHUNK = 1 << 16
+
+
+def patch_chunks(n: int, width: float = 1):
+    """Slices cutting range(n) into blocks of about PATCH_CHUNK / width items."""
+    step = max(1, int(PATCH_CHUNK // width))
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
 def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
@@ -327,31 +340,45 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
     holding floats of exact endpoints widen them first.  Each row v visits
     the u where both ranges overlap, the bounds rounded outward by a guard
     against the float error of w - v*tau' and x - v*tau (at most 1).  Over
-    ``budget`` candidates is a ResourceError that ends with ``advice``.
+    ``budget`` candidates is a ResourceError that ends with ``advice``.  The
+    rows are bounded in blocks of about ``PATCH_CHUNK`` candidates, once to
+    size the output and once to fill it.
     """
     (wlo_f, whi_f), (lo, hi) = star, phys
     vmin = math.floor((lo - whi_f) / math.sqrt(5)) - 2
     vmax = math.ceil((hi - wlo_f) / math.sqrt(5)) + 2
     # before allocating: a row visits at most the narrower width + 3 candidates
     # (+ 4 leaves one for float rounding), so this bounds the total
-    check_budget((vmax - vmin + 1) * (min(whi_f - wlo_f, hi - lo) + 4), budget, advice)
+    width = min(whi_f - wlo_f, hi - lo) + 4
+    check_budget((vmax - vmin + 1) * width, budget, advice)
     # |u| <= |u*| + |v| + 1 with u* in the star range
     if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
         raise ParameterError("region or window too far from the origin for int64 coordinates")
-    vs = np.arange(vmin, vmax + 1, dtype=np.int64)
-    g = FLOAT_GUARD + FLOAT_REL * (max(-wlo_f, whi_f, -lo, hi) + np.abs(vs))
-    # where the guard reaches 1 (beyond 2^48) it is one unit on the integer bounds,
-    # as a float y - 1 may round back to y there
-    far = g >= 1
-    g[far] = 0
-    u_lo = np.ceil(np.maximum(wlo_f - vs * TAU_PRIME, lo - vs * TAU) - g).astype(np.int64) - far
-    u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU) + g).astype(np.int64) + far
-    counts = np.clip(u_hi - u_lo + 1, 0, None)
-    total = int(counts.sum())
+    reach = max(-wlo_f, whi_f, -lo, hi)
 
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    uflat = np.repeat(u_lo, counts) + (np.arange(total) - np.repeat(starts, counts))
-    return np.stack((uflat, np.repeat(vs, counts)))
+    def rows(block):
+        """(v, first u, candidate count) of the rows in ``block``."""
+        vs = np.arange(vmin + block.start, vmin + block.stop, dtype=np.int64)
+        g = FLOAT_GUARD + FLOAT_REL * (reach + np.abs(vs))
+        # where the guard reaches 1 (beyond 2^48) it is one unit on the integer bounds,
+        # as a float y - 1 may round back to y there
+        far = g >= 1
+        g[far] = 0
+        u_lo = np.ceil(np.maximum(wlo_f - vs * TAU_PRIME, lo - vs * TAU) - g).astype(np.int64) - far
+        u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU) + g).astype(np.int64) + far
+        return vs, u_lo, np.clip(u_hi - u_lo + 1, 0, None)
+
+    blocks = list(patch_chunks(vmax - vmin + 1, width))
+    out = np.empty((2, sum(int(rows(b)[2].sum()) for b in blocks)), dtype=np.int64)
+    end = 0
+    for b in blocks:
+        vs, u_lo, counts = rows(b)
+        start, end = end, end + int(counts.sum())
+        # u runs from u_lo up along each row: the column index minus the row's first column
+        np.add(np.repeat(u_lo - (np.cumsum(counts) - counts), counts), np.arange(end - start),
+               out=out[0, start:end])
+        out[1, start:end] = np.repeat(vs, counts)
+    return out
 
 
 # ---------------------------------------------------------------------------

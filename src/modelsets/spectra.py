@@ -300,8 +300,11 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
         check_budget(2 * kmax * N + 1, MAX_ENTRIES, "reduce kmax")
         js = np.arange(math.ceil(-kmax * N - 1e-9), math.floor(kmax * N + 1e-9) + 1)
         bs, b_of_j = np.unique(js % N, return_inverse=True)
-        # int / int rounds correctly, as float(Fraction(j, N)) does, also for N >= 2**53
-        add(js[:, None], np.array([j / N for j in js.tolist()], float),
+        # k rounds correctly, as float(Fraction(j, N)) does: below 2**53 both j and N
+        # are exact floats and one float division is CPython's int / int; from 2**53
+        # on, int / int still rounds correctly where a float N would not
+        k = js / N if N < 2 ** 53 else np.array([j / N for j in js.tolist()], float)
+        add(js[:, None], k,
             np.array([abs(window_ft(scheme, w, b)) ** 2 for b in bs.tolist()], float)[b_of_j])
     else:
         if min_intensity <= 0:

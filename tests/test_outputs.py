@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from modelsets import (correlation_measure, diffraction, generate, make_scheme,
-                       parse_scheme, parse_window, save_pointset)
+                       parse_scheme, parse_window, save_pointset, schemes)
 from modelsets.cli import EXIT_OK, EXIT_USAGE, expand_window_literal, main
+from modelsets.pointsets import _atomic_write
 
 # the "Command line" examples of the README, with the sha256 of every file they write
 README_EXAMPLES = [
@@ -169,3 +170,33 @@ def test_unwritable_output_is_usage_error(argv, tmp_path, capsys, monkeypatch):
         # the message names the output, not the random temp file beside it
         assert repr(str(path)) in err and ".tmp" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "out"]
+
+
+def test_failed_streamed_write_keeps_old_file(tmp_path):
+    out = tmp_path / "out"
+    out.write_bytes(b"old\n")
+
+    def chunks():
+        yield "first\n"
+        yield "second\n"
+        raise RuntimeError("third chunk failed")
+
+    with pytest.raises(RuntimeError, match="third chunk failed"):
+        _atomic_write(str(out), chunks())
+    assert out.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_unwritable_output_of_a_chunked_patch_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(schemes, "PATCH_CHUNK", 4)   # 4 chunks for these 15 points
+    (tmp_path / "dir" / "out").mkdir(parents=True)
+    argv = ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "-10", "10"]
+    for path in (tmp_path / "missing" / "out", tmp_path / "dir" / "out"):
+        code = main(argv + ["-o", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert repr(str(path)) in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "out"]
+    assert main(argv + ["-o", str(tmp_path / "fib.txt")]) == EXIT_OK
+    assert "wrote 15 points" in capsys.readouterr().out

@@ -8,7 +8,9 @@ to the one-unit-margin row loop it replaced.
 """
 
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from modelsets import (IntervalUnion, ParameterError, PointSet, ProductWindow,
                        QuadLatticePoint, QuadNum, ResidueSet, correlations, freq_empirical,
                        generate, load_pointset, make_scheme, parse_window, pointsets,
-                       save_pointset, spectra, support_differences)
+                       save_pointset, schemes, spectra, support_differences)
 from modelsets.pointsets import _int_lines
 from modelsets.schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
                                _float_hull, _quad_candidates)
@@ -336,3 +338,58 @@ def test_fibonacci_patch_visits_hardly_more_candidates_than_points(monkeypatch):
     monkeypatch.setattr(pointsets, "_quad_candidates", counting)
     ps = generate(FIB, W, (-5e5, 5e5))
     assert visited[0] <= 1.01 * len(ps) + 2
+
+
+# -- chunk boundaries ---------------------------------------------------------------
+
+CHUNKS = [1, 3, schemes.PATCH_CHUNK]
+
+
+def check_chunk_sizes_agree(scheme, w, region):
+    """generate and save_pointset give the same columns and bytes at every chunk size,
+    and the file body is the "%d" oracle's; a refused region is refused at every size."""
+    results = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "patch.txt"
+        for chunk in CHUNKS:
+            mp.setattr(schemes, "PATCH_CHUNK", chunk)
+            try:
+                ps = generate(scheme, w, region)
+            except ParameterError as e:
+                results.append(str(e))
+                continue
+            save_pointset(ps, str(path))
+            results.append((ps.coords, path.read_bytes()))
+    if isinstance(results[0], str):
+        assert results == results[:1] * len(CHUNKS)
+        return None
+    (coords, text), *others = results
+    assert text.decode().partition("\n")[2] == percent_lines(coords)
+    for c, t in others:
+        assert c.dtype == coords.dtype and np.array_equal(c, coords)
+        assert t == text
+    return coords
+
+
+@SETTINGS
+@given(st.one_of(scheme_window_region(), enumeration_cases().map(lambda c: c[:3])))
+def test_chunk_size_changes_no_patch_and_no_byte(case):
+    check_chunk_sizes_agree(*case)
+
+
+FIB_X_A, P7 = PATCHES["fib x A"], PATCHES["periodic"]
+
+
+@pytest.mark.parametrize("scheme, w, region, size", [
+    (FIB, W, (0.1, 0.1 + 1e-9), 0),                    # empty patches
+    (P7.scheme, ResidueSet(7, (0,)), (1.0, 6.0), 0),
+    (FIB_X_A.scheme, FIB_X_A.window, (0.25, 0.5), 0),
+    (P7.scheme, P7.window, (1.0, 6.0), 2),
+    (FIB, W, (-30.0, 3000.0), 2192),                   # 1 to 4 digits, both signs
+    (P7.scheme, P7.window, (-1000.0, 1000.0), 857),
+    (FIB_X_A.scheme, FIB_X_A.window, (-2000.0, 200.0), 794),
+    (FIB, W, (-1e14 - 2000, -1e14), 1448),             # 14 digits, a wide guard band
+])
+def test_chunk_boundaries_on_known_patches(scheme, w, region, size):
+    coords = check_chunk_sizes_agree(scheme, w, region)
+    assert coords.shape[1] == size

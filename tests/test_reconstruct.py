@@ -10,8 +10,9 @@ import pytest
 
 import modelsets
 from modelsets import (CorrelationMeasure, DeckGrid, ParameterError, ReconstructionError,
-                       Spectrum, align_up_to_translation, deck_functions, parse_window,
-                       phase_quotient, propagate_phase, roundtrip, sample_window, spectra)
+                       Spectrum, align_up_to_translation, deck_functions, generate,
+                       make_scheme, parse_window, phase_quotient, propagate_phase, roundtrip,
+                       sample_window, save_pointset, spectra)
 from modelsets.reconstruct import PhaseField, _raw_reconstruction, uncertain_cells
 
 M, L = 512, 8.0
@@ -253,6 +254,28 @@ def test_roundtrip_traced_peak_at_largest_grid():
         tracemalloc.stop()
     assert rep.mismatch < 0.01
     assert peak <= 24e6
+
+
+def test_generate_and_save_traced_peaks(tmp_path):
+    # the patch (150,511 points) is 24 bytes a point: 16 of coordinates, 8 of
+    # positions.  generate peaks at 41 bytes a point (the sorted columns, the
+    # patch's copy of them and its positions), and save_pointset at 3.3 MB
+    # above the patch, one chunk of lines; bands over all candidates at once
+    # (89 bytes a point) or the whole file as one string (7.5 MB) break these
+    fib, w = make_scheme("fibonacci"), parse_window("[-1,1/tau)")
+    tracemalloc.start()
+    try:
+        ps = generate(fib, w, (-1.04e5, 1.04e5))
+        gen_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        save_pointset(ps, str(tmp_path / "fib.txt"))
+        save_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(ps) == 150_511
+    assert gen_peak <= 48 * len(ps)
+    assert save_peak <= 4.5e6
 
 
 def test_roundtrip_checks_each_column_once(monkeypatch):

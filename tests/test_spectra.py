@@ -338,6 +338,11 @@ def periodic_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(periodic_cases(), st.sampled_from([0.0, 1e-4, 0.01, 0.25]), st.booleans())
+# k is one numpy division below 2**53 and one int / int per label from there on
+@example((make_scheme("periodic", 2**53 - 1), ResidueSet(2**53 - 1, (0, 1, 2**53 - 4)),
+          1000 / (2**53 - 1)), 0.0, True)
+@example((make_scheme("periodic", 2**53), ResidueSet(2**53, (0, 1, 2**53 - 3)),
+          1000 / 2**53), 0.0, True)
 def test_periodic_diffraction_matches_the_per_label_loop(case, min_intensity, include_zeros):
     scheme, w, kmax = case
     spec = diffraction(scheme, w, kmax, min_intensity, include_zeros)
