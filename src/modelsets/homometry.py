@@ -131,18 +131,52 @@ def tables_equal(t1: PatternTable, t2: PatternTable):
 
 
 def rigid_equivalent(S: ResidueSet, T: ResidueSet):
-    """First transform x -> sign*x + t mapping S onto T, or None; each sign tries only
-    the t that map some x onto min T (t = 0 if S is empty), smallest first."""
+    """First transform x -> sign*x + t mapping S onto T, or None: sign 1 before -1,
+    then the smallest t (t = 0 if both sets are empty).
+
+    A translate keeps the cyclic order of a set, so sign*S + t = T iff the
+    gaps between cyclically successive elements of sign*S, read from the
+    element that t maps onto min T, are those of T; every such element is
+    found in one string search over the gaps (linear in |S|).
+    """
     if S.modulus != T.modulus:
         raise ParameterError("modulus mismatch")
+    if len(S) != len(T):
+        return None
+    if not len(S):
+        return 1, 0
     N = S.modulus
-    target = set(T.elems)
-    low = min(target, default=0)
     for sign in (1, -1):
-        for t in sorted({(low - sign * x) % N for x in S.elems} or {0}):
-            if {(sign * x + t) % N for x in S.elems} == target:
-                return sign, t
+        A = sorted((sign * x) % N for x in S.elems)
+        ts = [(T.elems[0] - A[r]) % N for r in _rotations(_gaps(A, N), _gaps(T.elems, N))]
+        if ts:
+            return sign, min(ts)
     return None
+
+
+def _gaps(elems, N: int) -> list:
+    """Gaps between the cyclically successive residues of a sorted, nonempty ``elems``."""
+    return [b - a for a, b in zip(elems, elems[1:])] + [elems[0] + N - elems[-1]]
+
+
+def _rotations(a: list, b: list):
+    """Each r with a[r:] + a[:r] == b, for lists of one length, by Knuth-Morris-Pratt."""
+    n = len(b)
+    border = [0] * n   # border[i]: the longest proper border of b[:i + 1]
+    k = 0
+    for i in range(1, n):
+        while k and b[i] != b[k]:
+            k = border[k - 1]
+        k += b[i] == b[k]
+        border[i] = k
+    k = 0
+    for i, x in enumerate(a + a[:-1]):
+        while k and x != b[k]:
+            k = border[k - 1]
+        k += x == b[k]
+        if k == n:
+            yield i - n + 1
+            k = border[k - 1]
 
 
 def thinned_model_set(w: IntervalUnion, S: ResidueSet,

@@ -21,7 +21,7 @@ import math
 import os
 import secrets
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -51,10 +51,14 @@ class PointSet:
     coords: np.ndarray
     region: tuple[float, float]
     _phys: np.ndarray = field(init=False, repr=False)
+    #: ``generate`` hands over its own int64 C-ordered coordinates, which no
+    #: one else holds; any other ``coords`` is copied
+    _handed_over: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _handed_over):
         lo, hi = _check_region(self.region)
-        c = np.array(self.coords, dtype=np.int64, order="C")  # a private, read-only copy
+        # a private, read-only copy, or the array that ``generate`` hands over
+        c = self.coords if _handed_over else np.array(self.coords, dtype=np.int64, order="C")
         c = c.reshape(1 if self.scheme.kind == PERIODIC else 2, c.shape[-1])
         if c.size and not (c.min() > -COORD_LIMIT and c.max() < COORD_LIMIT):
             raise ParameterError("lattice coordinates must stay below 2^62 in magnitude")
@@ -223,11 +227,22 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
         star = _float_hull(iu)
         _check_float_positions(lo, hi, star)
         cand = _quad_candidates(star, (lo, hi), MAX_CANDIDATES, "shrink the region")
-    coords = cand[:, _in_window(scheme, w, cand, (lo, hi))]
-    del cand
-    # rebinding drops the unsorted columns before PointSet copies the sorted ones
-    coords = coords[:, np.argsort(_physical(coords), kind="stable")]
-    return PointSet(scheme, w, coords, (lo, hi))
+    keep = _in_window(scheme, w, cand, (lo, hi))
+    # the kept columns, C-ordered, selected a chunk of one row at a time so
+    # that the selection's temporaries stay chunk-sized
+    coords = np.empty((len(cand), np.count_nonzero(keep)), dtype=np.int64)
+    n = 0
+    for c in patch_chunks(cand.shape[1]):
+        k = np.count_nonzero(keep[c])
+        for i in range(len(cand)):   # no view of ``cand`` outlives the loop
+            coords[i, n:n + k] = cand[i, c][keep[c]]
+        n += k
+    del cand, keep
+    order = np.argsort(_physical(coords), kind="stable")
+    for i in range(len(coords)):   # sorted in place, one row at a time
+        coords[i] = coords[i][order]
+    del order
+    return PointSet(scheme, w, coords, (lo, hi), _handed_over=True)
 
 
 def gap_sequence(ps: PointSet, absent_sites: bool = False):

@@ -27,13 +27,14 @@ Frequencies with no admissible decomposition stay unknown and are counted;
 a partial result is legitimate output.
 
 Which pairs the sweep and the gauge measurement use depends only on D, |F|
-and the gradings, so both are planned on indices first.  psi2 is then read
+and the gradings, so both are planned on indices first; each sweep of the
+plan walks only the usable frequencies still unknown.  psi2 is then read
 at those at most M + 1 pairs in one pass over the deck, which forms I2hat in
-checked column blocks and stores neither it nor psi2, and the phases are
-formed in plan order.  The gauge scan reads X[(k1 + k2) % M] as rows of the
-doubled vector and stops early by a bound on the holonomy (see
-``_gauge_relation``).  The recovered grid is aligned with the input by one
-FFT cross-correlation.
+checked column blocks, split across the usable cores, and stores neither it
+nor psi2, and the phases are formed in plan order.  The gauge scan reads
+X[(k1 + k2) % M] as rows of the doubled vector and stops early by a bound on
+the holonomy (see ``_gauge_relation``).  The recovered grid is aligned with
+the input by one FFT cross-correlation.
 """
 
 from __future__ import annotations
@@ -198,22 +199,24 @@ def _plan_assignments(order, seed, D, absF):
     if seed is not None:
         assign(seed, 1)
     plan = []
+    pair = np.empty(M)
+    # each sweep walks the usable frequencies still unknown, in ``order``
+    todo = [m for m in order.tolist() if D[m] and not known[m]]
     changed = True
     while changed:
-        changed = False
-        for m in order:
-            m = int(m)
-            if known[m] or not D[m]:
-                continue
+        changed, left = False, []
+        for m in todo:
             s = M - 1 - m
-            pair = np.minimum(score, score_rev[s:s + M])
-            m1 = int(np.argmax(pair))  # first maximizer: deterministic tie-break
+            np.minimum(score, score_rev[s:s + M], out=pair)
+            m1 = int(pair.argmax())    # first maximizer: deterministic tie-break
             if pair[m1] < 0:           # no known pair adds up to m
+                left.append(m)
                 continue
             mm2 = (m - m1) % M
             plan.append((m, m1, mm2))
             assign(m, grading[m1] + grading[mm2])
             changed = True
+        todo = left
     return plan, known, grading
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import sys
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -444,7 +446,10 @@ class DeckGrid:
     whole cell counts on each read, and each read of I2hat forms it in
     blocks of columns (:meth:`I2hat_at`, the dense ``I2hat``), each checked as
     it is formed against the indicator transform ``_F``, which only that check
-    reads.  ``deck_functions`` makes every array read-only.
+    reads.  The blocks of one read are split across the usable cores
+    (:func:`_split_pass`); a read writes into none of the deck's arrays, so
+    any number of threads may read one deck.  ``deck_functions`` makes every
+    array read-only.
     """
 
     M: int
@@ -467,8 +472,11 @@ class DeckGrid:
     def I2hat(self) -> np.ndarray:
         """h^2 fft2(I2), read-only, assembled from every (checked) column block."""
         T = np.empty((self.M, self.M), dtype=complex)
-        for c, block in self._column_blocks():
+
+        def read(c, block):
             T[c] = block
+
+        self._column_pass(read)
         T.flags.writeable = False
         return T.T
 
@@ -476,42 +484,52 @@ class DeckGrid:
         """I2hat[k1, k2] at ints or index arrays, read in one pass over the checked blocks."""
         k1, k2 = np.broadcast_arrays(np.asarray(k1) % self.M, np.asarray(k2) % self.M)
         out = np.empty(k1.shape, dtype=complex)
-        for c, block in self._column_blocks():
+
+        def read(c, block):
             sel = (k2 >= c.start) & (k2 < c.stop)
             out[sel] = block[k2[sel] - c.start, k1[sel]]
+
+        self._column_pass(read)
         return out
 
     @property
     def cell(self) -> float:
         return 2 * self.l_half / self.M
 
-    def _column_blocks(self):
-        """(c, B) with B[i, k1] = I2hat[k1, c.start + i] for the slices c of row_blocks(M, M).
+    def _column_pass(self, read) -> None:
+        """Call ``read(c, B)``, B[i, k1] = I2hat[k1, c.start + i], once for each column
+        block c, the blocks split across the usable cores.
 
         Each block scatters the row transforms of its columns at ``rows`` and
-        transforms along k1, as fft2's second axis does; B is one workspace,
-        overwritten by the next block.  Each block is checked as it is formed
-        (:func:`_factor_residual`); the verdict, against the largest |I2hat|
-        on the whole grid, comes after the last one.
+        transforms along k1, as fft2's second axis does; B is its worker's
+        workspace, overwritten by that worker's next block.  Each block is
+        checked as it is formed (:func:`_factor_residual`); the verdict,
+        against |F[0]|^3 = I2hat[0, 0], the largest |I2hat| since I2 >= 0,
+        comes after the last one.
         """
         M, h = self.M, self.cell
         cF = np.conj(self._F)
         Fsum = wrapped_rows(self._F)
-        step = next(row_blocks(M, M)).stop
-        # the columns off ``rows`` are never written, so they stay zero
-        z = np.zeros((step, M), dtype=complex)
-        B = np.empty((step, M), dtype=complex)
-        work = np.empty((step, M), dtype=complex), np.empty((step, M))
-        scale = err = 0.0
-        for c in row_blocks(M, M):
-            n = c.stop - c.start
-            z[:n, self.rows] = self.row_hat[:, c].T
-            block = np.fft.fft(z[:n], axis=1, out=B[:n])
-            block *= h * h
-            s, e = _factor_residual(block, c, cF, Fsum, work)
-            scale, err = max(scale, s), max(err, e)
-            yield c, block
-        if scale > 0 and err > 1e-8 * scale:
+        inv_scale = 1 / abs(self._F[0]) ** 3
+
+        def worker(step):
+            # the columns off ``rows`` are never written, so they stay zero
+            z = np.zeros((step, M), dtype=complex)
+            B, p = np.empty((step, M), dtype=complex), np.empty((step, M), dtype=complex)
+
+            def work(blocks):
+                err = 0.0
+                for c in blocks:
+                    n = c.stop - c.start
+                    z[:n, self.rows] = self.row_hat[:, c].T
+                    block = np.fft.fft(z[:n], axis=1, out=B[:n])
+                    block *= h * h
+                    err = max(err, _factor_residual(block, c, cF, Fsum, inv_scale, p))
+                    read(c, block)
+                return err
+            return work
+
+        if max(_split_pass(M, M, worker)) > 1e-8 ** 2:
             raise AssertionError("I2hat does not factor through the indicator transform")
 
 
@@ -588,23 +606,29 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     # the first axis of fft2 over the nonzero rows of I2; the deck forms the
     # second, along the columns, block by block on each read of I2hat
     row_hat = np.empty((len(rows), M), dtype=complex)
-    # one workspace for every block, the first (largest) one's size; blocks
-    # allocated anew would each cost page faults once they pass the
-    # allocator's mmap threshold
-    step = next(row_blocks(len(rows), M)).stop
-    g = np.empty((step, M))
-    G = np.empty((step, M // 2 + 1), dtype=complex)
-    for block in row_blocks(len(rows), M):
-        r = rows[block]
-        gb, Gb = g[:len(r)], G[:len(r)]
-        np.multiply(fb, shifted[M - r], out=gb)
-        np.fft.rfft(gb, axis=1, out=Gb)
-        Gb *= cRf
-        np.fft.irfft(Gb, n=M, axis=1, out=gb)
-        np.rint(gb, out=gb)   # the cell counts of these rows of I2
-        gb += 0.0             # an empty cell is +0.0, never rint's -0.0
-        gb *= h
-        np.fft.fft(gb, axis=1, out=row_hat[block])
+
+    def worker(step):
+        # one workspace for every block of this worker, the first (largest)
+        # one's size; blocks allocated anew would each cost page faults once
+        # they pass the allocator's mmap threshold
+        g = np.empty((step, M))
+        G = np.empty((step, M // 2 + 1), dtype=complex)
+
+        def work(blocks):
+            for block in blocks:
+                r = rows[block]
+                gb, Gb = g[:len(r)], G[:len(r)]
+                np.multiply(fb, shifted[M - r], out=gb)
+                np.fft.rfft(gb, axis=1, out=Gb)
+                Gb *= cRf
+                np.fft.irfft(Gb, n=M, axis=1, out=gb)
+                np.rint(gb, out=gb)   # the cell counts of these rows of I2
+                gb += 0.0             # an empty cell is +0.0, never rint's -0.0
+                gb *= h
+                np.fft.fft(gb, axis=1, out=row_hat[block])
+        return work
+
+    _split_pass(len(rows), M, worker)
     I1 = h * n1
     I1hat = h * np.fft.fft(I1)
     if I1hat.real.min() < -1e-10 * max(1.0, I1hat.real.max()):
@@ -625,22 +649,79 @@ def row_blocks(n: int, width: int):
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _split_pass(n: int, width: int, worker) -> list:
+    """Run the row blocks of ``row_blocks(n, width * cores)`` on one worker per usable core.
+
+    With ``cores`` usable cores each block holds about BLOCK_CELLS / cores
+    cells, so the cells in flight stay at about BLOCK_CELLS.  ``worker(step)``
+    is called here, in the calling thread, once for each worker: it allocates
+    that worker's workspaces for blocks of up to ``step`` rows and returns
+    ``work(blocks)``, which takes each block that ``blocks`` yields (the next
+    one that no worker has taken) and returns its result.  The calling thread
+    is one worker; the others are threads started and joined here, none for
+    one usable core or one block.  Returns the workers' results; the first
+    exception raised in any worker is raised here once all have ended, and no
+    worker takes a block after it.
+    """
+    cores = _usable_cores()
+    blocks = list(row_blocks(n, width * cores))
+    step = blocks[0].stop if blocks else 0
+    todo, lock = iter(blocks), threading.Lock()
+    results, errors = [], []
+
+    def taken():
+        while True:
+            with lock:   # after an exception, no worker takes another block
+                c = None if errors else next(todo, None)
+            if c is None:
+                return
+            yield c
+
+    def run(work):
+        try:
+            results.append(work(taken()))
+        except BaseException as e:
+            errors.append(e)
+
+    works = [worker(step) for _ in range(max(1, min(cores, len(blocks))))]
+    threads = [threading.Thread(target=run, args=(work,)) for work in works[1:]]
+    for t in threads:
+        t.start()
+    run(works[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def wrapped_rows(v: np.ndarray) -> np.ndarray:
     """Read-only view W with W[k1, k2] = v[(k1 + k2) % M] for k1, k2 < M."""
     return sliding_window_view(np.concatenate((v, v)), len(v))
 
 
-def _factor_residual(block, c, cF, Fsum, work) -> tuple[float, float]:
-    """(max |I2hat|, max |I2hat - conj(F[k1]) conj(F[k2]) F[k1 + k2]|) over a column block.
+def _factor_residual(block, c, cF, Fsum, inv_scale, p) -> float:
+    """max |I2hat - conj(F[k1]) conj(F[k2]) F[k1 + k2]|^2 * inv_scale^2 over a column block.
 
     ``block`` holds the columns ``c`` of I2hat as rows (see
-    ``DeckGrid._column_blocks``); ``work`` is a (complex, real) pair of
-    workspaces at least as large.
+    ``DeckGrid._column_pass``); ``p`` is a complex workspace at least as
+    large.  The squared moduli are formed in place in ``p``, on the residual
+    scaled by ``inv_scale`` first, so that no square leaves the float range.
     """
-    n = len(block)
-    p, a = work[0][:n], work[1][:n]
-    scale = np.abs(block, out=a).max()
+    p = p[:len(block)]
     np.multiply(cF[None, :], cF[c, None], out=p)
     p *= Fsum[c]
     np.subtract(block, p, out=p)
-    return scale, np.abs(p, out=a).max()
+    q = p.view(float)   # (re, im) pairs
+    q *= inv_scale
+    np.square(q, out=q)
+    q[:, 0::2] += q[:, 1::2]
+    return float(q.max())   # each im^2 is at most its re^2 + im^2

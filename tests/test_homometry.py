@@ -75,6 +75,19 @@ def scan_rigid(S, T):
     return None
 
 
+def candidate_loop(S, T):
+    """The candidate-shift loop, each candidate with its whole image set: each sign,
+    then each t mapping some x onto min T, smallest first."""
+    N = S.modulus
+    target = set(T.elems)
+    low = min(target, default=0)
+    for sign in (1, -1):
+        for t in sorted({(low - sign * x) % N for x in S.elems} or {0}):
+            if {(sign * x + t) % N for x in S.elems} == target:
+                return sign, t
+    return None
+
+
 @st.composite
 def residue_pairs(draw):
     """(S, T) in Z/N with N <= 40, either set possibly empty; T is often a rigid image."""
@@ -94,7 +107,23 @@ def residue_pairs(draw):
 @example((ResidueSet(1, ()), ResidueSet(1, (0,))))
 def test_rigid_equivalent_matches_the_full_scan(pair):
     S, T = pair
-    assert rigid_equivalent(S, T) == scan_rigid(S, T)
+    assert rigid_equivalent(S, T) == scan_rigid(S, T) == candidate_loop(S, T)
+
+
+def test_rigid_equivalent_of_4000_residues():
+    # 4,000 residues mod 10^6 (1 and the even ones from 2 to 7,998, no translate
+    # of their mirror image) and that image shifted by 12,345, then with one
+    # image moved by 1; the candidate loop takes seconds on the latter
+    N = 10**6
+    S = ResidueSet(N, [1, *range(2, 8000, 2)])
+    image = sorted((12_345 - x) % N for x in S.elems)
+    start = time.perf_counter()
+    assert rigid_equivalent(S, ResidueSet(N, image)) == (-1, 12_345)
+    image[1000] += 1
+    moved = ResidueSet(N, image)
+    assert rigid_equivalent(S, moved) is None
+    assert time.perf_counter() - start < 1.0
+    assert candidate_loop(S, moved) is None
 
 
 def test_rigid_equivalent_at_a_huge_modulus():

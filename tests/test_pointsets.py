@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelsets import (IntervalUnion, ParameterError, QuadLatticePoint, QuadNum, ResidueSet,
-                       ResourceError, gap_sequence, generate, load_pointset,
+from modelsets import (IntervalUnion, ParameterError, PointSet, QuadLatticePoint, QuadNum,
+                       ResidueSet, ResourceError, gap_sequence, generate, load_pointset,
                        make_scheme, parse_window, save_pointset, window_measure)
 from modelsets.schemes import TAU
 
@@ -23,6 +23,22 @@ def test_generate_small_fibonacci_patch():
     ps = generate(FIB, FIB_WINDOW, (-2, 2))
     assert list(zip(*ps.coords.tolist())) == [(-1, 0), (0, 0), (0, 1)]
     assert list(ps.physical()) == pytest.approx([-1.0, 0.0, TAU])
+
+
+@pytest.mark.parametrize("scheme, window", [(FIB, FIB_WINDOW), (make_scheme("periodic", 32), SET_A),
+                                            (make_scheme("combined", 32),
+                                             parse_window("[-1,1/tau)x{0,7,8}@32"))])
+def test_patch_coordinates_are_private_and_read_only(scheme, window):
+    ps = generate(scheme, window, (-40, 40))
+    assert ps.coords.flags.c_contiguous and not ps.coords.flags.writeable
+    with pytest.raises(ValueError):
+        ps.coords[0, 0] = 0
+    # any other caller's coordinates are copied: changing them leaves the patch
+    given_coords = ps.coords.copy()
+    other = PointSet(scheme, window, given_coords, ps.region)
+    given_coords[:, 0] = given_coords[:, -1]
+    assert not np.shares_memory(other.coords, given_coords)
+    assert other.coords.tobytes() == ps.coords.tobytes() and not other.coords.flags.writeable
 
 
 def test_generate_periodic_one_period():

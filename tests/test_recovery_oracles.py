@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from modelsets import (IntervalUnion, ParameterError, QuadNum, align_up_to_translation,
                        deck_functions, parse_window, phase_quotient, propagate_phase,
                        roundtrip, sample_window, spectra)
-from modelsets.reconstruct import _gauge_relation, _order_by_abs_k
+from modelsets.reconstruct import _gauge_relation, _order_by_abs_k, _plan_assignments
 
 GOLDENS = json.loads((Path(__file__).parent / "reconstruct_goldens.json").read_text())
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -219,6 +219,55 @@ def test_gradings_count_seed_steps(case):
         assert k.tolist() == [0]
     else:
         assert np.array_equal(phase.grading[k] * seed % M, k)
+
+
+def sweep_loop(order, seed, D, absF):
+    """The sweep as one loop over ``order`` per pass, a fresh pair array per frequency."""
+    M = len(order)
+    known = np.zeros(M, dtype=bool)
+    grading = np.zeros(M, dtype=np.int64)
+    score = np.full(M, -1.0)
+    score_rev = np.concatenate((score, score))[::-1].copy()
+
+    def assign(m, grade):
+        grading[m] = grade
+        known[m] = True
+        score[m] = score_rev[M - 1 - m] = score_rev[2 * M - 1 - m] = absF[m]
+
+    assign(0, 0)
+    if seed is not None:
+        assign(seed, 1)
+    plan = []
+    changed = True
+    while changed:
+        changed = False
+        for m in order:
+            m = int(m)
+            if known[m] or not D[m]:
+                continue
+            s = M - 1 - m
+            pair = np.minimum(score, score_rev[s:s + M])
+            m1 = int(np.argmax(pair))
+            if pair[m1] < 0:
+                continue
+            mm2 = (m - m1) % M
+            plan.append((m, m1, mm2))
+            assign(m, grading[m1] + grading[mm2])
+            changed = True
+    return plan, known, grading
+
+
+@pytest.mark.parametrize("M", [512, 2048])
+@pytest.mark.parametrize("window", ["[0,1)", "[-0.5,0.5)", "[0,1)u[1.5,2.25)",
+                                    "[0,0.4)u[0.6,1.1)", "[-1,1/tau)"])
+def test_plan_matches_the_sweep_loop(window, M):
+    psi2 = phase_quotient(deck_functions(sample_window(parse_window(window), M, 8.0), M, 8.0))
+    order, D = _order_by_abs_k(M), psi2.D
+    seed = next((int(m) for m in order if m != 0 and D[m]), None)
+    plan, known, grading = _plan_assignments(order, seed, D, psi2.absF)
+    ref_plan, ref_known, ref_grading = sweep_loop(order, seed, D, psi2.absF)
+    assert plan == ref_plan
+    assert np.array_equal(known, ref_known) and np.array_equal(grading, ref_grading)
 
 
 def full_gauge_scan(known, grading, absF):

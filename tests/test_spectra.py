@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from modelsets import (DualPoint, IntervalUnion, ParameterError, ProductWindow,
                        QuadLatticePoint, QuadNum, ResidueSet, ResourceError, cyclotomic_pair,
                        deck_functions, diffraction, generate, make_scheme, parse_window,
-                       residue_deck_tables, sample_window, spectra, window_ft, window_measure,
-                       zero_condition)
+                       residue_deck_tables, roundtrip, sample_window, spectra, window_ft,
+                       window_measure, zero_condition)
 from modelsets.errors import check_real
 from modelsets.schemes import SQRT5, TAU, TAU_PRIME
 from modelsets.spectra import _golden_dual_labels
@@ -514,10 +514,109 @@ def test_one_read_checks_each_column_once(M, cells, monkeypatch):
     monkeypatch.setattr(spectra, "_factor_residual", recorded)
     k1, k2 = np.array([3, 0, M - 1, 7]), np.array([M - 1, 0, 5, 7])
     got = deck.I2hat_at(k1, k2)
-    assert checked == list(range(M))
+    # the blocks are split across the usable cores, so they end in any order
+    assert sorted(checked) == list(range(M))
     assert got.tobytes() == dense[k1, k2].tobytes()
     checked.clear()
-    assert deck.I2hat.tobytes() == dense.tobytes() and checked == list(range(M))
+    assert deck.I2hat.tobytes() == dense.tobytes() and sorted(checked) == list(range(M))
+
+
+def _deck_reads(monkeypatch, workers):
+    """The bytes of every deck read and of a roundtrip report with ``workers`` usable cores."""
+    monkeypatch.setattr(spectra, "_usable_cores", lambda: workers)
+    M, L = 512, 8.0
+    f = sample_window(parse_window("[0,1)u[1.5,2.25)"), M, L)
+    deck = deck_functions(f, M, L)
+    k1, k2 = np.array([3, 0, M - 1, 7, 200]), np.array([M - 1, 0, 5, 7, 311])
+    report = roundtrip(f, M, L)
+    return [deck.I2.tobytes(), deck.row_hat.tobytes(), deck.I2hat.tobytes(),
+            deck.I2hat_at(k1, k2).tobytes(), report.to_json(), report.recovered.tobytes()]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_deck_reads_do_not_depend_on_the_worker_count(workers, monkeypatch):
+    assert _deck_reads(monkeypatch, workers) == _deck_reads(monkeypatch, 2)
+
+
+class _CountedThread(spectra.threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("workers, helpers", [(1, 0), (2, 1), (3, 2)])
+def test_each_pass_starts_one_thread_per_extra_worker(workers, helpers, monkeypatch):
+    monkeypatch.setattr(spectra, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(spectra.threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_CountedThread, "started", 0)
+    f = sample_window(parse_window("[0,1)u[1.5,2.25)"), 512, 8.0)
+    deck = deck_functions(f, 512, 8.0)   # 3 or more row blocks in either pass
+    deck.I2hat_at(0, 0)
+    assert _CountedThread.started == 2 * helpers
+
+
+def test_a_pass_of_one_block_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(spectra, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(spectra.threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_CountedThread, "started", 0)
+    f = sample_window(parse_window("[0,1)"), 32, 8.0)
+    deck_functions(f, 32, 8.0).I2hat
+    assert _CountedThread.started == 0
+
+
+def _helper_blocks(monkeypatch, action):
+    """Make the deck's column pass call ``action(block)`` on each block a helper thread takes.
+
+    The calling thread holds its first block until the helper has taken one,
+    so that the helper takes at least one block.
+    """
+    monkeypatch.setattr(spectra, "_usable_cores", lambda: 2)
+    check = spectra._factor_residual
+    caller = spectra.threading.current_thread()
+    helper_took = spectra.threading.Event()
+    taken = []
+
+    def on_helper(block, c, *args):
+        if spectra.threading.current_thread() is caller:
+            helper_took.wait(timeout=30)
+        else:
+            taken.append(c)
+            helper_took.set()
+            action(block)
+        return check(block, c, *args)
+
+    monkeypatch.setattr(spectra, "_factor_residual", on_helper)
+    return taken
+
+
+def test_a_cell_corrupted_in_a_helper_thread_fails_the_read(monkeypatch):
+    M, L = 512, 8.0
+    f = sample_window(parse_window("[0,1)u[1.5,2.25)"), M, L)
+    deck = deck_functions(f, M, L)
+    bump = 1e-6 * np.abs(deck.I2hat).max()
+
+    def corrupt(block):
+        block[0, 17] += bump
+
+    taken = _helper_blocks(monkeypatch, corrupt)
+    with pytest.raises(AssertionError, match="factor"):
+        deck.I2hat
+    assert taken   # the helper thread took blocks, and only its blocks were corrupted
+
+
+def test_an_exception_in_a_helper_thread_is_raised_in_the_caller(monkeypatch):
+    f = sample_window(parse_window("[0,1)u[1.5,2.25)"), 512, 8.0)
+    deck = deck_functions(f, 512, 8.0)
+
+    def fail(block):
+        raise ZeroDivisionError("raised in a helper")
+
+    taken = _helper_blocks(monkeypatch, fail)
+    with pytest.raises(ZeroDivisionError, match="raised in a helper"):
+        deck.I2hat_at(3, 5)
+    assert len(taken) == 1   # the helper stopped at the block that raised
 
 
 def test_deck_takes_an_exact_half_length():
