@@ -21,8 +21,8 @@ from .errors import (MAX_DIFFERENCE_CANDIDATES, MAX_ENTRIES, ParameterError, che
                      check_real)
 from .pointsets import PointSet, _atomic_write
 from .schemes import (COORD_LIMIT, PERIODIC, QuadLatticePoint, Scheme, Window, _float_hull,
-                      _physical, _quad_candidates, star, window_factors, window_intersect,
-                      window_measure)
+                      _physical, _quad_candidates, _quad_mask, star, window_factors,
+                      window_intersect, window_measure)
 
 
 def _pair_cut(scheme: Scheme, w: Window, x) -> Window:
@@ -50,7 +50,7 @@ def _lattice_coords(scheme: Scheme, pts) -> list[np.ndarray]:
 
 
 def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
-    """Occurrences per unit length over the centred interval (-R/2, R/2).
+    """Occurrences per unit length over the centred open interval (-R/2, R/2), decided exactly.
 
     The patch must cover that interval inflated by the pattern's extent, so
     membership of every translated point is decided by the patch alone.
@@ -65,9 +65,15 @@ def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
         raise ParameterError(
             f"patch region [{lo}, {hi}] too small; need at least [{lo_need}, {hi_need}]")
 
-    # points y with -R/2 < y < R/2 that have every y + x in the patch
-    phys = ps.physical()
-    found = ps.coords[:, np.searchsorted(phys, -R / 2, "right"):np.searchsorted(phys, R / 2)]
+    # points y in (-R/2, R/2) with every y + x in the patch; floats decide beyond the guard band
+    h, g, phys = R / 2, ps._guard, ps.physical()
+    first, top = np.searchsorted(phys, (-h - g, h - g))
+    bottom, end = np.searchsorted(phys, (-h + g, h + g), "right")
+    found, band = ps.coords[:, first:end], [*range(first, bottom), *range(top, end)]
+    if band:  # ``_quad_mask`` decides the band; only a point u + 0*tau can sit on an end
+        uv = np.pad(ps.coords[:, band], ((0, 2 - len(found)), (0, 0)))  # n + 0*tau on periodic:N
+        out = ~_quad_mask(None, uv, (-h, h)) | [v == 0 and abs(u) == h for u, v in uv.T.tolist()]
+        found = np.delete(found, np.compress(out, band) - first, axis=1)
     for off in offs:
         found = found[:, ps.contains(found + off)]
     return found.shape[1] / R
@@ -124,12 +130,12 @@ def _coord_text(x) -> str:
 def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     """Lattice differences x with |phys(x)| <= cutoff and freq({0, x}) > 0.
 
-    The test is exact: the pair cut W cut (W - x*) is non-empty.  Without a
-    real factor (periodic:N) the cut depends on x mod N only; otherwise the
-    lattice enumeration ``_quad_candidates`` visits the whole lattice with star
-    within +-(hull width of W), so no positive-frequency difference can be
-    missed (a patch-based harvest could miss tuples of arbitrarily small
-    frequency).
+    Both tests are exact: |phys(x)| <= cutoff is decided by ``_quad_mask``,
+    and the pair cut W cut (W - x*) is non-empty.  Without a real factor
+    (periodic:N) the cut depends on x mod N only; otherwise the lattice
+    enumeration ``_quad_candidates`` visits the whole lattice with star within
+    +-(hull width of W), so no positive-frequency difference can be missed (a
+    patch-based harvest could miss tuples of arbitrarily small frequency).
     """
     check_real("cutoff", cutoff, 0)
     iu, _ = window_factors(scheme, w)
@@ -148,7 +154,7 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     lo, hi = _float_hull(iu)
     cand = _quad_candidates((lo - hi, hi - lo), (-cutoff, cutoff), MAX_DIFFERENCE_CANDIDATES,
                             "reduce the cutoff")
-    near = cand[:, np.abs(_physical(cand)) <= cutoff + 1e-12].tolist()
+    near = np.compress(_quad_mask(None, cand, (-cutoff, cutoff)), cand, axis=1).tolist()
     out = [x for x in map(QuadLatticePoint, *near) if not _pair_cut(scheme, w, x).is_empty()]
     out.sort(key=lambda p: (p.phys, p.u, p.v))
     return out

@@ -1,13 +1,11 @@
 """Finite patches of model sets.
 
 Generation takes its candidates from the lattice enumeration of
-:mod:`.schemes`, in the box of the window hull and the requested region.  A
-float prefilter does the bulk of the membership testing; candidates within a
-guard band of any interval endpoint are re-checked with exact arithmetic.  The
-band grows with the size of the coordinates, so the prefilter stays sound
-wherever int64 coordinates reach.  Membership is tested, and point files are
-written, in column chunks of ``PATCH_CHUNK``, so the working memory beyond
-the patch itself stays bounded.
+:mod:`.schemes`, in the box of the window hull and the requested region, and
+cuts them with its one exact cut ``_quad_mask``: floats decide outside a
+guard band that grows with the size of the coordinates, Q(tau) inside it.
+Membership is tested, and point files are written, in column chunks of
+``PATCH_CHUNK``, so the working memory beyond the patch itself stays bounded.
 
 A patch is stored as an int64 array with one column per point and one row
 per lattice coordinate: rows u and v for the golden-ratio schemes, the single
@@ -22,15 +20,14 @@ import os
 import secrets
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .errors import MAX_CANDIDATES, ParameterError, check_budget, check_real
-from .schemes import (COORD_LIMIT, FLOAT_GUARD, FLOAT_REL, TAU, TAU_PRIME, PERIODIC,
-                      IntervalUnion, QuadNum, Scheme, Window, _float_hull,
-                      _float_slack, _physical, _quad_candidates, format_window, parse_scheme,
+from .schemes import (COORD_LIMIT, TAU, PERIODIC, Scheme, Window, _coord_guard, _float_hull,
+                      _physical, _quad_candidates, _quad_mask, format_window, parse_scheme,
                       parse_window, patch_chunks, window_factors)
 
 
@@ -78,6 +75,9 @@ class PointSet:
         """Physical positions, increasing (read-only, computed once)."""
         return self._phys
 
+    #: a bound on the float error of every physical position, computed on first use
+    _guard = cached_property(lambda self: _coord_guard(self.coords))
+
     def density(self) -> float:
         lo, hi = self.region
         return len(self) / (hi - lo)
@@ -117,48 +117,6 @@ def _check_region(region) -> tuple[float, float]:
     return lo, hi
 
 
-# ---------------------------------------------------------------------------
-# exact membership: float masks, Q(tau) only inside the guard band
-# ---------------------------------------------------------------------------
-
-def _bands(x, g, bounds):
-    """Masks (sure, possible) of x in a union of intervals with QuadNum endpoints.
-
-    ``x`` is within ``g`` of the exact values; the float error of each
-    endpoint is added to the band.  ``sure`` is exact for [a, b) and [a, b]
-    alike; ``possible & ~sure`` is the guard band, which needs an exact test.
-    """
-    sure = np.zeros(len(x), dtype=bool)
-    possible = np.zeros(len(x), dtype=bool)
-    for a, b in bounds:
-        ga = g + _float_slack(a) + _float_slack(b)
-        af, bf = float(a), float(b)
-        sure |= (x >= af + ga) & (x <= bf - ga)
-        possible |= (x >= af - ga) & (x <= bf + ga)
-    return sure, possible
-
-
-def _quad_mask(iu: IntervalUnion, coords: np.ndarray, region=None) -> np.ndarray:
-    """Exact mask of u + v*tau' in ``iu`` (and of u + v*tau in the closed ``region``).
-
-    Floats decide every point outside the guard band; the band, whose width
-    grows with |u| + |v|, is decided in Q(tau).
-    """
-    u, v = coords
-    g = FLOAT_GUARD + FLOAT_REL * (np.abs(u.astype(float)) + np.abs(v.astype(float)))
-    sure, possible = _bands(u + v * TAU_PRIME, g, iu.intervals)
-    if region is not None:
-        region = tuple(QuadNum.coerce(Fraction(x)) for x in region)
-        in_sure, in_possible = _bands(u + v * TAU, g, [region])
-        sure &= in_sure
-        possible &= in_possible
-    for i in np.nonzero(possible & ~sure)[0]:
-        a, b = int(u[i]), int(v[i])
-        if region is None or region[0] <= QuadNum(a, b) <= region[1]:
-            sure[i] = iu.contains(QuadNum(a + b, -b))
-    return sure
-
-
 def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np.ndarray:
     """Exact mask: the star of each point (column of ``coords``) lies in ``w``.
 
@@ -177,9 +135,8 @@ def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np
         keep = np.isin(chunk[0] % rs.modulus, np.array(rs.elems, dtype=np.int64))
         if iu is not None:
             keep[keep] = _quad_mask(iu, chunk[:, keep], region)
-        elif region is not None:
-            n = chunk[0]
-            keep &= (n >= math.ceil(region[0])) & (n <= math.floor(region[1]))
+        elif region is not None:  # n as the lattice point n + 0*tau
+            keep &= _quad_mask(None, np.pad(chunk, ((0, 1), (0, 0))), region)
         mask[c] = keep
     return mask
 

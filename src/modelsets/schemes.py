@@ -29,11 +29,12 @@ Only the ``IntervalUnion`` constructor, which the parser uses, sorts and
 merges intervals; ``translate`` and ``intersect`` keep canonical unions
 canonical without re-sorting.  Whatever ``Fraction`` reads exactly (ints,
 binary floats, decimals, numpy integers, numeric strings) is an exact
-coefficient and anything else a ParameterError.  Floats decide only outside
-a guard band (1e-9 plus ``FLOAT_REL`` times the size of the coordinates)
-around exact values; the same bound widens the row bounds of
-:func:`_quad_candidates`, the one enumeration of the lattice Z[tau], which
-visits every lattice point of its box and hardly any other.
+coefficient and anything else a ParameterError.  :func:`_quad_candidates` is
+the one enumeration of the lattice Z[tau]; it visits every lattice point of
+its box and hardly any other.  :func:`_quad_mask` is the one exact cut of
+lattice points by coordinate bounds (windows, cutoffs, averaging intervals,
+dual labels): floats decide only outside a guard band (1e-9 plus ``FLOAT_REL``
+times the size of the coordinates) around exact values, and Q(tau) inside it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from typing import NamedTuple, Union
 
@@ -299,9 +301,9 @@ def _float_slack(q: QuadNum) -> float:
 
     It is 0 where q is a float, so a window such as [0,1) keeps its exact width.
     """
-    if q.b == 0 and float(q.a) == q.a:
+    if q.q == 0 and (q.p / q.d).as_integer_ratio() == (q.p, q.d):
         return 0.0
-    return FLOAT_REL * (abs(float(q.a)) + abs(float(q.b)))
+    return FLOAT_REL * ((abs(q.p) + abs(q.q)) / q.d)
 
 
 def _float_hull(iu: IntervalUnion) -> tuple[float, float]:
@@ -336,8 +338,8 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
 
     This is the one enumeration of Z[tau] in a (physical, internal) box: patches,
     support differences and dual labels all take their candidates here and
-    apply their own exact filter.  The ranges are taken as exact; callers
-    holding floats of exact endpoints widen them first.  Each row v visits
+    cut them with ``_quad_mask``.  The ranges are taken as exact; callers
+    widen floats of exact endpoints by their ``_float_slack``.  Each row v visits
     the u where both ranges overlap, the bounds rounded outward by a guard
     against the float error of w - v*tau' and x - v*tau (at most 1).  Over
     ``budget`` candidates is a ResourceError that ends with ``advice``.  The
@@ -366,19 +368,63 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
         g[far] = 0
         u_lo = np.ceil(np.maximum(wlo_f - vs * TAU_PRIME, lo - vs * TAU) - g).astype(np.int64) - far
         u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU) + g).astype(np.int64) + far
-        return vs, u_lo, np.clip(u_hi - u_lo + 1, 0, None)
+        return vs, u_lo, np.maximum(u_hi - u_lo + 1, 0)
 
     blocks = list(patch_chunks(vmax - vmin + 1, width))
-    out = np.empty((2, sum(int(rows(b)[2].sum()) for b in blocks)), dtype=np.int64)
+    lone = rows(blocks[0]) if len(blocks) == 1 else None  # a lone block is bounded once
+    out = np.empty((2, sum(int((lone or rows(b))[2].sum()) for b in blocks)), dtype=np.int64)
     end = 0
     for b in blocks:
-        vs, u_lo, counts = rows(b)
+        vs, u_lo, counts = lone or rows(b)
         start, end = end, end + int(counts.sum())
         # u runs from u_lo up along each row: the column index minus the row's first column
         np.add(np.repeat(u_lo - (np.cumsum(counts) - counts), counts), np.arange(end - start),
                out=out[0, start:end])
         out[1, start:end] = np.repeat(vs, counts)
     return out
+
+
+def _coord_guard(coords: np.ndarray) -> float:
+    """Bound on the float error of u + v*tau and u + v*tau' (or of n) over int64 columns."""
+    top = max(coords.max(initial=0), -coords.min(initial=0))  # the largest |u|, |v| or |n|
+    return FLOAT_GUARD + FLOAT_REL * len(coords) * float(top)
+
+
+def _bands(x: np.ndarray, bound):
+    """(depth, slack, contains) of floats ``x`` in an IntervalUnion or a closed pair.  The
+    depth, max over the intervals of min(x - a, b - x), is within the error of x plus
+    ``slack`` of the exact one, and beyond that decides [a, b) and [a, b] alike."""
+    if isinstance(bound, IntervalUnion):
+        pairs, contains = bound.intervals, bound.contains
+    else:
+        lo, hi = map(QuadNum.coerce, bound)
+        pairs, contains = [(lo, hi)], lambda q: lo <= q <= hi
+    # for a = -b, b - |x| is min(x - a, b - x) bit for bit, in one operation less
+    depths = [bf - np.abs(x) if af == -bf else np.minimum(x - af, bf - x)
+              for af, bf in ((float(a), float(b)) for a, b in pairs)]
+    return (reduce(np.maximum, depths) if depths else np.full(len(x), -np.inf),
+            max([_float_slack(e) for ab in pairs for e in ab], default=0.0), contains)
+
+
+def _quad_mask(iu, coords: np.ndarray, region=None) -> np.ndarray:
+    """Exact mask of u + v*tau' in ``iu`` and of u + v*tau in ``region`` (each an IntervalUnion,
+    a closed pair or None) over columns (u, v): the one exact cut of lattice points.  Floats
+    decide beyond the guard band (``_coord_guard`` plus the endpoints' slack), Q(tau) in it."""
+    u, v = coords
+    g, depth, tests = _coord_guard(coords), None, []
+    for t, bound, point in ((TAU_PRIME, iu, lambda p, q: QuadNum(p + q, -q)),
+                            (TAU, region, QuadNum)):
+        if bound is not None:
+            x = v * t
+            x += u  # in place: no second float temporary per chunk
+            d, slack, contains = _bands(x, bound)
+            depth, g = (d if depth is None else np.minimum(depth, d, out=depth)), g + slack
+            tests.append((point, contains))
+    keep = depth > g
+    for i in np.flatnonzero(np.abs(depth, out=depth) <= g):  # the band, decided in Q(tau)
+        p, q = int(u[i]), int(v[i])
+        keep[i] = all(contains(point(p, q)) for point, contains in tests)
+    return keep
 
 
 # ---------------------------------------------------------------------------

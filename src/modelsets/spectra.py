@@ -33,8 +33,8 @@ from .errors import (MAX_CANDIDATES, MAX_DECK_CELLS, MAX_ENTRIES, MAX_PATTERN_CE
                      ParameterError, check_budget, check_int, check_real)
 from .pointsets import _atomic_write
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
-                      IntervalUnion, QuadNum, ResidueSet, Scheme, Window, _norm,
-                      _product, _quad_candidates, make_scheme, window_factors)
+                      IntervalUnion, QuadNum, ResidueSet, Scheme, Window, _float_slack, _norm,
+                      _product, _quad_candidates, _quad_mask, make_scheme, window_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ class Spectrum:
 
 def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1e-4,
                 include_zeros: bool = False) -> Spectrum:
-    """All dual points with |k| <= kmax and intensity |window_ft(-k*)|^2.
+    """All dual points with |k| <= kmax, decided exactly, and intensity |window_ft(-k*)|^2.
 
     Peaks below ``min_intensity`` are omitted unless ``include_zeros`` is set
     (then everything enumerated appears); the schemes with a real internal
@@ -300,7 +300,8 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
     if iu is None:
         N = rs.modulus
         check_budget(2 * kmax * N + 1, MAX_ENTRIES, "reduce kmax")
-        js = np.arange(math.ceil(-kmax * N - 1e-9), math.floor(kmax * N + 1e-9) + 1)
+        top = math.floor(Fraction(kmax) * N)  # |j| <= kmax * N, in integers
+        js = np.arange(-top, top + 1)
         bs, b_of_j = np.unique(js % N, return_inverse=True)
         # k rounds correctly, as float(Fraction(j, N)) does: below 2**53 both j and N
         # are exact floats and one float division is CPython's int / int; from 2**53
@@ -344,23 +345,23 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
 
 
 def _golden_dual_labels(kmax: float, kappa_bound: float, b: int, N: int) -> np.ndarray:
-    """Rows (m, n) of the dual labels with |k| <= kmax and |kappa| <= kappa_bound.
+    """Rows (m, n) of the dual labels with |k| <= kmax and |kappa| <= kappa_bound, exactly.
 
     k sqrt5 = m + n tau + (b/N) tau' and kappa sqrt5 = -(m + n tau' + (b/N) tau),
     so (m, n) is a lattice point of the box that ``_quad_candidates``
-    enumerates; fibonacci is the case b = 0.  Both bounds get 1e-9 of slack,
-    and the candidates are then cut by one float test per bound.
+    enumerates; fibonacci is the case b = 0.  The lattice point (U, V) =
+    (N m + b, N n - b) has U + V tau = N sqrt5 k and U + V tau' = -N sqrt5 kappa,
+    and sqrt5 = 2 tau - 1, so ``_quad_mask`` decides both bounds on it exactly.
     """
-    P = SQRT5 * kmax + 1e-9
-    Q = SQRT5 * kappa_bound + 1e-9
+    P, Q = (_norm(-N * x.numerator, 2 * N * x.numerator, x.denominator)  # N sqrt5 x
+            for x in map(Fraction, (kmax, kappa_bound)))
+    Pf, Qf = ((float(x) + _float_slack(x)) / N for x in (P, Q))  # the slack's margin covers / N
     beta = b / N
-    cand = _quad_candidates((-Q - beta * TAU, Q - beta * TAU),
-                            (-P - beta * TAU_PRIME, P - beta * TAU_PRIME),
+    cand = _quad_candidates((-Qf - beta * TAU, Qf - beta * TAU),
+                            (-Pf - beta * TAU_PRIME, Pf - beta * TAU_PRIME),
                             MAX_CANDIDATES, "reduce kmax or raise min_intensity")
-    m, n = cand
-    lo = np.maximum(-P - n * TAU - beta * TAU_PRIME, -Q - n * TAU_PRIME - beta * TAU)
-    hi = np.minimum(P - n * TAU - beta * TAU_PRIME, Q - n * TAU_PRIME - beta * TAU)
-    return cand[:, (m >= lo) & (m <= hi)]
+    uv = cand * N + [[b], [-b]]
+    return np.compress(_quad_mask((-Q, Q), uv, (-P, P)), cand, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,24 @@ def test_a_window_end_whose_float_cancels(argv, extra, tmp_path):
     assert len(body[CANCELLING]) == len(body["[-1,1)"]) + len(extra)
 
 
+@pytest.mark.parametrize("argv, rows", [
+    # |tau| is above the float cutoff: keys -1, 0, 1 only
+    (["correlate", "--scheme", "fibonacci", "--window", "fib", "--order", "2",
+      "--cutoff", "1.6180339887498947"], 3),
+    # |k| = 1/sqrt5 of the labels (+-1, 0) is above the float kmax
+    (["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "0.4472135954999579",
+      "--min-intensity", "1e-3"], 9),
+    # k = 1/2 is above kmax
+    (["diffract", "--scheme", "periodic:2", "--window", "{0}@2", "--kmax", "0.499999999999"], 1),
+], ids=["correlate", "diffract", "diffract periodic"])
+def test_a_bound_next_to_a_lattice_value_is_decided_exactly(argv, rows, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    assert run(*argv, "-o", str(path)) == EXIT_OK
+    assert len(path.read_text().splitlines()) == rows + 1
+    noun = "correlation entries" if argv[0] == "correlate" else "spectrum rows"
+    assert capsys.readouterr().out == f"wrote {rows} {noun} to {path}\n"
+
+
 def test_correlate_contains_expected_row(tmp_path):
     out = tmp_path / "corr.csv"
     code = run("correlate", "--scheme", "fibonacci", "--window", "fib",

@@ -77,6 +77,27 @@ def test_pattern_points_of_the_wrong_type_are_refused():
         freq_empirical(fib_ps, (2,), 50)
 
 
+def test_freq_empirical_decides_the_interval_ends_exactly():
+    ps = generate(FIB, W, (-10, 10))
+    # -1, 0 and tau lie in (-tau, tau) exactly; the float of tau is above tau
+    R = 2 * TAU
+    assert freq_empirical(ps, (), R) == 3 / R
+    # the open interval (-1, 1) leaves out the point -1; the next float takes it in
+    assert freq_empirical(ps, (), 2.0) == 1 / 2.0
+    R = math.nextafter(2.0, math.inf)
+    assert freq_empirical(ps, (), R) == 2 / R
+    per = generate(make_scheme("periodic", 32), parse_window(expand_window_literal("A")),
+                   (-40, 40))
+    assert freq_empirical(per, (), 16.0) == sum(1 for n in per.coords[0] if -8 < n < 8) / 16
+
+
+def test_support_differences_at_a_float_lattice_length():
+    # the float 1.6180339887498947 is below tau, so +-tau are outside the cutoff
+    keys = {x for (x,) in correlation_measure(FIB, W, 2, 1.6180339887498947).entries}
+    assert keys == {QuadLatticePoint(-1, 0), QuadLatticePoint(0, 0), QuadLatticePoint(1, 0)}
+    assert QuadLatticePoint(0, 1) in support_differences(FIB, W, math.nextafter(TAU, math.inf))
+
+
 def test_freq_empirical_matches_exact():
     ps = generate(FIB, W, (-10_005, 10_005))
     got = freq_empirical(ps, (TAU_PT,), 2e4)
@@ -183,7 +204,7 @@ def loop_support_differences(scheme, w, cutoff):
         ulo = math.floor(diff_lo - v * TAU_PRIME) - 1
         uhi = math.ceil(diff_hi - v * TAU_PRIME) + 1
         for u in range(ulo, uhi + 1):
-            if abs(u + v * TAU) > cutoff + 1e-12:
+            if not -cutoff <= QuadNum(u, v) <= cutoff:
                 continue
             x = QuadLatticePoint(u, v)
             if not window_intersect(w, w.translate(star(scheme, -x))).is_empty():
@@ -197,9 +218,13 @@ interval_windows = st.lists(st.integers(-48, 48), min_size=2, max_size=6, unique
     sorted).map(lambda ends: IntervalUnion(
         (Fraction(a, 16), Fraction(b, 16)) for a, b in zip(ends[::2], ends[1::2])))
 cutoffs = st.one_of(st.floats(0, 25),
-                    # a lattice length, where the cutoff test is an equality
+                    # a lattice length and the floats on either side of it, where the
+                    # exact cutoff test meets a lattice value within a rounding
                     st.builds(lambda u, v: abs(u + v * TAU), st.integers(-20, 20),
-                              st.integers(-12, 12)).filter(lambda c: c <= 25))
+                              st.integers(-12, 12))
+                    .flatmap(lambda c: st.sampled_from([math.nextafter(c, -math.inf), c,
+                                                        math.nextafter(c, math.inf)]))
+                    .filter(lambda c: 0 <= c <= 25))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

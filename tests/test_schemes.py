@@ -226,15 +226,22 @@ def test_only_window_factors_checks_window_kinds():
 
 
 def test_lattice_layer_and_residue_decks_have_one_home():
-    """The float model and the enumeration of Z[tau] are defined in ``schemes`` alone,
-    ``_lattice_coords`` in ``correlations`` alone, and ``spectra`` imports nothing from
-    ``homometry``."""
+    """The float model, the enumeration of Z[tau] and its exact cut are defined in
+    ``schemes`` alone, and only ``schemes`` reads the guard band's constants;
+    ``_lattice_coords`` lives in ``correlations`` alone, and ``spectra`` imports nothing
+    from ``homometry``."""
     homes = {"FLOAT_REL": "schemes.py", "_float_slack": "schemes.py",
              "_physical": "schemes.py", "_quad_candidates": "schemes.py",
+             "_bands": "schemes.py", "_quad_mask": "schemes.py",
              "_lattice_coords": "correlations.py"}
     found = {name: [] for name in homes}
+    readers = set()
     for path in sorted(Path(modelsets.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
+        readers |= {path.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.alias, ast.Attribute))
+                    and {getattr(node, key, None) for key in ("id", "name", "attr")}
+                    & {"FLOAT_GUARD", "FLOAT_REL"}}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -253,6 +260,7 @@ def test_lattice_layer_and_residue_decks_have_one_home():
             imported |= {getattr(node, "module", None) or "" for node in imports}
             assert not {name for name in imported if "homometry" in name}, imported
     assert found == {name: [home] for name, home in homes.items()}, found
+    assert readers == {"schemes.py"}, readers
 
 
 KINDS = ("fibonacci", "periodic", "combined")

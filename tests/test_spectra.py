@@ -71,28 +71,61 @@ def test_fibonacci_dual_k_values():
 
 
 def double_loop_dual_labels(kmax, kappa_bound, b, N):
-    """The golden-ratio dual labels by a plain loop over n, then m: the oracle."""
-    P = SQRT5 * kmax + 1e-9
-    Q = SQRT5 * kappa_bound + 1e-9
-    beta = b / N
-    nmax = math.floor((P + Q) / SQRT5 + beta) + 1
+    """The golden-ratio dual labels by a plain loop over n, then m: the oracle.  Each row's
+    bounds on m are QuadNums, rounded to integers by exact comparison."""
+    tau = QuadNum(0, 1)
+    P, Q = ((2 * tau - 1) * QuadNum(x) for x in (kmax, kappa_bound))  # sqrt5 = 2 tau - 1
+    beta = Fraction(b, N)
+    nmax = math.floor((float(P) + float(Q)) / SQRT5 + beta) + 1
     for n in range(-nmax, nmax + 1):
-        lo = max(-P - n * TAU - beta * TAU_PRIME, -Q - n * TAU_PRIME - beta * TAU)
-        hi = min(P - n * TAU - beta * TAU_PRIME, Q - n * TAU_PRIME - beta * TAU)
-        for m in range(math.ceil(lo), math.floor(hi) + 1):
+        lo = max(-P - n * tau - beta * (1 - tau), -Q - n * (1 - tau) - beta * tau)
+        hi = min(P - n * tau - beta * (1 - tau), Q - n * (1 - tau) - beta * tau)
+        m_lo, m_hi = math.ceil(float(lo)) - 1, math.floor(float(hi)) + 1
+        while m_lo < lo:
+            m_lo += 1
+        while m_hi > hi:
+            m_hi -= 1
+        for m in range(m_lo, m_hi + 1):
             yield m, n
 
 
+def float_neighbours(x):
+    """x and the floats on either side of it (``math.nextafter``)."""
+    return st.sampled_from([math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)])
+
+
+#: |k| and |kappa| of fibonacci dual labels (m, n), and their float neighbours: an exact
+#: bound test meets a label's value within a rounding, on either side
+label_ks = st.builds(lambda m, n: abs(m + n * TAU) / SQRT5, st.integers(-20, 20),
+                     st.integers(-12, 12)).flatmap(float_neighbours)
+label_kappas = st.builds(lambda m, n: abs(m + n * TAU_PRIME) / SQRT5, st.integers(-20, 20),
+                         st.integers(-12, 12)).flatmap(float_neighbours)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.floats(0, 30), st.floats(0, 60), st.sampled_from([1, 2, 3, 5, 32, 97]),
-       st.integers(0, 96))
+@given(st.floats(0, 30) | label_ks.filter(lambda k: 0 <= k <= 30),
+       st.floats(0, 60) | label_kappas.filter(lambda k: 0 <= k <= 60),
+       st.sampled_from([1, 2, 3, 5, 32, 97]), st.integers(0, 96))
 @example(0.0, 0.0, 1, 0)
-@example(1 / SQRT5, TAU / SQRT5, 1, 0)      # both bounds on lattice values
+# the floats just below and just above |k| of (1, 0) and |kappa| of (0, 1)
+@example(1 / SQRT5, TAU / SQRT5, 1, 0)
+@example(math.nextafter(1 / SQRT5, math.inf), math.nextafter(TAU / SQRT5, math.inf), 1, 0)
 @example(2.0, 100.0, 97, 96)
 def test_golden_dual_labels_match_the_double_loop(kmax, kappa_bound, N, b):
     b %= N
     got = list(zip(*_golden_dual_labels(kmax, kappa_bound, b, N).tolist()))
     assert got == list(double_loop_dual_labels(kmax, kappa_bound, b, N))
+
+
+def test_diffraction_at_a_float_label_value():
+    # the float kmax is below |k| = 1/sqrt5 of the labels (+-1, 0), and the next one above
+    spec = diffraction(FIB, W, 0.4472135954999579, 1e-3)
+    assert len(spec) == 9 and not (np.abs(spec.labels) == (1, 0)).all(axis=1).any()
+    above = diffraction(FIB, W, math.nextafter(0.4472135954999579, math.inf), 1e-3)
+    assert len(above) == 11 and above.intensity_at(1, 0) == above.intensity_at(-1, 0) > 0
+    per2 = make_scheme("periodic", 2)
+    assert diffraction(per2, parse_window("{0}@2"), 0.499999999999).labels.tolist() == [[0]]
+    assert diffraction(per2, parse_window("{0}@2"), 0.5).labels.tolist() == [[0], [-1], [1]]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +264,8 @@ def scalar_spectrum(scheme, w, kmax, min_intensity, include_zeros):
     sorted by (|k|, labels): the per-label oracle of the columnar diffraction."""
     N = scheme.modulus or 1
     if scheme.kind == "periodic":
-        labels = [(j,) for j in range(math.ceil(-kmax * N - 1e-9),
-                                      math.floor(kmax * N + 1e-9) + 1)]
+        top = math.floor(Fraction(kmax) * N)
+        labels = [(j,) for j in range(-top, top + 1)]
     else:
         iu = w.intervals if scheme.kind == "combined" else w
         kappa_bound = max(1, len(iu.intervals)) / (math.pi * SQRT5 * math.sqrt(min_intensity))
@@ -261,7 +294,7 @@ def interval_unions(draw):
     return IntervalUnion(pairs)
 
 
-kmaxes = st.integers(0, 32).map(lambda i: i / 16)
+kmaxes = st.integers(0, 32).map(lambda i: i / 16) | label_ks.filter(lambda k: 0 <= k <= 2)
 
 
 @st.composite
@@ -320,7 +353,8 @@ def per_label_periodic(scheme, w, kmax, min_intensity, include_zeros):
     """The periodic pass with one scalar window_ft call per label j: the oracle of the
     pass that takes it once per residue class."""
     N = scheme.modulus
-    js = range(math.ceil(-kmax * N - 1e-9), math.floor(kmax * N + 1e-9) + 1)
+    top = math.floor(Fraction(kmax) * N)
+    js = range(-top, top + 1)
     labels = np.array(js, np.int64)[:, None]
     k = np.array([j / N for j in js], float)
     inten = np.array([abs(window_ft(scheme, w, j % N)) ** 2 for j in js], float)
@@ -332,8 +366,10 @@ def per_label_periodic(scheme, w, kmax, min_intensity, include_zeros):
 def periodic_cases(draw):
     N = draw(st.one_of(st.integers(2, 64), st.sampled_from([2**53 + 1, 2**61 - 1])))
     elems = draw(st.sets(st.integers(0, N - 1), max_size=8))
-    kmax = draw(st.floats(0, 40)) * min(1, 64 / N)
-    return make_scheme("periodic", N), ResidueSet(N, elems), kmax
+    kmax = draw(st.floats(0, 40).map(lambda x: x * min(1, 64 / N))
+                # a label value j/N and its float neighbours
+                | st.integers(0, 64).map(lambda j: j / N).flatmap(float_neighbours))
+    return make_scheme("periodic", N), ResidueSet(N, elems), abs(kmax)
 
 
 @settings(max_examples=150, deadline=None)
