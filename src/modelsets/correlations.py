@@ -75,7 +75,7 @@ def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
         out = ~_quad_mask(None, uv, (-h, h)) | [v == 0 and abs(u) == h for u, v in uv.T.tolist()]
         found = np.delete(found, np.compress(out, band) - first, axis=1)
     for off in offs:
-        found = found[:, ps.contains(found + off)]
+        found = np.compress(ps.contains(found + off), found, axis=1)
     return found.shape[1] / R
 
 
@@ -141,7 +141,8 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     iu, _ = window_factors(scheme, w)
     if iu is None:
         top = math.floor(cutoff)
-        check_budget(2 * top + 1, MAX_DIFFERENCE_CANDIDATES, "reduce the cutoff")
+        check_budget(2 * top + 1, MAX_DIFFERENCE_CANDIDATES, "candidate differences",
+                     "reduce the cutoff")
         # the pair cut depends on x mod N only: one cut per class, taken at
         # its first representative in [-top, top]
         N = scheme.modulus
@@ -174,7 +175,7 @@ def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) ->
     check_real("cutoff", cutoff, 0)
     base = support_differences(scheme, w, cutoff)
     n = order - 1
-    check_budget(len(base) ** n, MAX_ENTRIES, "reduce the cutoff")
+    check_budget(len(base) ** n, MAX_ENTRIES, "correlation tuples", "reduce the cutoff")
     # equal cuts share one id; W's id 0 (x = 0, or x = 0 mod N) changes no intersection
     ids = {w: 0}
     cut_ids = [ids.setdefault(_pair_cut(scheme, w, x), len(ids)) for x in base]

@@ -24,7 +24,7 @@ class ReconstructionError(RuntimeError):
 MAX_CANDIDATES = 50_000_000
 #: lattice candidates one support-difference enumeration may visit
 MAX_DIFFERENCE_CANDIDATES = 500_000
-#: Python-level items one call may build: correlation tuples, dual labels
+#: items one call may build: correlation tuples, or dual labels (numpy columns)
 MAX_ENTRIES = 2_000_000
 #: int64 cells of the N x N shift matrix, or of the N^3 counts, behind a pattern table;
 #: also the N^2 steps in which ``zero_condition`` cuts x^N - 1 into cyclotomic factors
@@ -33,10 +33,11 @@ MAX_PATTERN_CELLS = 1_000_000
 MAX_DECK_CELLS = 2048 ** 2
 
 
-def check_budget(est, budget: int, advice: str) -> None:
-    """The one refusal on size: ResourceError ending with ``advice`` if ``est`` > ``budget``."""
+def check_budget(est, budget: int, unit: str, advice: str) -> None:
+    """The one refusal on size: ResourceError if ``est`` > ``budget``, both counts of
+    ``unit`` (a plural noun); the message ends with ``advice``."""
     if est > budget:
-        raise ResourceError(f"would visit ~{est:.3g} candidates, over the budget of "
+        raise ResourceError(f"would visit ~{est:.3g} {unit}, over the budget of "
                             f"{budget}; {advice}")
 
 

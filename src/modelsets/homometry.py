@@ -78,7 +78,8 @@ def _pattern_counts(S: ResidueSet, order: int) -> np.ndarray:
     """
     N = S.modulus
     # the N x N shift matrix, or the N^3 counts at order 4
-    check_budget(N ** max(2, order - 1), MAX_PATTERN_CELLS, "use a smaller modulus or order")
+    check_budget(N ** max(2, order - 1), MAX_PATTERN_CELLS, "pattern cells",
+                 "use a smaller modulus or order")
     s = np.zeros(N, dtype=np.int64)
     s[list(S.elems)] = 1
     sh = s[(np.arange(N)[:, None] + np.arange(N)[None, :]) % N]

@@ -134,7 +134,7 @@ def _in_window(scheme: Scheme, w: Window, coords: np.ndarray, region=None) -> np
             continue
         keep = np.isin(chunk[0] % rs.modulus, np.array(rs.elems, dtype=np.int64))
         if iu is not None:
-            keep[keep] = _quad_mask(iu, chunk[:, keep], region)
+            keep[keep] = _quad_mask(iu, np.compress(keep, chunk, axis=1), region)
         elif region is not None:  # n as the lattice point n + 0*tau
             keep &= _quad_mask(None, np.pad(chunk, ((0, 1), (0, 0))), region)
         mask[c] = keep
@@ -176,7 +176,7 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
     iu, _ = window_factors(scheme, w)
     if iu is None:
         _check_float_positions(lo, hi, None)
-        check_budget(hi - lo, MAX_CANDIDATES, "shrink the region")
+        check_budget(hi - lo, MAX_CANDIDATES, "lattice candidates", "shrink the region")
         cand = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)[None]
     elif iu.is_empty():
         cand = np.zeros((2, 0), dtype=np.int64)

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import spectra
 from .errors import ParameterError, ReconstructionError
-from .spectra import DeckGrid, row_blocks, wrapped_rows
+from .spectra import DeckGrid, wrapped_rows
 
 #: default extinction threshold, as a fraction of the largest |F|
 EPS_ZERO_FACTOR = 1e-4
@@ -236,7 +236,7 @@ def _gauge_relation(known, grading, absF, seed: int):
     M = len(known)
     q = M // math.gcd(seed, M)
     known_sum, grading_sum, absF_sum = (wrapped_rows(v) for v in (known, grading, absF))
-    step = next(row_blocks(M, M)).stop
+    step = max(1, spectra.BLOCK_CELLS // M)
     todo = np.nonzero(known)[0]    # rows still to scan, in order
     best = None   # (|dc|, score, m1, m2, dc)
     # known frequencies all lie in D, so a known pair with known sum is in D2

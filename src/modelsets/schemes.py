@@ -352,7 +352,7 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
     # before allocating: a row visits at most the narrower width + 3 candidates
     # (+ 4 leaves one for float rounding), so this bounds the total
     width = min(whi_f - wlo_f, hi - lo) + 4
-    check_budget((vmax - vmin + 1) * width, budget, advice)
+    check_budget((vmax - vmin + 1) * width, budget, "lattice candidates", advice)
     # |u| <= |u*| + |v| + 1 with u* in the star range
     if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
         raise ParameterError("region or window too far from the origin for int64 coordinates")

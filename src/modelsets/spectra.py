@@ -199,7 +199,7 @@ class Spectrum:
         order = np.lexsort((*labels.T[::-1], np.abs(k)))
         for name, a, dtype in (("labels", labels, np.int64), ("k", k, float),
                                ("intensity", inten, float)):
-            a = a.astype(dtype)[order]  # a private copy
+            a = np.asarray(a, dtype=dtype)[order]  # a private copy
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -299,7 +299,7 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
 
     if iu is None:
         N = rs.modulus
-        check_budget(2 * kmax * N + 1, MAX_ENTRIES, "reduce kmax")
+        check_budget(2 * kmax * N + 1, MAX_ENTRIES, "dual labels", "reduce kmax")
         top = math.floor(Fraction(kmax) * N)  # |j| <= kmax * N, in integers
         js = np.arange(-top, top + 1)
         bs, b_of_j = np.unique(js % N, return_inverse=True)
@@ -320,7 +320,7 @@ def diffraction(scheme: Scheme, w: Window, kmax: float, min_intensity: float = 1
         # most the narrower of its two ranges plus the enumeration's slack
         rows = 2 * (kmax + kappa_bound) + 8
         check_budget(N * rows * (2 * SQRT5 * min(kmax, kappa_bound) + 4), MAX_ENTRIES,
-                     "reduce kmax or raise min_intensity")
+                     "dual labels", "reduce kmax or raise min_intensity")
         for b in range(N):
             if rs is not None:
                 rft = _residue_ft(rs, (-b) % N)
@@ -408,7 +408,7 @@ def zero_condition(N: int, windows: Mapping[int, IntervalUnion], b: int) -> bool
     """
     if N < 1:
         raise ParameterError("modulus must be positive")
-    check_budget(N * N, MAX_PATTERN_CELLS, "use a smaller modulus")  # _cyclotomic: ~N^2 steps
+    check_budget(N * N, MAX_PATTERN_CELLS, "cyclotomic steps", "use a smaller modulus")
     cuts = set()
     live = {a: w for a, w in windows.items() if not w.is_empty()}
     if not live:
@@ -447,10 +447,10 @@ class DeckGrid:
     whole cell counts on each read, and each read of I2hat forms it in
     blocks of columns (:meth:`I2hat_at`, the dense ``I2hat``), each checked as
     it is formed against the indicator transform ``_F``, which only that check
-    reads.  The blocks of one read are split across the usable cores
-    (:func:`_split_pass`); a read writes into none of the deck's arrays, so
-    any number of threads may read one deck.  ``deck_functions`` makes every
-    array read-only.
+    reads.  :func:`_split_pass` cuts each read into its blocks and shares
+    them across the usable cores; a read writes into none of the deck's
+    arrays, so any number of threads may read one deck.  ``deck_functions``
+    makes every array read-only.
     """
 
     M: int
@@ -499,38 +499,35 @@ class DeckGrid:
 
     def _column_pass(self, read) -> None:
         """Call ``read(c, B)``, B[i, k1] = I2hat[k1, c.start + i], once for each column
-        block c, the blocks split across the usable cores.
+        block c of :func:`_split_pass`.
 
         Each block scatters the row transforms of its columns at ``rows`` and
         transforms along k1, as fft2's second axis does; B is its worker's
         workspace, overwritten by that worker's next block.  Each block is
-        checked as it is formed (:func:`_factor_residual`); the verdict,
-        against |F[0]|^3 = I2hat[0, 0], the largest |I2hat| since I2 >= 0,
-        comes after the last one.
+        checked (:func:`_factor_residual`) before ``read`` sees it; the
+        verdict, the largest residual against |F[0]|^3 = I2hat[0, 0], the
+        largest |I2hat| since I2 >= 0, comes after the last block.
         """
         M, h = self.M, self.cell
         cF = np.conj(self._F)
         Fsum = wrapped_rows(self._F)
         inv_scale = 1 / abs(self._F[0]) ** 3
 
-        def worker(step):
-            # the columns off ``rows`` are never written, so they stay zero
-            z = np.zeros((step, M), dtype=complex)
-            B, p = np.empty((step, M), dtype=complex), np.empty((step, M), dtype=complex)
+        def alloc(step):
+            # z: the columns off ``rows`` are never written, so they stay zero
+            return (np.zeros((step, M), dtype=complex), np.empty((step, M), dtype=complex),
+                    np.empty((step, M), dtype=complex))
 
-            def work(blocks):
-                err = 0.0
-                for c in blocks:
-                    n = c.stop - c.start
-                    z[:n, self.rows] = self.row_hat[:, c].T
-                    block = np.fft.fft(z[:n], axis=1, out=B[:n])
-                    block *= h * h
-                    err = max(err, _factor_residual(block, c, cF, Fsum, inv_scale, p))
-                    read(c, block)
-                return err
-            return work
+        def work(c, z, B, p):
+            n = c.stop - c.start
+            z[:n, self.rows] = self.row_hat[:, c].T
+            block = np.fft.fft(z[:n], axis=1, out=B[:n])
+            block *= h * h
+            err = _factor_residual(block, c, cF, Fsum, inv_scale, p)
+            read(c, block)
+            return err
 
-        if max(_split_pass(M, M, worker)) > 1e-8 ** 2:
+        if max(_split_pass(M, M, alloc, work)) > 1e-8 ** 2:
             raise AssertionError("I2hat does not factor through the indicator transform")
 
 
@@ -566,7 +563,9 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     """Deck data of a sampled indicator; verifies the grid identities.
 
     Precondition: the support diameter must stay below l_half/2 so circular
-    correlations agree with correlations on the line.
+    correlations agree with correlations on the line.  The row pass forms
+    ``row_hat`` in row blocks of :func:`_split_pass`, each row of I2 by one
+    real FFT correlation and its transform by one FFT.
     """
     check_int("grid size M", M, 1)
     check_real("half-length L", l_half, positive=True)
@@ -575,7 +574,7 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
         raise ParameterError(f"indicator must have shape ({M},)")
     if not np.isin(f, (0, 1)).all():
         raise ParameterError("indicator must be 0/1 valued")
-    check_budget(M * M, MAX_DECK_CELLS, "use a smaller grid")
+    check_budget(M * M, MAX_DECK_CELLS, "deck cells", "use a smaller grid")
     h = 2 * float(l_half) / M   # = DeckGrid.cell, also for a Fraction l_half
     if not (h >= _DECK_H_MIN and M * h <= _DECK_SPAN_MAX):
         raise ParameterError(f"cell width 2L/M = {h:.3g} puts the deck transforms out of float "
@@ -608,28 +607,25 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     # second, along the columns, block by block on each read of I2hat
     row_hat = np.empty((len(rows), M), dtype=complex)
 
-    def worker(step):
-        # one workspace for every block of this worker, the first (largest)
-        # one's size; blocks allocated anew would each cost page faults once
-        # they pass the allocator's mmap threshold
-        g = np.empty((step, M))
-        G = np.empty((step, M // 2 + 1), dtype=complex)
+    def alloc(step):
+        # one workspace for every block of a worker, the first (largest) one's
+        # size; blocks allocated anew would each cost page faults once they
+        # pass the allocator's mmap threshold
+        return np.empty((step, M)), np.empty((step, M // 2 + 1), dtype=complex)
 
-        def work(blocks):
-            for block in blocks:
-                r = rows[block]
-                gb, Gb = g[:len(r)], G[:len(r)]
-                np.multiply(fb, shifted[M - r], out=gb)
-                np.fft.rfft(gb, axis=1, out=Gb)
-                Gb *= cRf
-                np.fft.irfft(Gb, n=M, axis=1, out=gb)
-                np.rint(gb, out=gb)   # the cell counts of these rows of I2
-                gb += 0.0             # an empty cell is +0.0, never rint's -0.0
-                gb *= h
-                np.fft.fft(gb, axis=1, out=row_hat[block])
-        return work
+    def work(block, g, G):
+        r = rows[block]
+        g, G = g[:len(r)], G[:len(r)]
+        np.multiply(fb, shifted[M - r], out=g)
+        np.fft.rfft(g, axis=1, out=G)
+        G *= cRf
+        np.fft.irfft(G, n=M, axis=1, out=g)
+        np.rint(g, out=g)   # the cell counts of these rows of I2
+        g += 0.0            # an empty cell is +0.0, never rint's -0.0
+        g *= h
+        np.fft.fft(g, axis=1, out=row_hat[block])
 
-    _split_pass(len(rows), M, worker)
+    _split_pass(len(rows), M, alloc, work)
     I1 = h * n1
     I1hat = h * np.fft.fft(I1)
     if I1hat.real.min() < -1e-10 * max(1.0, I1hat.real.max()):
@@ -644,12 +640,6 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
 BLOCK_CELLS = 1 << 15
 
 
-def row_blocks(n: int, width: int):
-    """Slices cutting range(n) into blocks of about BLOCK_CELLS / width rows."""
-    step = max(1, BLOCK_CELLS // width)
-    return (slice(i, min(i + step, n)) for i in range(0, n, step))
-
-
 def _usable_cores() -> int:
     """The number of cores this process may run on."""
     try:
@@ -658,45 +648,43 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _split_pass(n: int, width: int, worker) -> list:
-    """Run the row blocks of ``row_blocks(n, width * cores)`` on one worker per usable core.
+def _split_pass(n: int, width: int, alloc, work) -> list:
+    """Cut range(n) into row blocks and run them on one worker per usable core.
 
-    With ``cores`` usable cores each block holds about BLOCK_CELLS / cores
-    cells, so the cells in flight stay at about BLOCK_CELLS.  ``worker(step)``
-    is called here, in the calling thread, once for each worker: it allocates
-    that worker's workspaces for blocks of up to ``step`` rows and returns
-    ``work(blocks)``, which takes each block that ``blocks`` yields (the next
-    one that no worker has taken) and returns its result.  The calling thread
-    is one worker; the others are threads started and joined here, none for
-    one usable core or one block.  Returns the workers' results; the first
-    exception raised in any worker is raised here once all have ended, and no
-    worker takes a block after it.
+    With ``cores`` usable cores a block holds ``step`` = BLOCK_CELLS //
+    (width * cores) rows, at least one, so the cells in flight stay at about
+    BLOCK_CELLS.  ``alloc(min(step, n))`` is called here, in the calling
+    thread, once for each worker, and returns that worker's workspaces;
+    ``work(block, *workspaces)`` is called once for each block, a slice of
+    range(n), by the worker that takes it (the next block no worker has
+    taken).  The calling thread is one worker; the others are threads started
+    and joined here, none for one usable core or one block.  Returns the
+    values of ``work``, one per block, in no fixed order; the first exception
+    raised in any worker is raised here once all have ended, and no worker
+    takes a block after it.
     """
     cores = _usable_cores()
-    blocks = list(row_blocks(n, width * cores))
-    step = blocks[0].stop if blocks else 0
+    step = max(1, BLOCK_CELLS // (width * cores))
+    blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
     todo, lock = iter(blocks), threading.Lock()
     results, errors = [], []
 
-    def taken():
-        while True:
-            with lock:   # after an exception, no worker takes another block
-                c = None if errors else next(todo, None)
-            if c is None:
-                return
-            yield c
-
-    def run(work):
+    def run(workspaces):
         try:
-            results.append(work(taken()))
+            while True:
+                with lock:   # after an exception, no worker takes another block
+                    c = None if errors else next(todo, None)
+                if c is None:
+                    return
+                results.append(work(c, *workspaces))
         except BaseException as e:
             errors.append(e)
 
-    works = [worker(step) for _ in range(max(1, min(cores, len(blocks))))]
-    threads = [threading.Thread(target=run, args=(work,)) for work in works[1:]]
+    spaces = [alloc(min(step, n)) for _ in range(max(1, min(cores, len(blocks))))]
+    threads = [threading.Thread(target=run, args=(ws,)) for ws in spaces[1:]]
     for t in threads:
         t.start()
-    run(works[0])
+    run(spaces[0])
     for t in threads:
         t.join()
     if errors:

@@ -411,34 +411,46 @@ def test_bad_parameter_is_one_line_usage_error(argv, tmp_path, capsys, alarm_gua
         assert "4 and 5" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e6"],
-    ["correlate", "--scheme", "periodic:32", "--window", "A", "--cutoff", "1e9"],
-    ["homometry", "--sets", "{0,1,5}@128", "{0,2,5}@128", "--order", "4"],
-    ["reconstruct", "--window", "[0,1)", "--grid", "4096"],
+RESOURCE_LIMITS = [
+    (["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e6"],
+     "lattice candidates"),
+    (["correlate", "--scheme", "periodic:32", "--window", "A", "--cutoff", "1e9"],
+     "candidate differences"),
+    (["homometry", "--sets", "{0,1,5}@128", "{0,2,5}@128", "--order", "4"], "pattern cells"),
+    (["reconstruct", "--window", "[0,1)", "--grid", "4096"], "deck cells"),
     # estimates of 1e300 and more: printed as ~6.47e+300 and ~inf, not as
     # a 301-digit int or an OverflowError traceback
-    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e300"],
-    ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e308"],
+    (["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e300"],
+     "lattice candidates"),
+    (["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e308"],
+     "lattice candidates"),
     # dual-label enumerations: refused before the first label
-    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "1e7"],
-    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "1",
-     "--min-intensity", "1e-30"],
-    ["diffract", "--scheme", "periodic:32", "--window", "A", "--kmax", "1e9"],
-    ["diffract", "--scheme", "combined:32", "--window", "fib x A", "--kmax", "1e6"],
+    (["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "1e7"], "dual labels"),
+    (["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "1",
+      "--min-intensity", "1e-30"], "dual labels"),
+    (["diffract", "--scheme", "periodic:32", "--window", "A", "--kmax", "1e9"], "dual labels"),
+    (["diffract", "--scheme", "combined:32", "--window", "fib x A", "--kmax", "1e6"],
+     "dual labels"),
     # over the 2e6 label budget, under the 5e7 candidate one
-    ["diffract", "--scheme", "periodic:32", "--window", "A", "--kmax", "4e5"],
-    ["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "1e5",
-     "--min-intensity", "1e-5"],
-    ["diffract", "--scheme", "combined:100000", "--window", "[0,1)x{0}@100000",
-     "--kmax", "0.001", "--include-zeros"],
+    (["diffract", "--scheme", "periodic:32", "--window", "A", "--kmax", "4e5"], "dual labels"),
+    (["diffract", "--scheme", "fibonacci", "--window", "fib", "--kmax", "1e5",
+      "--min-intensity", "1e-5"], "dual labels"),
+    (["diffract", "--scheme", "combined:100000", "--window", "[0,1)x{0}@100000",
+      "--kmax", "0.001", "--include-zeros"], "dual labels"),
     # the N x N shift matrix of a pattern table: 7 TiB at N = 10^6
-    ["homometry", "--sets", "{0,1}@1000000", "{0,2}@1000000", "--order", "2"],
-], ids=lambda argv: " ".join([argv[0], argv[2]] + argv[-2:]))
+    (["homometry", "--sets", "{0,1}@1000000", "{0,2}@1000000", "--order", "2"], "pattern cells"),
+]
+
+
+@pytest.mark.parametrize("argv, unit", RESOURCE_LIMITS,
+                         ids=[" ".join([argv[0], argv[2]] + argv[-2:])
+                              for argv, _ in RESOURCE_LIMITS])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_resource_limit_is_one_line_error(argv, tmp_path, capsys, alarm_guard):
+def test_resource_limit_is_one_line_error(argv, unit, tmp_path, capsys, alarm_guard):
     code = run(*argv, "-o", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == EXIT_RESOURCE
     assert err.startswith("error: resource limit: ") and err.count("\n") == 1
     assert "Traceback" not in err and len(err) < 200
+    # each budget names what it counts
+    assert f" {unit}, over the budget of " in err

@@ -1,8 +1,10 @@
 """Dual points, window transforms, diffraction, zero condition, deck grids."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,6 +459,11 @@ def test_zero_condition_refuses_a_large_modulus():
             zero_condition(N, windows, 1)
 
 
+def test_zero_condition_refusal_names_its_unit():
+    with pytest.raises(ResourceError, match=r"^would visit ~1e\+06 cyclotomic steps, over "):
+        zero_condition(1_001, {0: parse_window("[0,1)")}, 1)
+
+
 # ---------------------------------------------------------------------------
 # deck grids
 # ---------------------------------------------------------------------------
@@ -600,6 +607,22 @@ def test_a_pass_of_one_block_starts_no_thread(monkeypatch):
     f = sample_window(parse_window("[0,1)"), 32, 8.0)
     deck_functions(f, 32, 8.0).I2hat
     assert _CountedThread.started == 0
+
+
+def test_only_split_pass_references_threading():
+    # one function cuts a deck pass into blocks and shares them across the
+    # cores; the passes themselves are plain per-block functions
+    users = set()
+    for path in sorted(Path(spectra.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            units = [(f"{top.name}.{f.name}", f) for f in top.body
+                     if isinstance(f, ast.FunctionDef)] if isinstance(top, ast.ClassDef) else []
+            for name, unit in units or [(getattr(top, "name", "<module>"), top)]:
+                if any(isinstance(n, ast.Name) and n.id == "threading"
+                       or isinstance(n, ast.ImportFrom) and n.module == "threading"
+                       for n in ast.walk(unit)):
+                    users.add((path.name, name))
+    assert users == {("spectra.py", "_split_pass")}
 
 
 def _helper_blocks(monkeypatch, action):
