@@ -21,9 +21,9 @@ from . import homometry, reconstruct, spectra
 from .correlations import (_coord_text, correlation_measure, correlations_equal,
                            freq_empirical)
 from .errors import ParameterError, ReconstructionError, ResourceError, check_real
-from .pointsets import _atomic_write, generate, save_pointset
-from .schemes import (PERIODIC, IntervalUnion, ResidueSet, _excerpt, _split_top,
-                      parse_scheme, parse_window)
+from .pointsets import FLOAT_FORMAT, _atomic_write, generate, save_pointset
+from .schemes import (PERIODIC, QUOTE_WIDTH, IntervalUnion, ResidueSet, _excerpt,
+                      _split_top, parse_scheme, parse_window)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,7 +66,8 @@ def cmd_correlate(args) -> int:
                   f"{args.cutoff} (tol {args.tol:g})")
         else:
             key, v1, v2 = witness
-            print(f"DIFFER at {','.join(map(_coord_text, key))}: {v1:.15g} vs {v2:.15g}")
+            print(f"DIFFER at {','.join(map(_coord_text, key))}: "
+                  f"{v1:{FLOAT_FORMAT}} vs {v2:{FLOAT_FORMAT}}")
         measure.to_csv(args.output)
         return EXIT_OK if equal else EXIT_VERIFY
 
@@ -115,7 +116,7 @@ def cmd_reconstruct(args) -> int:
     if args.csv:
         x = -args.halflength + np.arange(args.grid) * (2 * args.halflength / args.grid)
         lines = ["cell,x,recovered"]
-        lines.extend(f"{i},{x[i]:.15g},{int(v)}" for i, v in enumerate(report.recovered))
+        lines.extend(f"{i},{x[i]:{FLOAT_FORMAT}},{int(v)}" for i, v in enumerate(report.recovered))
         _atomic_write(args.csv, "\n".join(lines) + "\n")
     ok = report.mismatch < max_mismatch
     print(f"selftest mismatch {report.mismatch:.4%} (shift {report.shift}, "
@@ -174,11 +175,12 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors as one ``error: ...`` line, exit 2; subparsers inherit the class.
 
     argparse quotes a bad value in full, so each word of the message is cut
-    to 40 characters.
+    to ``QUOTE_WIDTH`` characters, '...' included.
     """
 
     def error(self, message):
-        words = (w if len(w) <= 40 else w[:37] + "..." for w in message.split())
+        words = (w if len(w) <= QUOTE_WIDTH else w[:QUOTE_WIDTH - 3] + "..."
+                 for w in message.split())
         self.exit(EXIT_USAGE, f"error: {' '.join(words)}\n")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (MAX_DIFFERENCE_CANDIDATES, MAX_ENTRIES, ParameterError, check_budget,
                      check_real)
-from .pointsets import PointSet, _atomic_write
+from .pointsets import FLOAT_FORMAT, PointSet, _atomic_write
 from .schemes import (COORD_LIMIT, PERIODIC, QuadLatticePoint, Scheme, Window, _float_hull,
                       _physical, _quad_candidates, _quad_mask, star, window_factors,
                       window_intersect, window_measure)
@@ -114,9 +114,9 @@ class CorrelationMeasure:
             header.append("empirical")
         lines = [",".join(header)]
         for key in self.support():
-            cells = [_coord_text(x) for x in key] + [f"{self.entries[key]:.15g}"]
+            cells = [_coord_text(x) for x in key] + [f"{self.entries[key]:{FLOAT_FORMAT}}"]
             if empirical is not None:
-                cells.append(f"{empirical[key]:.15g}")
+                cells.append(f"{empirical[key]:{FLOAT_FORMAT}}")
             lines.append(",".join(cells))
         _atomic_write(path, "\n".join(lines) + "\n")
 

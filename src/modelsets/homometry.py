@@ -17,7 +17,8 @@ import numpy as np
 from .correlations import _first_difference
 from .errors import MAX_PATTERN_CELLS, ParameterError, check_budget
 from .pointsets import PointSet, generate
-from .schemes import COMBINED, IntervalUnion, ProductWindow, ResidueSet, make_scheme
+from .schemes import (COMBINED, IntervalUnion, ProductWindow, ResidueSet, _cyclic_gaps,
+                      make_scheme)
 
 CYCLOTOMIC_MODULUS = 32
 
@@ -147,17 +148,13 @@ def rigid_equivalent(S: ResidueSet, T: ResidueSet):
     if not len(S):
         return 1, 0
     N = S.modulus
+    target = _cyclic_gaps(T.elems, N)
     for sign in (1, -1):
         A = sorted((sign * x) % N for x in S.elems)
-        ts = [(T.elems[0] - A[r]) % N for r in _rotations(_gaps(A, N), _gaps(T.elems, N))]
+        ts = [(T.elems[0] - A[r]) % N for r in _rotations(_cyclic_gaps(A, N), target)]
         if ts:
             return sign, min(ts)
     return None
-
-
-def _gaps(elems, N: int) -> list:
-    """Gaps between the cyclically successive residues of a sorted, nonempty ``elems``."""
-    return [b - a for a, b in zip(elems, elems[1:])] + [elems[0] + N - elems[-1]]
 
 
 def _rotations(a: list, b: list):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import secrets
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -26,9 +25,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import MAX_CANDIDATES, ParameterError, check_budget, check_real
-from .schemes import (COORD_LIMIT, TAU, PERIODIC, Scheme, Window, _coord_guard, _float_hull,
-                      _physical, _quad_candidates, _quad_mask, format_window, parse_scheme,
-                      parse_window, patch_chunks, window_factors)
+from .schemes import (COORD_LIMIT, SQRT5, TAU, PERIODIC, Scheme, Window, _coord_guard,
+                      _cyclic_gaps, _float_hull, _physical, _quad_candidates, _quad_mask,
+                      format_window, parse_scheme, parse_window, patch_chunks, window_factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +161,7 @@ def _check_float_positions(lo: float, hi: float, star: tuple[float, float] | Non
     if width is not None:
         # a row v takes u from u* - v*tau' with u* in the star range and from
         # x - v*tau with x in the region: the largest float there is about this
-        v_max = max(hi - star[0], star[1] - lo) / math.sqrt(5) + 3
+        v_max = max(hi - star[0], star[1] - lo) / SQRT5 + 3
         reach = max(-star[0], star[1]) + TAU * v_max
         if reach >= 2.0 ** 52:
             raise ParameterError(
@@ -205,9 +204,9 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
 def gap_sequence(ps: PointSet, absent_sites: bool = False):
     """Gaps between successive points.
 
-    With ``absent_sites`` (periodic scheme only) the gaps are the numbers of
-    absent integer sites between successive points around one period, the
-    wrap-around gap last; the patch's region must hold exactly one period.
+    With ``absent_sites`` (periodic scheme only) the gaps are the numbers of absent
+    integer sites between successive points around one period, ``_cyclic_gaps`` minus
+    one, the wrap-around gap last; the patch's region must hold exactly one period.
     """
     if len(ps) < 2:
         raise ParameterError("need at least two points for a gap sequence")
@@ -218,14 +217,17 @@ def gap_sequence(ps: PointSet, absent_sites: bool = False):
         if math.floor(hi) - math.ceil(lo) + 1 != N:
             raise ParameterError(f"the absent-site gap convention needs a region of one "
                                  f"period, exactly {N} integer sites")
-        ns = ps.coords[0].tolist()
-        return [b - a - 1 for a, b in zip(ns, ns[1:] + [ns[0] + N])]
+        return [g - 1 for g in _cyclic_gaps(ps.coords[0].tolist(), N)]
     return np.diff(ps.physical()).tolist()
 
 
 # ---------------------------------------------------------------------------
 # file format: one point per line ("u v" or "n"), single header line
 # ---------------------------------------------------------------------------
+
+FLOAT_FORMAT = ".15g"  #: format spec of every float in CSV output and in the DIFFER line
+POINTSET_HEADER = "# modelsets pointset "  #: a point file's header: this, then key=value fields
+
 
 def _atomic_write(path: str, text: str | Iterable[str]) -> None:
     """Write ``text``, one string or an iterable of string chunks, to ``path``
@@ -234,11 +236,11 @@ def _atomic_write(path: str, text: str | Iterable[str]) -> None:
     Readers see the old file or the new one, never a partial write.  On any
     failure, also one raised while the chunks are produced, the temp file is
     removed and an existing ``path`` keeps its bytes.  Every output file of
-    the package is written here.
+    the package is written here.  The temp name takes 16 hex digits of ``os.urandom``.
     """
     # in the directory of ``path`` as given ("" -> the working directory)
     tmp = os.path.join(os.path.dirname(path),
-                       f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+                       f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "x")  # exclusive create; mode bits follow the umask
         try:
@@ -256,7 +258,7 @@ def save_pointset(ps: PointSet, path: str) -> None:
     """Write the patch, one ``"%d %d"`` line per point, formed and written one
     chunk of ``PATCH_CHUNK`` points at a time; the write is atomic (temp file +
     rename)."""
-    header = (f"# modelsets pointset scheme={ps.scheme.label()} "
+    header = (f"{POINTSET_HEADER}scheme={ps.scheme.label()} "
               f"window={format_window(ps.window)} region=[{ps.region[0]!r},{ps.region[1]!r}]")
     _atomic_write(path, chain([header + "\n"], (_int_lines(ps.coords[:, c])
                                                 for c in patch_chunks(len(ps)))))
@@ -318,13 +320,9 @@ def load_pointset(path: str) -> PointSet:
     with open(path) as fh:
         header = fh.readline().strip()
         body = fh.read()
-    prefix = "# modelsets pointset "
-    if not header.startswith(prefix):
+    if not header.startswith(POINTSET_HEADER):
         raise ParameterError(f"{path}: not a modelsets point-set file")
-    fields = {}
-    for part in header[len(prefix):].split(" "):
-        key, _, val = part.partition("=")
-        fields[key] = val
+    fields = dict(part.partition("=")[::2] for part in header[len(POINTSET_HEADER):].split(" "))
     try:
         scheme = parse_scheme(fields["scheme"])
         window = parse_window(fields["window"])

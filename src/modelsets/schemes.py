@@ -68,6 +68,8 @@ FLOAT_REL = 2.0 ** -48
 #: translation (both bounded by it), and any residue, fit in int64
 COORD_LIMIT = 2 ** 62
 
+QUOTE_WIDTH = 40  #: the most characters of a user's text that an error message quotes
+
 Real = Union[int, float, Fraction, "QuadNum"]
 
 
@@ -347,8 +349,8 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
     size the output and once to fill it.
     """
     (wlo_f, whi_f), (lo, hi) = star, phys
-    vmin = math.floor((lo - whi_f) / math.sqrt(5)) - 2
-    vmax = math.ceil((hi - wlo_f) / math.sqrt(5)) + 2
+    vmin = math.floor((lo - whi_f) / SQRT5) - 2
+    vmax = math.ceil((hi - wlo_f) / SQRT5) + 2
     # before allocating: a row visits at most the narrower width + 3 candidates
     # (+ 4 leaves one for float rounding), so this bounds the total
     width = min(whi_f - wlo_f, hi - lo) + 4
@@ -573,6 +575,11 @@ class ResidueSet:
         return "{" + ",".join(str(e) for e in self.elems) + "}@" + str(self.modulus)
 
 
+def _cyclic_gaps(elems, N: int) -> list:
+    """Gaps between cyclically successive items of sorted ``elems`` spanning < N, wrap last."""
+    return [b - a for a, b in zip(elems, elems[1:])] + [elems[0] + N - elems[-1]]
+
+
 @dataclass(frozen=True)
 class ProductWindow:
     """Window W x S for the combined scheme; ``translate`` and ``intersect`` act factor
@@ -717,10 +724,10 @@ def window_intersect(w1: Window, w2: Window) -> Window:
 #   expr     := arithmetic over decimals and "tau" with + - * / and parens
 # ---------------------------------------------------------------------------
 
-def _excerpt(text: str, pos: int = 0, width: int = 40) -> str:
-    """Quote of at most ``width`` characters of ``text`` around ``pos``; '...' marks a cut."""
-    start = max(0, min(pos - width // 2, len(text) - width))
-    end = start + width
+def _excerpt(text: str, pos: int = 0) -> str:
+    """Quote of at most QUOTE_WIDTH characters of ``text`` around ``pos``; '...' marks a cut."""
+    start = max(0, min(pos - QUOTE_WIDTH // 2, len(text) - QUOTE_WIDTH))
+    end = start + QUOTE_WIDTH
     return f"{'...' if start else ''}{text[start:end]!r}{'...' if end < len(text) else ''}"
 
 

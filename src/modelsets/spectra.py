@@ -31,9 +31,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (MAX_CANDIDATES, MAX_DECK_CELLS, MAX_ENTRIES, MAX_PATTERN_CELLS,
                      ParameterError, check_budget, check_int, check_real)
-from .pointsets import _atomic_write
-from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
-                      IntervalUnion, QuadNum, ResidueSet, Scheme, Window, _float_slack, _norm,
+from .pointsets import FLOAT_FORMAT, _atomic_write
+from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME, IntervalUnion,
+                      QuadNum, ResidueSet, Scheme, Window, _cyclic_gaps, _float_slack, _norm,
                       _product, _quad_candidates, _quad_mask, make_scheme, window_factors)
 
 
@@ -221,7 +221,7 @@ class Spectrum:
 
     def to_csv(self, path: str) -> None:
         header = ",".join(_LABEL_NAMES[self.scheme.kind] + ["k", "intensity"])
-        row = ",".join(["{}"] * self.labels.shape[1] + ["{:.15g}", "{:.15g}"])
+        row = ",".join(["{}"] * self.labels.shape[1] + ["{:" + FLOAT_FORMAT + "}"] * 2)
         rows = map(row.format, *self.labels.T.tolist(), self.k.tolist(),
                    self.intensity.tolist())
         _atomic_write(path, "\n".join([header, *rows]) + "\n")
@@ -582,16 +582,12 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     support = np.nonzero(f)[0]
     if len(support) == 0:
         raise ParameterError("empty indicator")
-    # support extent = minimal covering arc on the circle
-    if len(support) == M:
-        diam = 2 * l_half
-    else:
-        gaps = np.diff(np.append(support, support[0] + M))
-        diam = (M - gaps.max()) * h
-    if not diam < l_half / 2:
+    # cells of the minimal covering arc: its diameter extent * 2L/M < L/2 iff 4 * extent < M
+    extent = M if len(support) == M else M - max(_cyclic_gaps(support.tolist(), M))
+    if not 4 * extent < M:
         raise ParameterError(
-            f"support diameter {diam} must stay below l_half/2 = {l_half / 2} "
-            "(anti-wraparound condition)")
+            f"support diameter {float(2 * Fraction(l_half) * extent / M)} must stay below "
+            f"l_half/2 = {l_half / 2} (anti-wraparound condition)")
 
     fb = f.astype(float)
     Ff = np.fft.fft(fb)

@@ -1,10 +1,15 @@
 """End-to-end CLI behaviour: outputs, exit codes, reproducibility."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modelsets
 from modelsets import reconstruct
 from modelsets.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY,
                            expand_window_literal, main)
@@ -127,6 +132,13 @@ def test_correlate_contains_expected_row(tmp_path):
     assert tau_row and tau_row[0].split(",")[1].startswith("0.4472135954999")
 
 
+def test_correlate_an_empty_window_writes_the_header_alone(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert run("correlate", "--scheme", "fibonacci", "--window", "[)", "-o", str(out)) == EXIT_OK
+    assert out.read_text() == "diff1,frequency\n"
+    assert capsys.readouterr().out == f"wrote 0 correlation entries to {out}\n"
+
+
 def test_correlate_compare_thinned_pair(tmp_path):
     out = tmp_path / "cmp.csv"
     code = run("correlate", "--scheme", "combined:32", "--window", "fib x A",
@@ -224,6 +236,23 @@ def test_reconstruct_refuses_a_window_outside_the_period(window, halflength, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window, halflength, diameter", [
+    # 6 of 20 cells, 5 cell widths from first to last: 4 * 5 is not below 20, though
+    # the float 5 * 0.091 is 0.45499999999999996, below L/2 = 0.455
+    ("[0,0.546)", "0.91", "0.455"),
+    ("[0,4.8)", "8", "4.0"),   # the same cells, with an exact cell width
+])
+def test_reconstruct_decides_the_anti_wraparound_condition_in_cells(window, halflength,
+                                                                    diameter, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = run("reconstruct", "--window", window, "--grid", "20", "--halflength", halflength,
+               "-o", str(out))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: support diameter {diameter} must stay below "
+                                       f"l_half/2 = {diameter} (anti-wraparound condition)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("window", ["[-8,-7)u[7.5,8)", "[7,8)", "[-8,-7.5)"])
 def test_reconstruct_takes_a_window_that_touches_the_period_ends(window, tmp_path):
     # the period [-L, L) is half-open: a window may start at -L and end at L
@@ -299,6 +328,16 @@ def test_argparse_usage_error_is_one_line(argv, capsys, alarm_guard):
     assert exc.value.code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "usage:" not in err and len(err) < 200
+
+
+def test_the_cli_loads_no_openssl():
+    # each command runs in a fresh process; its temp-file names come from os.urandom
+    src = Path(modelsets.__file__).resolve().parent.parent
+    code = ("import sys; from modelsets import cli; "
+            "print(sorted({'secrets', 'hmac', '_hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_help_still_prints_usage(capsys):

@@ -112,6 +112,15 @@ def test_freq_empirical_region_check():
         freq_empirical(ps, (TAU_PT,), 1000)
 
 
+def test_pattern_points_of_2_62_and_orders_past_4_are_refused():
+    ps = generate(FIB, W, (-100, 100))
+    with pytest.raises(ParameterError,
+                       match=r"^lattice coordinates must stay below 2\^62 in magnitude$"):
+        freq_empirical(ps, (QuadLatticePoint(2**62, 0),), 10)
+    with pytest.raises(ParameterError, match="^order must be 2, 3 or 4$"):
+        correlation_measure(FIB, W, 5, 1.0)
+
+
 def test_freq_empirical_empty_patch():
     per = make_scheme("periodic", 4)
     ps = generate(per, ResidueSet(4, (0,)), (-50, 50))

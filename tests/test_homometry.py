@@ -58,6 +58,13 @@ def test_tables_equal_modulus_guard():
         tables_equal(pattern_table(SET_A, 2), pattern_table(ResidueSet(16, (0, 1)), 2))
 
 
+def test_sets_of_two_moduli_and_orders_past_4_are_refused():
+    with pytest.raises(ParameterError, match="^modulus mismatch$"):
+        rigid_equivalent(ResidueSet(4, (0, 1)), ResidueSet(5, (0, 1)))
+    with pytest.raises(ParameterError, match="^order must be 2, 3 or 4$"):
+        pattern_table(SET_A, 5)
+
+
 def test_rigid_equivalence_cases():
     assert rigid_equivalent(SET_A, SET_A) == (1, 0)
     mirrored = ResidueSet(32, ((5 - a) % 32 for a in SET_A.elems))

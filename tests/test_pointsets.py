@@ -193,6 +193,33 @@ def test_load_rejects_points_outside_header_region(tmp_path, scheme, window):
         load_pointset(str(path))
 
 
+@pytest.mark.parametrize("old, new, why", [
+    (r"^# modelsets pointset ", "# points ", "not a modelsets point-set file"),
+    (r" window=\S+", "", "header missing 'window'"),
+    (r"region=\S+", "region=[a,b]", "bad header: could not convert string to float: 'a'"),
+    (r"region=\S+", "region=[1.0,0.0]", "region [1.0, 0.0] is empty"),
+], ids=["no-header", "no-window", "region-not-numbers", "region-empty"])
+def test_load_rejects_a_bad_header(tmp_path, old, new, why):
+    path = tmp_path / "pts.txt"
+    save_pointset(generate(FIB, FIB_WINDOW, (-5, 5)), str(path))
+    header, body = path.read_text().split("\n", 1)
+    path.write_text(re.sub(old, new, header) + "\n" + body)
+    with pytest.raises(ParameterError, match=f"^{re.escape(f'{path}: {why}')}$"):
+        load_pointset(str(path))
+
+
+def test_load_counts_a_blank_line_before_a_misplaced_point(tmp_path):
+    # a [-50, 50] patch relabelled [-5, 5], a blank line after the header: the
+    # first point, outside the region, is on line 3
+    path = tmp_path / "pts.txt"
+    save_pointset(generate(FIB, FIB_WINDOW, (-50, 50)), str(path))
+    header, body = path.read_text().split("\n", 1)
+    path.write_text(header.replace("region=[-50.0,50.0]", "region=[-5.0,5.0]") + "\n\n" + body)
+    with pytest.raises(ParameterError, match=re.escape(f"{path}:3: point (")
+                       + r".*\) lies outside the region \[-5\.0, 5\.0\]"):
+        load_pointset(str(path))
+
+
 def test_load_names_the_line_of_a_star_outside_the_window(tmp_path):
     ps = generate(FIB, FIB_WINDOW, (-5, 5))
     path = tmp_path / "pts.txt"

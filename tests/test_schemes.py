@@ -1,8 +1,10 @@
 """Scheme construction, exact window arithmetic, and the literal grammar."""
 
 import ast
+import inspect
 import pickle
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +19,7 @@ from modelsets import (IntervalUnion, ParameterError, ProductWindow, QuadLattice
                        QuadNum, ResidueSet, Scheme, diffraction, format_window, generate,
                        make_scheme, parse_scheme, parse_window, star, support_differences,
                        window_ft, window_intersect, window_measure)
-from modelsets.schemes import SQRT5, TAU, parse_expr, window_factors
+from modelsets.schemes import QUOTE_WIDTH, SQRT5, TAU, _excerpt, parse_expr, window_factors
 
 TAU_OVER_SQRT5 = 0.7236067977499789  # length tau = 1 + 1/tau, divided by sqrt5
 
@@ -263,6 +265,30 @@ def test_lattice_layer_and_residue_decks_have_one_home():
     assert readers == {"schemes.py"}, readers
 
 
+def test_each_fact_of_the_output_has_one_home():
+    """The float format, the point-file header, sqrt 5, the quote width and the
+    wrap-around gap are each stated once in the package, and nothing imports
+    ``secrets``."""
+    sources = {path.name: path.read_text()
+               for path in sorted(Path(modelsets.__file__).parent.glob("*.py"))}
+
+    def homes(pattern):
+        return [(name, len(re.findall(pattern, text))) for name, text in sources.items()
+                if re.search(pattern, text)]
+
+    assert homes(re.escape(".15g")) == [("pointsets.py", 1)]
+    assert homes(re.escape('"# modelsets pointset "')) == [("pointsets.py", 1)]
+    assert homes(r"sqrt\(5\)") == []
+    assert homes(r"\bSQRT5 = ") == [("schemes.py", 1)]
+    # the wrap-around gap elems[0] + N - elems[-1]
+    assert homes(r"\[0\] \+ [A-Z]\b") == [("schemes.py", 1)]
+    assert homes(r"\bimport secrets\b|\bsecrets\.") == []
+    widths = [name for name, text in sources.items() for node in ast.walk(ast.parse(text))
+              if isinstance(node, ast.Constant) and node.value in (37, 40)]
+    assert widths == ["schemes.py"] and QUOTE_WIDTH == 40
+    assert list(inspect.signature(_excerpt).parameters) == ["text", "pos"]
+
+
 KINDS = ("fibonacci", "periodic", "combined")
 #: small moduli, so that scheme and window moduli often agree, and any below 2^62
 MODULI = st.integers(2, 6) | st.integers(2, 2**62 - 1)
@@ -492,6 +518,12 @@ def test_parse_expr_errors_name_the_position(text, message):
     with pytest.raises(ParameterError) as exc:
         parse_expr(text)
     assert str(exc.value) == message
+
+
+def test_an_endpoint_nested_too_deeply_is_a_parameter_error():
+    with pytest.raises(ParameterError) as exc:
+        parse_window("[" + "(" * 5000 + "1" + ")" * 5000 + ",2)")
+    assert str(exc.value) == "expression of 10001 characters is nested too deeply"
 
 
 def test_interval_needs_exactly_two_endpoints():

@@ -695,6 +695,11 @@ def test_too_large_a_number_is_a_parameter_error():
         check_real("x", 10**400)
 
 
+def test_check_real_names_a_value_that_is_no_number():
+    with pytest.raises(ParameterError, match="^R must be a number, got 'abc'$"):
+        check_real("R", "abc")
+
+
 def test_deck_wraparound_precondition():
     M, L = 128, 2.0
     f = sample_window(parse_window("[-1,1)"), M, L)  # diameter 2 > L/2 = 1
@@ -702,11 +707,32 @@ def test_deck_wraparound_precondition():
         deck_functions(f, M, L)
 
 
+@pytest.mark.parametrize("M, L", [(1, 8.0), (20, 0.91), (20, 8.0), (64, 0.1), (100, 0.3)])
+def test_deck_wraparound_is_decided_in_cells(M, L):
+    # a support from cell 0 to cell e has diameter e * 2L/M, below L/2 iff 4e < M,
+    # however the float 2L/M rounds: at M = 20, L = 0.91 the float 5 * 0.091 is below 0.455
+    for e in range(max(1, M // 4 - 1), min(M, M // 4 + 2)):
+        f = np.zeros(M, dtype=np.int64)
+        f[[0, e]] = 1
+        if 4 * e < M:
+            assert deck_functions(f, M, L).M == M
+            continue
+        with pytest.raises(ParameterError) as exc:
+            deck_functions(f, M, L)
+        assert str(exc.value) == (f"support diameter {float(Fraction(2 * L) * e / M)} must stay "
+                                  f"below l_half/2 = {L / 2} (anti-wraparound condition)")
+    # a full support spans the whole circle: refused also for M = 1
+    with pytest.raises(ParameterError, match=f"^support diameter {2 * L} must stay below"):
+        deck_functions(np.ones(M, dtype=np.int64), M, L)
+
+
 def test_deck_rejects_bad_indicator():
     with pytest.raises(ParameterError):
         deck_functions(np.full(64, 0.5), 64, 4.0)
     with pytest.raises(ParameterError):
         deck_functions(np.zeros(64), 64, 4.0)
+    with pytest.raises(ParameterError, match=r"^indicator must have shape \(4,\)$"):
+        deck_functions(np.zeros(3), 4, 8.0)
 
 
 def test_residue_deck_tables_match_transform():
