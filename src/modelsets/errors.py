@@ -29,8 +29,9 @@ MAX_ENTRIES = 2_000_000
 #: int64 cells of the N x N shift matrix, or of the N^3 counts, behind a pattern table;
 #: also the N^2 steps in which ``zero_condition`` cuts x^N - 1 into cyclotomic factors
 MAX_PATTERN_CELLS = 1_000_000
-#: cells of one dense M x M deck transform
-MAX_DECK_CELLS = 2048 ** 2
+#: bytes of one deck and its pass workspaces (``spectra._deck_bytes``): 69 MB at
+#: M = 4096 and 271 MB at M = 8192
+MAX_DECK_BYTES = 1 << 27
 
 
 def check_budget(est, budget: int, unit: str, advice: str) -> None:

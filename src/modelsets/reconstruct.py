@@ -139,10 +139,13 @@ def propagate_phase(absF: np.ndarray, psi2: PhaseQuotient) -> PhaseField:
     rounding: its angle / pi lies within 4e-13 of -1 at M = 512 and 2048 and
     of +1 at M = 1024.  Which branch ``np.angle`` takes, and with it the
     recovered shift, is decided by the last bits of the deck FFT: reading
-    psi2 as conj psi2(-k1, -k2) moves the shift by one cell in the ``unit``
-    and ``centred`` recovery goldens at M = 512 and 2048, the mismatch
-    staying 0.  The recovery goldens therefore pin the deck FFT's rounding:
-    reordering that FFT needs new benchmark goldens.
+    psi2 as conj psi2(-k1, -k2) here moves the shift by one cell in the
+    ``unit`` and ``centred`` recovery goldens at M = 512 and 2048, the
+    mismatch staying 0.  The recovery goldens therefore pin the deck FFT's
+    rounding: reordering that FFT needs new benchmark goldens.  The deck's
+    columns M/2 < j < M are such mirrored reads, conj I2hat[-k1, M - j], with
+    -0.0 imaginary parts where fft2 gives +0.0; every golden was re-run on
+    them and held.
     """
     M = psi2.M
     D = psi2.D

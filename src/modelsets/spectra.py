@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (MAX_CANDIDATES, MAX_DECK_CELLS, MAX_ENTRIES, MAX_PATTERN_CELLS,
+from .errors import (MAX_CANDIDATES, MAX_DECK_BYTES, MAX_ENTRIES, MAX_PATTERN_CELLS,
                      ParameterError, check_budget, check_int, check_real)
 from .pointsets import FLOAT_FORMAT, _atomic_write
 from .schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME, IntervalUnion,
@@ -443,14 +443,17 @@ class DeckGrid:
     counts times the cell width; their transforms ``I1hat`` and ``I2hat`` are
     all that the reconstruction stage may see.  I2 is held once, as the DFTs
     ``row_hat[i]`` (the first axis of fft2) of its rows ``rows[i]``, the shifts
-    j1 with I1[j1] > 0; its other rows are zero.  ``I2`` rounds them back to
-    whole cell counts on each read, and each read of I2hat forms it in
-    blocks of columns (:meth:`I2hat_at`, the dense ``I2hat``), each checked as
-    it is formed against the indicator transform ``_F``, which only that check
-    reads.  :func:`_split_pass` cuts each read into its blocks and shares
-    them across the usable cores; a read writes into none of the deck's
-    arrays, so any number of threads may read one deck.  ``deck_functions``
-    makes every array read-only.
+    j1 with I1[j1] > 0; its other rows are zero.  Since I2 is real, each DFT
+    is Hermitian, and ``row_hat`` keeps only its columns 0..M/2.  ``I2``
+    rounds them back to whole cell counts on each read, and each read of
+    I2hat forms it in blocks of columns (:meth:`I2hat_at`, the dense
+    ``I2hat``): the columns 0..M/2 by FFT, each other column M - j as the
+    mirror conj I2hat[-k1, j] of a formed one.  Every block, formed or
+    mirrored, is checked as it is made against the indicator transform
+    ``_F``, which only that check reads.  :func:`_split_pass` cuts each read
+    into its blocks and shares them across the usable cores; a read writes
+    into none of the deck's arrays, so any number of threads may read one
+    deck.  ``deck_functions`` makes every array read-only.
     """
 
     M: int
@@ -466,12 +469,13 @@ class DeckGrid:
         h = self.cell
         I2 = np.zeros((self.M, self.M))
         # + 0.0: an empty cell is +0.0, never rint's -0.0
-        I2[self.rows] = h * (np.rint(np.fft.ifft(self.row_hat, axis=1).real / h) + 0.0)
+        I2[self.rows] = h * (np.rint(np.fft.irfft(self.row_hat, n=self.M, axis=1) / h) + 0.0)
         return I2
 
     @property
     def I2hat(self) -> np.ndarray:
-        """h^2 fft2(I2), read-only, assembled from every (checked) column block."""
+        """h^2 fft2(I2), read-only, assembled from every checked column block, formed or
+        mirrored."""
         T = np.empty((self.M, self.M), dtype=complex)
 
         def read(c, block):
@@ -499,14 +503,17 @@ class DeckGrid:
 
     def _column_pass(self, read) -> None:
         """Call ``read(c, B)``, B[i, k1] = I2hat[k1, c.start + i], once for each column
-        block c of :func:`_split_pass`.
+        slice c, which together cover columns 0..M-1 once.
 
-        Each block scatters the row transforms of its columns at ``rows`` and
-        transforms along k1, as fft2's second axis does; B is its worker's
-        workspace, overwritten by that worker's next block.  Each block is
-        checked (:func:`_factor_residual`) before ``read`` sees it; the
-        verdict, the largest residual against |F[0]|^3 = I2hat[0, 0], the
-        largest |I2hat| since I2 >= 0, comes after the last block.
+        :func:`_split_pass` cuts the columns 0..M/2 into blocks.  Each block
+        scatters the row transforms of its columns at ``rows`` and transforms
+        along k1, as fft2's second axis does; its columns j with 0 < j < M - j
+        are then mirrored into the columns M - j, I2hat[k1, M - j] =
+        conj I2hat[-k1, j] since I2 is real.  B is its worker's workspace,
+        overwritten by that worker's next block.  Each block, formed or
+        mirrored, is checked (:func:`_factor_residual`) before ``read`` sees
+        it; the verdict, the largest residual against |F[0]|^3 = I2hat[0, 0],
+        the largest |I2hat| since I2 >= 0, comes after the last block.
         """
         M, h = self.M, self.cell
         cF = np.conj(self._F)
@@ -515,19 +522,31 @@ class DeckGrid:
 
         def alloc(step):
             # z: the columns off ``rows`` are never written, so they stay zero
-            return (np.zeros((step, M), dtype=complex), np.empty((step, M), dtype=complex),
-                    np.empty((step, M), dtype=complex))
+            return (np.zeros((step, M), dtype=complex),
+                    *(np.empty((step, M), dtype=complex) for _ in range(3)))
 
-        def work(c, z, B, p):
+        def work(c, z, B, p, mb):
             n = c.stop - c.start
             z[:n, self.rows] = self.row_hat[:, c].T
             block = np.fft.fft(z[:n], axis=1, out=B[:n])
             block *= h * h
             err = _factor_residual(block, c, cF, Fsum, inv_scale, p)
             read(c, block)
+            # the columns j of c with 0 < j < M - j, mirrored into M - j in increasing order
+            lo, hi = max(c.start, 1), min(c.stop, (M + 1) // 2)
+            if lo >= hi:
+                return err
+            src = block[lo - c.start:hi - c.start][::-1]
+            mb = mb[:hi - lo]
+            mb[:, 0] = src[:, 0]
+            mb[:, 1:] = src[:, :0:-1]
+            np.conjugate(mb, out=mb)
+            m = slice(M - hi + 1, M - lo + 1)
+            err = max(err, _factor_residual(mb, m, cF, Fsum, inv_scale, p))
+            read(m, mb)
             return err
 
-        if max(_split_pass(M, M, alloc, work)) > 1e-8 ** 2:
+        if max(_split_pass(M // 2 + 1, M, alloc, work)) > 1e-8 ** 2:
             raise AssertionError("I2hat does not factor through the indicator transform")
 
 
@@ -574,7 +593,7 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
         raise ParameterError(f"indicator must have shape ({M},)")
     if not np.isin(f, (0, 1)).all():
         raise ParameterError("indicator must be 0/1 valued")
-    check_budget(M * M, MAX_DECK_CELLS, "deck cells", "use a smaller grid")
+    check_budget(_deck_bytes(M), MAX_DECK_BYTES, "deck bytes", "use a smaller grid")
     h = 2 * float(l_half) / M   # = DeckGrid.cell, also for a Fraction l_half
     if not (h >= _DECK_H_MIN and M * h <= _DECK_SPAN_MAX):
         raise ParameterError(f"cell width 2L/M = {h:.3g} puts the deck transforms out of float "
@@ -599,19 +618,21 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     rows = np.nonzero(n1)[0]
     shifted = wrapped_rows(fb)   # [i] = roll(fb, M - i)
     cRf = np.conj(np.fft.rfft(fb))
-    # the first axis of fft2 over the nonzero rows of I2; the deck forms the
-    # second, along the columns, block by block on each read of I2hat
-    row_hat = np.empty((len(rows), M), dtype=complex)
+    # the first axis of fft2 over the nonzero rows of I2, columns 0..M/2 (the
+    # rest are their conjugates); the deck forms the second, along the
+    # columns, block by block on each read of I2hat
+    row_hat = np.empty((len(rows), M // 2 + 1), dtype=complex)
 
     def alloc(step):
         # one workspace for every block of a worker, the first (largest) one's
         # size; blocks allocated anew would each cost page faults once they
         # pass the allocator's mmap threshold
-        return np.empty((step, M)), np.empty((step, M // 2 + 1), dtype=complex)
+        return (np.empty((step, M)), np.empty((step, M // 2 + 1), dtype=complex),
+                np.empty((step, M), dtype=complex))
 
-    def work(block, g, G):
+    def work(block, g, G, T):
         r = rows[block]
-        g, G = g[:len(r)], G[:len(r)]
+        g, G, T = g[:len(r)], G[:len(r)], T[:len(r)]
         np.multiply(fb, shifted[M - r], out=g)
         np.fft.rfft(g, axis=1, out=G)
         G *= cRf
@@ -619,7 +640,9 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
         np.rint(g, out=g)   # the cell counts of these rows of I2
         g += 0.0            # an empty cell is +0.0, never rint's -0.0
         g *= h
-        np.fft.fft(g, axis=1, out=row_hat[block])
+        # the full fft, then its half: rfft's half differs from it in the last bits
+        np.fft.fft(g, axis=1, out=T)
+        row_hat[block] = T[:, :M // 2 + 1]
 
     _split_pass(len(rows), M, alloc, work)
     I1 = h * n1
@@ -634,6 +657,18 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
 
 #: cells per row block in the M x M deck and phase computations
 BLOCK_CELLS = 1 << 15
+
+
+def _deck_bytes(M: int) -> int:
+    """Bytes of a deck on M cells at most, ``row_hat`` and the workspaces of a
+    pass, from M and the usable cores, so before anything is allocated.
+
+    The anti-wraparound rule keeps the nonzero rows of I2 below M/2, so
+    ``row_hat`` holds at most (M/2)(M/2 + 1) complex cells.  The column pass
+    holds four complex workspaces per worker of ``step`` rows of M cells, at
+    least one row each (see :func:`_split_pass`); the row pass holds less.
+    """
+    return 16 * (M // 2) * (M // 2 + 1) + 4 * 16 * max(BLOCK_CELLS, M * _usable_cores())
 
 
 def _usable_cores() -> int:

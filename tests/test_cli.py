@@ -456,7 +456,7 @@ RESOURCE_LIMITS = [
     (["correlate", "--scheme", "periodic:32", "--window", "A", "--cutoff", "1e9"],
      "candidate differences"),
     (["homometry", "--sets", "{0,1,5}@128", "{0,2,5}@128", "--order", "4"], "pattern cells"),
-    (["reconstruct", "--window", "[0,1)", "--grid", "4096"], "deck cells"),
+    (["reconstruct", "--window", "[0,1)", "--grid", "8192"], "deck bytes"),
     # estimates of 1e300 and more: printed as ~6.47e+300 and ~inf, not as
     # a 301-digit int or an OverflowError traceback
     (["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "1e300"],

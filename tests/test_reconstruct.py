@@ -240,20 +240,35 @@ def test_gauge_covariance_under_translation():
     assert cross < 0.01
 
 
-def test_roundtrip_traced_peak_at_largest_grid():
-    # I2 is held once, as the transforms of its nonzero rows (575 of 2048 here,
-    # 18.8 MB; the traced peak is 21.8 MB); psi2 and the column blocks of I2hat
-    # are formed on read and never stored, so a second rows x M array (4.7 MB
-    # even as int32) or an M x M copy of either (64 MB complex) breaks this bound
-    f = sample_window(parse_window("[0,1)u[1.5,2.25)"), 2048, L)
+def _traced_roundtrip(literal, M):
+    """The report of a roundtrip of ``literal`` on M cells and its traced peak in bytes."""
+    f = sample_window(parse_window(literal), M, L)
     tracemalloc.start()
     try:
-        rep = roundtrip(f, 2048, L)
+        rep = roundtrip(f, M, L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return rep, peak
+
+
+def test_roundtrip_traced_peak_at_largest_grid():
+    # I2 is held once, as the transforms of its nonzero rows (575 of 2048 here),
+    # columns 0..M/2 only (9.4 MB; the traced peak is 13.0 MB); psi2 and the
+    # column blocks of I2hat are formed on read and never stored, so a
+    # full-width row_hat (18.8 MB), a second rows x M array (4.7 MB even as
+    # int32) or an M x M copy of either (64 MB complex) breaks this bound
+    rep, peak = _traced_roundtrip("[0,1)u[1.5,2.25)", 2048)
     assert rep.mismatch < 0.01
-    assert peak <= 24e6
+    assert peak <= 15e6
+
+
+def test_roundtrip_at_4096_cells():
+    # the deck budget admits M = 4096: 1151 nonzero rows, 37.7 MB of row_hat,
+    # a traced peak of 41.5 MB; a full-width row_hat (75.4 MB) breaks this bound
+    rep, peak = _traced_roundtrip("[0,1)u[1.5,2.25)", 4096)
+    assert rep.mismatch == 0
+    assert peak <= 50e6
 
 
 def test_generate_and_save_traced_peaks(tmp_path):
@@ -282,7 +297,7 @@ def test_generate_and_save_traced_peaks(tmp_path):
 def test_roundtrip_checks_each_column_once(monkeypatch):
     # each psi2 read is one checked pass over the deck, whatever it reads, so a
     # solver that read psi2 entry by entry would pass over the deck per entry
-    monkeypatch.setattr(spectra, "BLOCK_CELLS", 3000)   # 5 columns a block, 2 in the last
+    monkeypatch.setattr(spectra, "BLOCK_CELLS", 3000)   # 5 formed columns a block on one core
     checked = []
     check = spectra._factor_residual
 

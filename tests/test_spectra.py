@@ -3,6 +3,8 @@
 import ast
 import math
 import random
+import threading
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -516,10 +518,12 @@ def test_deck_factorization_spot_check_512():
         assert abs(direct - deck.I2hat[m1, m2]) < 1e-8 * max(1.0, abs(direct))
 
 
-@pytest.mark.parametrize("k1, k2", [(5, 2), (511, 509), (17, 300)],
-                         ids=["first-block", "last-block", "off-diagonal"])
+@pytest.mark.parametrize("k1, k2", [(5, 2), (511, 509), (17, 300), (3, 257)],
+                         ids=["first-block", "last-block", "off-diagonal", "mirrored"])
 def test_verify_deck_checks_every_cell(k1, k2, monkeypatch):
-    M, L = 512, 8.0   # eight column blocks of 64 columns
+    # the columns 0..256 are formed by FFT in column blocks; each other column
+    # 512 - j (257 the first, 509 and 300 too) is a mirror of a formed one
+    M, L = 512, 8.0
     f = sample_window(parse_window("[0,1)u[1.5,2.25)"), M, L)
     deck = deck_functions(f, M, L)
     bump = 1e-6 * np.abs(deck.I2hat).max()   # an unaltered read passes the check
@@ -539,41 +543,62 @@ def test_verify_deck_checks_every_cell(k1, k2, monkeypatch):
         deck.I2hat_at(0, 0)
 
 
-@pytest.mark.parametrize("M", [32, 512])
+def _formed_and_mirrored(logs):
+    """The columns checked right after an FFT, and the others, from per-thread logs."""
+    formed, mirrored = [], []
+    for log in logs.values():
+        for prev, c in zip([None] + log, log):
+            if c != "fft":
+                (formed if prev == "fft" else mirrored).extend(range(c.start, c.stop))
+    return sorted(formed), sorted(mirrored)
+
+
+@pytest.mark.parametrize("M", [5, 17, 32, 33, 512, 513])
 @pytest.mark.parametrize("cells", [1, 100, spectra.BLOCK_CELLS], ids=["1", "100", "default"])
 def test_one_read_checks_each_column_once(M, cells, monkeypatch):
     f = sample_window(parse_window("[0,1)u[1.5,2.25)"), M, 8.0)
     deck = deck_functions(f, M, 8.0)
     dense = deck.I2hat
     monkeypatch.setattr(spectra, "BLOCK_CELLS", cells)
-    checked = []
-    check = spectra._factor_residual
+    # each worker logs the blocks it transforms and the blocks it checks, in order
+    logs = defaultdict(list)
+    fft, check = np.fft.fft, spectra._factor_residual
+
+    def transformed(a, *args, **kwargs):
+        logs[threading.get_ident()].append("fft")
+        return fft(a, *args, **kwargs)
 
     def recorded(block, c, *args):
         assert len(block) == c.stop - c.start
-        checked.extend(range(c.start, c.stop))
+        logs[threading.get_ident()].append(c)
         return check(block, c, *args)
 
+    monkeypatch.setattr(np.fft, "fft", transformed)
     monkeypatch.setattr(spectra, "_factor_residual", recorded)
-    k1, k2 = np.array([3, 0, M - 1, 7]), np.array([M - 1, 0, 5, 7])
+    # the columns 0..M/2 (0 and, for even M, M/2 among them) are formed by FFT
+    # and never mirrored; the others are mirrored; each is checked once
+    columns = (list(range(M // 2 + 1)), list(range(M // 2 + 1, M)))
+    k1, k2 = np.array([3, 0, M - 1, 7]) % M, np.array([M - 1, 0, 5, 7]) % M
     got = deck.I2hat_at(k1, k2)
     # the blocks are split across the usable cores, so they end in any order
-    assert sorted(checked) == list(range(M))
+    assert _formed_and_mirrored(logs) == columns
     assert got.tobytes() == dense[k1, k2].tobytes()
-    checked.clear()
-    assert deck.I2hat.tobytes() == dense.tobytes() and sorted(checked) == list(range(M))
+    logs.clear()
+    assert deck.I2hat.tobytes() == dense.tobytes() and _formed_and_mirrored(logs) == columns
 
 
 def _deck_reads(monkeypatch, workers):
     """The bytes of every deck read and of a roundtrip report with ``workers`` usable cores."""
     monkeypatch.setattr(spectra, "_usable_cores", lambda: workers)
-    M, L = 512, 8.0
-    f = sample_window(parse_window("[0,1)u[1.5,2.25)"), M, L)
-    deck = deck_functions(f, M, L)
-    k1, k2 = np.array([3, 0, M - 1, 7, 200]), np.array([M - 1, 0, 5, 7, 311])
-    report = roundtrip(f, M, L)
-    return [deck.I2.tobytes(), deck.row_hat.tobytes(), deck.I2hat.tobytes(),
-            deck.I2hat_at(k1, k2).tobytes(), report.to_json(), report.recovered.tobytes()]
+    reads, L = [], 8.0
+    for M in (512, 5, 17, 33, 513):
+        f = sample_window(parse_window("[0,1)u[1.5,2.25)"), M, L)
+        deck = deck_functions(f, M, L)
+        k1, k2 = np.array([3, 0, M - 1, 7, 200]), np.array([M - 1, 0, 5, 7, 311])
+        report = roundtrip(f, M, L)
+        reads += [deck.I2.tobytes(), deck.row_hat.tobytes(), deck.I2hat.tobytes(),
+                  deck.I2hat_at(k1, k2).tobytes(), report.to_json(), report.recovered.tobytes()]
+    return reads
 
 
 @pytest.mark.parametrize("workers", [1, 3])
