@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (MAX_DIFFERENCE_CANDIDATES, MAX_ENTRIES, ParameterError, check_budget,
                      check_real)
 from .pointsets import FLOAT_FORMAT, PointSet, _atomic_write
-from .schemes import (COORD_LIMIT, PERIODIC, QuadLatticePoint, Scheme, Window, _float_hull,
-                      _physical, _quad_candidates, _quad_mask, star, window_factors,
+from .schemes import (COORD_LIMIT, PERIODIC, QuadLatticePoint, Scheme, Window, _coord_guard,
+                      _float_hull, _physical, _quad_candidates, _quad_mask, star, window_factors,
                       window_intersect, window_measure)
 
 
@@ -53,7 +53,15 @@ def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
     """Occurrences per unit length over the centred open interval (-R/2, R/2), decided exactly.
 
     The patch must cover that interval inflated by the pattern's extent, so
-    membership of every translated point is decided by the patch alone.
+    membership of every translated point is decided by the patch alone.  The
+    points counted are one slice of the sorted patch, so y + x is in the patch
+    exactly when its coordinates equal those of the point some index shift d
+    further on: int64 equality of whole slices decides, one shift at a time.
+    Float distances only bound the scan.  Each point's distance grows with d,
+    so the scan stops upward at the first shift where every distance exceeds
+    the length of x by more than the float error of both positions and of that
+    length, and downward at the first where every distance falls short of it
+    by as much.
     """
     check_real("averaging radius R", R, positive=True)
     offs = _lattice_coords(ps.scheme, pattern)
@@ -66,17 +74,34 @@ def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
             f"patch region [{lo}, {hi}] too small; need at least [{lo_need}, {hi_need}]")
 
     # points y in (-R/2, R/2) with every y + x in the patch; floats decide beyond the guard band
-    h, g, phys = R / 2, ps._guard, ps.physical()
+    h, g, phys, coords = R / 2, ps._guard, ps.physical(), ps.coords
     first, top = np.searchsorted(phys, (-h - g, h - g))
     bottom, end = np.searchsorted(phys, (-h + g, h + g), "right")
-    found, band = ps.coords[:, first:end], [*range(first, bottom), *range(top, end)]
+    if first == end:
+        return 0.0
+    keep, band = np.ones(end - first, dtype=bool), [*range(first, bottom), *range(top, end)]
     if band:  # ``_quad_mask`` decides the band; only a point u + 0*tau can sit on an end
-        uv = np.pad(ps.coords[:, band], ((0, 2 - len(found)), (0, 0)))  # n + 0*tau on periodic:N
-        out = ~_quad_mask(None, uv, (-h, h)) | [v == 0 and abs(u) == h for u, v in uv.T.tolist()]
-        found = np.delete(found, np.compress(out, band) - first, axis=1)
-    for off in offs:
-        found = np.compress(ps.contains(found + off), found, axis=1)
-    return found.shape[1] / R
+        uv = np.pad(coords[:, band], ((0, 2 - len(coords)), (0, 0)))  # n + 0*tau on periodic:N
+        keep[np.subtract(band, first)] = _quad_mask(None, uv, (-h, h)) & \
+            [v != 0 or abs(u) != h for u, v in uv.T.tolist()]
+    n = len(ps)
+    for off, x in zip(offs, ph[1:]):
+        want, hit = coords[:, first:end] + off, np.zeros(end - first, dtype=bool)
+        slack = 2 * g + _coord_guard(off)  # the float error of both positions and of x
+        d0 = int(np.searchsorted(phys, phys[first] + x)) - first
+        for d, step in ((d0, 1), (d0 - 1, -1)):
+            while True:  # the counted points i in [a, b) whose partner index i + d exists
+                a, b = max(first, -d), min(end, n - d)
+                if a >= b:
+                    break
+                dist = phys[a + d:b + d] - phys[a:b]
+                if (dist.min() > x + slack) if step > 0 else (dist.max() < x - slack):
+                    break
+                hit[a - first:b - first] |= \
+                    (coords[:, a + d:b + d] == want[:, a - first:b - first]).all(axis=0)
+                d += step
+        keep &= hit
+    return np.count_nonzero(keep) / R
 
 
 @dataclass(frozen=True)

@@ -81,19 +81,6 @@ class PointSet:
         lo, hi = self.region
         return len(self) / (hi - lo)
 
-    def contains(self, coords: np.ndarray) -> np.ndarray:
-        """Exact membership in the patch of each column of ``coords`` (laid out as ``self.coords``).
-
-        A point's physical position is computed by the same float operations
-        wherever it appears, and the positions are strictly increasing, so a
-        binary search lands on the only candidate; an integer comparison of
-        the coordinates then decides.
-        """
-        if len(self) == 0:
-            return np.zeros(coords.shape[1], dtype=bool)
-        i = np.minimum(np.searchsorted(self._phys, _physical(coords)), len(self) - 1)
-        return (self.coords.take(i, axis=1) == coords).all(axis=0)
-
 
 def _first_misplaced(ps: PointSet):
     """(index, reason) of the first point outside the region or with star outside the window."""

@@ -56,12 +56,19 @@ def test_readme_library_example_runs():
     assert names["report"].mismatch == 0.0
 
 
-# patch-sized outputs: a 72,361-point file and empirical counts over R = 9e4
+# patch-sized outputs: a 72,361-point file and empirical counts over R = 9e4, 4e4 (order 3
+# on combined:32), 2e3 (order 3 on periodic:32) and 2e4 (a window with a narrow gap)
 PATCH_EXAMPLES = [
     ["generate", "--scheme", "fibonacci", "--window", "fib", "--region", "-50000", "50000",
      "-o", "fib.txt"],
     ["correlate", "--scheme", "fibonacci", "--window", "fib", "--order", "2", "--cutoff", "5",
      "--empirical", "9e4", "-o", "emp.csv"],
+    ["correlate", "--scheme", "combined:32", "--window", "fib x A", "--order", "3",
+     "--cutoff", "3", "--empirical", "4e4", "-o", "fibxA_o3_emp.csv"],
+    ["correlate", "--scheme", "periodic:32", "--window", "A", "--order", "3", "--cutoff", "6",
+     "--empirical", "2e3", "-o", "A_o3_emp.csv"],
+    ["correlate", "--scheme", "fibonacci", "--window", "[0,1)u[1.001,2)", "--order", "2",
+     "--cutoff", "5", "--empirical", "2e4", "-o", "gap_emp.csv"],
     # coordinates beyond 2^31 (724 and 362 points), and a periodic patch (999 points)
     ["generate", "--scheme", "fibonacci", "--window", "fib",
      "--region", "10000000000", "10000001000", "-o", "fib_far.txt"],
@@ -73,6 +80,9 @@ PATCH_EXAMPLES = [
 PATCH_DIGESTS = {
     "fib.txt": "2778b1c7aed0084ea9d1a07ee5c51f14d784b080e8467f77ae64c2cf65bfca9a",
     "emp.csv": "7792db9276c740f05cde9b5e1b7f29aed647e93c5f36cfacfc40e872791baba9",
+    "fibxA_o3_emp.csv": "12ec89f5455299067ff193f9c334cb040c227590b1d8a470f4c735eb1f335b63",
+    "A_o3_emp.csv": "8f58df337eec6f661ec14bf957ea58a770f210211beea3511b9b82d5cba839a8",
+    "gap_emp.csv": "b6a6e5d48319fe126f9ebfbb21f69c5d447234332605aa4227327987b02440d3",
     "fib_far.txt": "c9cc67d14fe56f26843704cfe03e5f9dc5c1d36634a666ecc7ce8630f186a1e1",
     "fibxA_far.txt": "7ca1848f394ec0a250745e1499039b5ac3c956247da76b10e6ffdf639d504ec2",
     "A.txt": "b7277fb61e253f495b1089e46f34523cdf2b419536488e7efa3eb14a95dc1e50",

@@ -151,6 +151,12 @@ PATCHES = {
                         (-R / 2 - 40, R / 2 + 40)),
     "periodic": generate(make_scheme(PERIODIC, 7), ResidueSet(7, (0, 1, 3)),
                          (-R / 2 - 40, R / 2 + 40)),
+    # gaps of very different lengths: a window with a narrow hole, a wide window, and
+    # two residues of 32
+    "narrow gap": generate(FIB, parse_window("[0,1)u[1.001,2)"), (-R / 2 - 40, R / 2 + 40)),
+    "dense": generate(FIB, parse_window("[0,20)"), (-R / 2 - 40, R / 2 + 40)),
+    "fib x sparse": generate(make_scheme(COMBINED, 32), ProductWindow(W, ResidueSet(32, (0, 13))),
+                             (-R / 2 - 40, R / 2 + 40)),
 }
 
 
@@ -177,6 +183,50 @@ def test_freq_empirical_counts_known_pattern():
     ps = PATCHES["fib"]
     assert freq_empirical(ps, (QuadLatticePoint(0, 1),), R) == \
         freq_loop(ps, (QuadLatticePoint(0, 1),), R) > 0
+
+
+def test_freq_empirical_on_a_one_point_patch():
+    ps = PointSet(FIB, W, np.array([[0], [0]]), (-5.0, 5.0))
+    assert freq_empirical(ps, (QuadLatticePoint(0, 0),), 2.0) == 1 / 2.0
+    for x in (QuadLatticePoint(1, 0), QuadLatticePoint(-1, 0), QuadLatticePoint(0, 1)):
+        assert freq_empirical(ps, (x,), 2.0) == 0.0
+    per = PointSet(P7.scheme, P7.window, np.array([[3]]), (-10.0, 10.0))
+    assert freq_empirical(per, (0,), 8.0) == 1 / 8.0
+    assert freq_empirical(per, (1,), 8.0) == freq_empirical(per, (-1,), 8.0) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(PATCHES))
+def test_freq_empirical_with_partners_past_both_ends(name):
+    # the region is exactly the one needed: the partners of the points near either end
+    # of (-r/2, r/2) would lie past the first or the last column of the patch
+    ps, r = PATCHES[name], 400.0
+    p = points(ps)
+    j = int(np.searchsorted(ps.physical(), 0.0))
+    x = p[j + 3] - p[j]   # a difference that occurs near 0
+    for pattern in [(x,), (-x,), (x, -x)]:
+        ext = [phys(ps.scheme, y) for y in pattern]
+        sub = generate(ps.scheme, ps.window, (-r / 2 + min(0, *ext), r / 2 + max(0, *ext)))
+        got = freq_empirical(sub, pattern, r)
+        assert got == freq_loop(sub, pattern, r)
+        assert got > 0 or len(pattern) == 2
+
+
+def test_freq_empirical_leaves_out_points_at_both_ends_on_periodic():
+    ps = PATCHES["periodic"]   # residues 0, 1, 3 of 7: -7 and 7, -14 and 14 are points
+    for r, inside in [(14.0, 5), (28.0, 11)]:
+        for pattern in [(), (7,), (-7,), (7, -7)]:
+            assert freq_empirical(ps, pattern, r) == freq_loop(ps, pattern, r) == inside / r
+
+
+@pytest.mark.parametrize("y, x, short", [((11, 7), QuadLatticePoint(-1, 2), True),
+                                         ((14, 6), QuadLatticePoint(0, 1), False)])
+def test_freq_empirical_finds_a_partner_off_by_float_error(y, x, short):
+    # the float distance from y to y + x is below or above the float length of x, so
+    # the partner's shift is the last one before a stop test that has no slack
+    ps = PointSet(FIB, W, np.array([[y[0], y[0] + x.u], [y[1], y[1] + x.v]]), (-30.0, 30.0))
+    p, q = ps.physical()
+    assert (q - p < x.phys) if short else (q - p > x.phys)
+    assert freq_empirical(ps, (x,), 50.0) == freq_loop(ps, (x,), 50.0) == 1 / 50.0
 
 
 # -- the point-file writer -----------------------------------------------------------
