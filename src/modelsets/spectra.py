@@ -445,15 +445,14 @@ class DeckGrid:
     ``row_hat[i]`` (the first axis of fft2) of its rows ``rows[i]``, the shifts
     j1 with I1[j1] > 0; its other rows are zero.  Since I2 is real, each DFT
     is Hermitian, and ``row_hat`` keeps only its columns 0..M/2.  ``I2``
-    rounds them back to whole cell counts on each read, and each read of
-    I2hat forms it in blocks of columns (:meth:`I2hat_at`, the dense
-    ``I2hat``): the columns 0..M/2 by FFT, each other column M - j as the
-    mirror conj I2hat[-k1, j] of a formed one.  Every block, formed or
-    mirrored, is checked as it is made against the indicator transform
-    ``_F``, which only that check reads.  :func:`_split_pass` cuts each read
-    into its blocks and shares them across the usable cores; a read writes
-    into none of the deck's arrays, so any number of threads may read one
-    deck.  ``deck_functions`` makes every array read-only.
+    rounds them back to whole cell counts on each read; each read of I2hat
+    forms and checks the columns 0..M/2 in blocks, against the indicator
+    transform ``_F`` that only that check reads, and reads a column M - j as
+    conj I2hat[-k1, j].  ``_F`` is bitwise Hermitian, so such a cell's
+    residual equals its partner's and needs no check.  :func:`_split_pass`
+    shares the blocks across the usable cores; a read writes into none of the
+    deck's arrays, so any number of threads may read one deck.
+    ``deck_functions`` makes every array read-only.
     """
 
     M: int
@@ -474,12 +473,17 @@ class DeckGrid:
 
     @property
     def I2hat(self) -> np.ndarray:
-        """h^2 fft2(I2), read-only, assembled from every checked column block, formed or
-        mirrored."""
-        T = np.empty((self.M, self.M), dtype=complex)
+        """h^2 fft2(I2), read-only; each formed block also fills its mirrored columns."""
+        M = self.M
+        T = np.empty((M, M), dtype=complex)
 
         def read(c, block):
             T[c] = block
+            # the columns j of c with 0 < j < M - j, mirrored into M - j
+            lo, hi = max(c.start, 1), min(c.stop, (M + 1) // 2)
+            src, dst = block[lo - c.start:hi - c.start], T[M - lo:M - hi:-1]
+            np.conjugate(src[:, :1], out=dst[:, :1])
+            np.conjugate(src[:, :0:-1], out=dst[:, 1:])
 
         self._column_pass(read)
         T.flags.writeable = False
@@ -487,7 +491,10 @@ class DeckGrid:
 
     def I2hat_at(self, k1, k2) -> np.ndarray:
         """I2hat[k1, k2] at ints or index arrays, read in one pass over the checked blocks."""
-        k1, k2 = np.broadcast_arrays(np.asarray(k1) % self.M, np.asarray(k2) % self.M)
+        M = self.M
+        k1, k2 = np.broadcast_arrays(np.asarray(k1) % M, np.asarray(k2) % M)
+        flip = k2 > M // 2   # I2hat[k1, k2] = conj I2hat[-k1, M - k2]
+        k1, k2 = np.where(flip, -k1 % M, k1), np.where(flip, M - k2, k2)
         out = np.empty(k1.shape, dtype=complex)
 
         def read(c, block):
@@ -495,7 +502,7 @@ class DeckGrid:
             out[sel] = block[k2[sel] - c.start, k1[sel]]
 
         self._column_pass(read)
-        return out
+        return np.conjugate(out, out=out, where=flip)
 
     @property
     def cell(self) -> float:
@@ -503,17 +510,14 @@ class DeckGrid:
 
     def _column_pass(self, read) -> None:
         """Call ``read(c, B)``, B[i, k1] = I2hat[k1, c.start + i], once for each column
-        slice c, which together cover columns 0..M-1 once.
+        slice c of a block, which together cover the columns 0..M/2 once.
 
-        :func:`_split_pass` cuts the columns 0..M/2 into blocks.  Each block
-        scatters the row transforms of its columns at ``rows`` and transforms
-        along k1, as fft2's second axis does; its columns j with 0 < j < M - j
-        are then mirrored into the columns M - j, I2hat[k1, M - j] =
-        conj I2hat[-k1, j] since I2 is real.  B is its worker's workspace,
-        overwritten by that worker's next block.  Each block, formed or
-        mirrored, is checked (:func:`_factor_residual`) before ``read`` sees
-        it; the verdict, the largest residual against |F[0]|^3 = I2hat[0, 0],
-        the largest |I2hat| since I2 >= 0, comes after the last block.
+        Each block scatters the row transforms of its columns at ``rows`` and
+        transforms along k1, as fft2's second axis does, into its worker's
+        workspace B, which that worker's next block overwrites.  Each block is
+        checked (:func:`_factor_residual`) before ``read`` sees it; the
+        verdict, the largest residual against |F[0]|^3 = I2hat[0, 0], the
+        largest |I2hat| since I2 >= 0, comes after the last block.
         """
         M, h = self.M, self.cell
         cF = np.conj(self._F)
@@ -522,28 +526,15 @@ class DeckGrid:
 
         def alloc(step):
             # z: the columns off ``rows`` are never written, so they stay zero
-            return (np.zeros((step, M), dtype=complex),
-                    *(np.empty((step, M), dtype=complex) for _ in range(3)))
+            return np.zeros((step, M), dtype=complex), *np.empty((2, step, M), dtype=complex)
 
-        def work(c, z, B, p, mb):
+        def work(c, z, B, p):
             n = c.stop - c.start
             z[:n, self.rows] = self.row_hat[:, c].T
             block = np.fft.fft(z[:n], axis=1, out=B[:n])
             block *= h * h
             err = _factor_residual(block, c, cF, Fsum, inv_scale, p)
             read(c, block)
-            # the columns j of c with 0 < j < M - j, mirrored into M - j in increasing order
-            lo, hi = max(c.start, 1), min(c.stop, (M + 1) // 2)
-            if lo >= hi:
-                return err
-            src = block[lo - c.start:hi - c.start][::-1]
-            mb = mb[:hi - lo]
-            mb[:, 0] = src[:, 0]
-            mb[:, 1:] = src[:, :0:-1]
-            np.conjugate(mb, out=mb)
-            m = slice(M - hi + 1, M - lo + 1)
-            err = max(err, _factor_residual(mb, m, cF, Fsum, inv_scale, p))
-            read(m, mb)
             return err
 
         if max(_split_pass(M // 2 + 1, M, alloc, work)) > 1e-8 ** 2:
@@ -609,15 +600,15 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
             f"l_half/2 = {l_half / 2} (anti-wraparound condition)")
 
     fb = f.astype(float)
-    Ff = np.fft.fft(fb)
-    n1 = np.rint(np.fft.ifft(Ff * np.conj(Ff)).real).astype(np.int64)
+    Rf = np.fft.rfft(fb)
+    n1 = np.rint(np.fft.irfft(Rf * np.conj(Rf), n=M)).astype(np.int64)
     if not np.array_equal(n1, n1[(-np.arange(M)) % M]):
         raise AssertionError("I1 lost its reflection symmetry")
     # I2 row j1 counts f * roll(f, j1) correlated with f; that product
     # vanishes unless the shift j1 keeps an overlap, i.e. n1[j1] > 0
     rows = np.nonzero(n1)[0]
     shifted = wrapped_rows(fb)   # [i] = roll(fb, M - i)
-    cRf = np.conj(np.fft.rfft(fb))
+    cRf = np.conj(Rf)
     # the first axis of fft2 over the nonzero rows of I2, columns 0..M/2 (the
     # rest are their conjugates); the deck forms the second, along the
     # columns, block by block on each read of I2hat
@@ -649,7 +640,10 @@ def deck_functions(f: np.ndarray, M: int, l_half: float) -> DeckGrid:
     I1hat = h * np.fft.fft(I1)
     if I1hat.real.min() < -1e-10 * max(1.0, I1hat.real.max()):
         raise AssertionError("I1hat is significantly negative")
-    F = h * Ff
+    # F[M - k] = conj F[k] by copy: a mirrored cell's check residual is its partner's
+    F = np.empty(M, dtype=complex)
+    F[:M // 2 + 1] = h * Rf
+    F[M // 2 + 1:] = np.conj(F[1:(M + 1) // 2][::-1])
     for a in (I1, rows, I1hat, row_hat, F):
         a.flags.writeable = False
     return DeckGrid(M, float(l_half), I1, rows, I1hat, row_hat, F)
@@ -665,10 +659,10 @@ def _deck_bytes(M: int) -> int:
 
     The anti-wraparound rule keeps the nonzero rows of I2 below M/2, so
     ``row_hat`` holds at most (M/2)(M/2 + 1) complex cells.  The column pass
-    holds four complex workspaces per worker of ``step`` rows of M cells, at
+    holds three complex workspaces per worker of ``step`` rows of M cells, at
     least one row each (see :func:`_split_pass`); the row pass holds less.
     """
-    return 16 * (M // 2) * (M // 2 + 1) + 4 * 16 * max(BLOCK_CELLS, M * _usable_cores())
+    return 16 * (M // 2) * (M // 2 + 1) + 3 * 16 * max(BLOCK_CELLS, M * _usable_cores())
 
 
 def _usable_cores() -> int:

@@ -4,6 +4,7 @@ import ast
 import math
 import random
 import threading
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -521,36 +522,45 @@ def test_deck_factorization_spot_check_512():
 @pytest.mark.parametrize("k1, k2", [(5, 2), (511, 509), (17, 300), (3, 257)],
                          ids=["first-block", "last-block", "off-diagonal", "mirrored"])
 def test_verify_deck_checks_every_cell(k1, k2, monkeypatch):
-    # the columns 0..256 are formed by FFT in column blocks; each other column
-    # 512 - j (257 the first, 509 and 300 too) is a mirror of a formed one
+    # the columns 0..256 are formed by FFT in column blocks and checked; a cell
+    # of any other column 512 - j (257 the first, 509 and 300 too) is read as
+    # conj I2hat[-k1, j], so it is corrupted in that formed partner
     M, L = 512, 8.0
     f = sample_window(parse_window("[0,1)u[1.5,2.25)"), M, L)
     deck = deck_functions(f, M, L)
     bump = 1e-6 * np.abs(deck.I2hat).max()   # an unaltered read passes the check
     check = spectra._factor_residual
+    if k2 > M // 2:
+        k1, k2 = -k1 % M, M - k2
+    hits = []
 
     def corrupted(block, c, *args):
         # one cell of one block, after it is formed and before it is checked
         if c.start <= k2 < c.stop:
             block[k2 - c.start, k1] += bump
+            hits.append(c)
         return check(block, c, *args)
 
     monkeypatch.setattr(spectra, "_factor_residual", corrupted)
-    with pytest.raises(AssertionError, match="factor"):
-        deck.I2hat
-    # the verdict covers the whole grid, not only the entries read
-    with pytest.raises(AssertionError, match="factor"):
-        deck.I2hat_at(0, 0)
+    # on one core the calling thread checks every block; on three, helpers check some
+    for workers in (1, 3):
+        monkeypatch.setattr(spectra, "_usable_cores", lambda: workers)
+        with pytest.raises(AssertionError, match="factor"):
+            deck.I2hat
+        # the verdict covers the whole grid, not only the entries read
+        with pytest.raises(AssertionError, match="factor"):
+            deck.I2hat_at(0, 0)
+    assert len(hits) == 4
 
 
-def _formed_and_mirrored(logs):
+def _formed_and_others(logs):
     """The columns checked right after an FFT, and the others, from per-thread logs."""
-    formed, mirrored = [], []
+    formed, others = [], []
     for log in logs.values():
         for prev, c in zip([None] + log, log):
             if c != "fft":
-                (formed if prev == "fft" else mirrored).extend(range(c.start, c.stop))
-    return sorted(formed), sorted(mirrored)
+                (formed if prev == "fft" else others).extend(range(c.start, c.stop))
+    return sorted(formed), sorted(others)
 
 
 @pytest.mark.parametrize("M", [5, 17, 32, 33, 512, 513])
@@ -575,16 +585,69 @@ def test_one_read_checks_each_column_once(M, cells, monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", transformed)
     monkeypatch.setattr(spectra, "_factor_residual", recorded)
-    # the columns 0..M/2 (0 and, for even M, M/2 among them) are formed by FFT
-    # and never mirrored; the others are mirrored; each is checked once
-    columns = (list(range(M // 2 + 1)), list(range(M // 2 + 1, M)))
+    # the columns 0..M/2 (0 and, for even M, M/2 among them) are each formed by
+    # FFT and checked once; no column above M/2 is formed or checked
+    columns = (list(range(M // 2 + 1)), [])
     k1, k2 = np.array([3, 0, M - 1, 7]) % M, np.array([M - 1, 0, 5, 7]) % M
     got = deck.I2hat_at(k1, k2)
     # the blocks are split across the usable cores, so they end in any order
-    assert _formed_and_mirrored(logs) == columns
+    assert _formed_and_others(logs) == columns
     assert got.tobytes() == dense[k1, k2].tobytes()
     logs.clear()
-    assert deck.I2hat.tobytes() == dense.tobytes() and _formed_and_mirrored(logs) == columns
+    assert deck.I2hat.tobytes() == dense.tobytes() and _formed_and_others(logs) == columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 17, 33, 64, 512, 513]), st.data())
+def test_mirrored_cells_are_conjugates_with_their_partners_residuals(M, data):
+    # a random cell word in fewer than M/4 cells, at a random place on the circle
+    word = data.draw(st.lists(st.booleans(), min_size=1, max_size=(M - 1) // 4 - 1))
+    start = data.draw(st.integers(0, M - 1))
+    f = np.zeros(M, dtype=np.int64)
+    f[(start + np.arange(len(word) + 1)) % M] = [1] + word
+    deck = deck_functions(f, M, 8.0)
+    F, neg = deck._F, -np.arange(M) % M
+    # _F is Hermitian; only its signed zeros (im = 0 at k = 0, M/2, ...) may differ
+    assert np.array_equal(F, np.conj(F[neg]))
+    # the check's product, in its order (rows k2, columns k1): each mirrored
+    # cell's residual is its partner's
+    dense = deck.I2hat
+    cF = np.conj(F)
+    res = np.abs(dense.T - cF[None, :] * cF[:, None] * spectra.wrapped_rows(F)[:M])
+    j = np.arange(1, (M + 1) // 2)
+    assert res[M - j].tobytes() == res[j][:, neg].tobytes()
+    k1, k2 = (np.array(data.draw(st.lists(st.integers(-2 * M, 3 * M), min_size=1, max_size=20)))
+              for _ in range(2))
+    k1, k2 = np.broadcast_arrays(k1[:, None], k2[None, :])
+    assert deck.I2hat_at(k1, k2).tobytes() == dense[k1 % M, k2 % M].tobytes()
+
+
+def test_a_read_holds_three_workspaces_per_worker(monkeypatch):
+    # one read of M + 1 entries at M = 2048 on two cores: the pass holds
+    # 3 x 16 bytes for each of its 32,768 cells in flight (1.57 MB) and
+    # peaks at 2.29 MB; a fourth workspace, for mirrored blocks, gives 2.81 MB
+    monkeypatch.setattr(spectra, "_usable_cores", lambda: 2)
+    M = 2048
+    f = sample_window(parse_window("[0,1)u[1.5,2.25)"), M, 8.0)
+    deck = deck_functions(f, M, 8.0)
+    rng = np.random.default_rng(0)
+    k1, k2 = rng.integers(0, M, M + 1), rng.integers(0, M, M + 1)
+    tracemalloc.start()
+    try:
+        deck.I2hat_at(k1, k2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6e6
+
+
+@pytest.mark.parametrize("M, cores, est", [(4096, 2, 68_714_496), (8192, 2, 270_073_856),
+                                           (8192, 8, 271_646_720)])
+def test_deck_bytes_count_three_workspaces(M, cores, est, monkeypatch):
+    # row_hat's (M/2)(M/2 + 1) complex cells and 48 bytes a cell in flight
+    monkeypatch.setattr(spectra, "_usable_cores", lambda: cores)
+    assert spectra._deck_bytes(M) == est
+    assert (est <= spectra.MAX_DECK_BYTES) == (M == 4096)
 
 
 def _deck_reads(monkeypatch, workers):
