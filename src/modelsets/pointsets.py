@@ -1,15 +1,18 @@
 """Finite patches of model sets.
 
-Generation takes its candidates from the lattice enumeration of
-:mod:`.schemes`, in the box of the window hull and the requested region, and
-cuts them with its one exact cut ``_quad_mask``: floats decide outside a
-guard band that grows with the size of the coordinates, Q(tau) inside it.
-Membership is tested, and point files are written, in column chunks of
-``PATCH_CHUNK``, so the working memory beyond the patch itself stays bounded.
+Generation walks the requested region in physical blocks cut at
+half-integers, on which no lattice point lies.  Each block takes its
+candidates from the lattice enumeration of :mod:`.schemes`, in the box of the
+window hull and the block, cuts them with the one exact cut ``_quad_mask``
+(floats decide outside a guard band that grows with the size of the
+coordinates, Q(tau) inside it) and writes its points, sorted, at the running
+end of the one patch array.  So the working memory beyond the patch itself
+stays one block of about ``PATCH_CHUNK`` candidates; membership checks,
+order checks and point files go in column chunks of ``PATCH_CHUNK`` too.
 
 A patch is stored as an int64 array with one column per point and one row
 per lattice coordinate: rows u and v for the golden-ratio schemes, the single
-row n for ``periodic:N``.
+row n for ``periodic:N``.  Its float positions are formed on first use.
 """
 
 from __future__ import annotations
@@ -18,16 +21,17 @@ import io
 import math
 import os
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
 from .errors import MAX_CANDIDATES, ParameterError, check_budget, check_real
-from .schemes import (COORD_LIMIT, SQRT5, TAU, PERIODIC, Scheme, Window, _coord_guard,
-                      _cyclic_gaps, _float_hull, _physical, _quad_candidates, _quad_mask,
-                      format_window, parse_scheme, parse_window, patch_chunks, window_factors)
+from .schemes import (COORD_LIMIT, SQRT5, TAU, PERIODIC, ResidueSet, Scheme, Window,
+                      _block_span, _coord_guard, _cyclic_gaps, _float_hull, _physical,
+                      _quad_candidates, _quad_mask, _quad_rows, format_window, parse_scheme,
+                      parse_window, patch_chunks, window_factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,16 +41,16 @@ class PointSet:
     ``coords`` holds the exact lattice coordinates as a read-only int64
     array of shape (2, len) with rows u and v for the golden-ratio schemes,
     or (1, len) with the row n for ``periodic:N``; points are sorted by
-    physical position.  The generating window and region travel with the
-    patch, so densities and empirical frequencies know the support they
-    average over.
+    physical position.  Construction checks that order a chunk of columns at
+    a time and keeps no positions: ``physical()`` forms them on first use.
+    The generating window and region travel with the patch, so densities
+    and empirical frequencies know the support they average over.
     """
 
     scheme: Scheme
     window: Window
     coords: np.ndarray
     region: tuple[float, float]
-    _phys: np.ndarray = field(init=False, repr=False)
     #: ``generate`` hands over its own int64 C-ordered coordinates, which no
     #: one else holds; any other ``coords`` is copied
     _handed_over: InitVar[bool] = False
@@ -59,20 +63,24 @@ class PointSet:
         if c.size and not (c.min() > -COORD_LIMIT and c.max() < COORD_LIMIT):
             raise ParameterError("lattice coordinates must stay below 2^62 in magnitude")
         c.flags.writeable = False
-        ph = _physical(c)
-        ph.flags.writeable = False
-        if not np.all(ph[1:] > ph[:-1]):
+        # each chunk with the column before it, so that the seams are checked too
+        if not all(_rising(c[:, max(s.start - 1, 0):s.stop]) for s in patch_chunks(c.shape[1])):
             raise ParameterError("physical positions must be strictly increasing")
         object.__setattr__(self, "coords", c)
         object.__setattr__(self, "region", (lo, hi))
-        object.__setattr__(self, "_phys", ph)
 
     def __len__(self):
         return self.coords.shape[1]
 
     def physical(self) -> np.ndarray:
-        """Physical positions, increasing (read-only, computed once)."""
-        return self._phys
+        """Physical positions, increasing (read-only, formed on first use)."""
+        return self._positions
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        ph = _physical(self.coords)
+        ph.flags.writeable = False
+        return ph
 
     #: a bound on the float error of every physical position, computed on first use
     _guard = cached_property(lambda self: _coord_guard(self.coords))
@@ -80,6 +88,12 @@ class PointSet:
     def density(self) -> float:
         lo, hi = self.region
         return len(self) / (hi - lo)
+
+
+def _rising(coords: np.ndarray) -> bool:
+    """The physical positions of the columns strictly increase."""
+    ph = _physical(coords)
+    return bool(np.all(ph[1:] > ph[:-1]))
 
 
 def _first_misplaced(ps: PointSet):
@@ -156,36 +170,72 @@ def _check_float_positions(lo: float, hi: float, star: tuple[float, float] | Non
                 f"there reach {reach:.3g}, and their float bounds hold only below 2^52")
 
 
+def _residue_count(first: np.ndarray, count: np.ndarray, rs: ResidueSet | None) -> int:
+    """How many of the integers first, ..., first + count - 1 (over entries of int64
+    arrays, counts >= 0) lie in the residue set; all of them for None."""
+    if rs is None:
+        return int(count.sum())
+    N, elems = rs.modulus, np.array(rs.elems, dtype=np.int64)
+    # #{0 <= u < x: u mod N in elems} is (x // N) * len(elems) + #{e < x mod N}
+    (q0, r0), (q1, r1) = np.divmod(first, N), np.divmod(first + count, N)
+    if N <= len(first):  # #{e < r} for every r at once, then a lookup
+        r0, r1 = (np.searchsorted(elems, np.arange(N)).take(r) for r in (r0, r1))
+    else:
+        r0, r1 = (np.searchsorted(elems, r) for r in (r0, r1))
+    return int((q1 - q0).sum()) * len(elems) + int(r1.sum() - r0.sum())
+
+
 def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet:
-    """All lattice points with physical position in the closed region and star in w."""
+    """All lattice points with physical position in the closed region and star in w.
+
+    The region is cut at half-integers k + 1/2, on which no point of Z[tau]
+    or Z lies, into closed physical blocks of about ``PATCH_CHUNK``
+    candidates.  Each block takes its candidates from one ``_quad_candidates``
+    call, or its own integers (``arange``) for ``periodic:N``, keeps those that
+    its range and the window hold, and writes them, sorted, at the running end
+    of the patch.  (Beyond 2^52 the floats round the cuts to integers n: a
+    block's rounded range still holds its own integers, and on the golden-ratio
+    schemes no such n has its star in the window.)  The patch array is sized
+    by the whole region's candidates that the residue factor keeps, and then
+    trimmed in place.
+    """
     lo, hi = _check_region(region)
-    iu, _ = window_factors(scheme, w)
+    iu, rs = window_factors(scheme, w)
     if iu is None:
         _check_float_positions(lo, hi, None)
         check_budget(hi - lo, MAX_CANDIDATES, "lattice candidates", "shrink the region")
-        cand = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)[None]
+        first = math.ceil(lo)
+        cap = _residue_count(np.array([first]), np.array([math.floor(hi) + 1 - first]), rs)
     elif iu.is_empty():
-        cand = np.zeros((2, 0), dtype=np.int64)
+        cap = 0
     else:
         star = _float_hull(iu)
         _check_float_positions(lo, hi, star)
-        cand = _quad_candidates(star, (lo, hi), MAX_CANDIDATES, "shrink the region")
-    keep = _in_window(scheme, w, cand, (lo, hi))
-    # the kept columns, C-ordered, selected a chunk of one row at a time so
-    # that the selection's temporaries stay chunk-sized
-    coords = np.empty((len(cand), np.count_nonzero(keep)), dtype=np.int64)
-    n = 0
-    for c in patch_chunks(cand.shape[1]):
-        k = np.count_nonzero(keep[c])
-        for i in range(len(cand)):   # no view of ``cand`` outlives the loop
-            coords[i, n:n + k] = cand[i, c][keep[c]]
-        n += k
-    del cand, keep
-    order = np.argsort(_physical(coords), kind="stable")
-    for i in range(len(coords)):   # sorted in place, one row at a time
-        coords[i] = coords[i][order]
-    del order
-    return PointSet(scheme, w, coords, (lo, hi), _handed_over=True)
+        blocks, rows = _quad_rows(star, (lo, hi), MAX_CANDIDATES, "shrink the region")
+        cap = sum(_residue_count(u_lo, counts, rs) for _, u_lo, counts in map(rows, blocks))
+    nrows = 1 if scheme.kind == PERIODIC else 2
+    if not cap:
+        return PointSet(scheme, w, np.zeros((nrows, 0), dtype=np.int64), (lo, hi))
+    buf, n = np.empty(nrows * cap, dtype=np.int64), 0  # row i fills buf[i*cap:] from the front
+    cuts = range(math.floor(lo + 0.5) + 1, math.ceil(hi + 0.5),
+                 _block_span(None if iu is None else star))
+    ends = [lo, *(k - 0.5 for k in cuts), hi]  # each cut k - 1/2 lies in (lo, hi)
+    ints = [math.ceil(lo), *cuts, math.floor(hi) + 1]  # the integers of each block start
+    for block, (a, b) in zip(pairwise(ends), pairwise(ints)):
+        cand = (np.arange(a, b, dtype=np.int64)[None] if iu is None
+                else _quad_candidates(star, block, MAX_CANDIDATES, "shrink the region"))
+        kept = np.compress(_in_window(scheme, w, cand, block), cand, axis=1)
+        del cand
+        order = np.argsort(_physical(kept), kind="stable")
+        for i in range(nrows):
+            np.take(kept[i], order, out=buf[i * cap + n:i * cap + n + len(order)])
+        n += len(order)
+        del kept, order
+    if nrows == 2:  # row 1 down to buf[n:2n], a chunk at a time, so that the tail can go
+        for c in patch_chunks(n):
+            buf[n + c.start:n + c.stop] = buf[cap + c.start:cap + c.stop]
+    buf.resize(nrows * n, refcheck=False)  # in place: no view of ``buf`` is left
+    return PointSet(scheme, w, buf.reshape(nrows, n), (lo, hi), _handed_over=True)
 
 
 def gap_sequence(ps: PointSet, absent_sites: bool = False):
@@ -216,23 +266,26 @@ FLOAT_FORMAT = ".15g"  #: format spec of every float in CSV output and in the DI
 POINTSET_HEADER = "# modelsets pointset "  #: a point file's header: this, then key=value fields
 
 
-def _atomic_write(path: str, text: str | Iterable[str]) -> None:
-    """Write ``text``, one string or an iterable of string chunks, to ``path``
+def _atomic_write(path: str, text: str | bytes | Iterable[str | bytes]) -> None:
+    """Write ``text``, one str or bytes or an iterable of such chunks, to ``path``
     through a sibling temp file and a rename.
 
-    Readers see the old file or the new one, never a partial write.  On any
-    failure, also one raised while the chunks are produced, the temp file is
-    removed and an existing ``path`` keeps its bytes.  Every output file of
-    the package is written here.  The temp name takes 16 hex digits of ``os.urandom``.
+    The file is written through the binary layer: bytes chunks as they are,
+    str chunks encoded as UTF-8.  Readers see the old file or the new one,
+    never a partial write.  On any failure, also one raised while the chunks
+    are produced, the temp file is removed and an existing ``path`` keeps its
+    bytes.  Every output file of the package is written here.  The temp name
+    takes 16 hex digits of ``os.urandom``.
     """
     # in the directory of ``path`` as given ("" -> the working directory)
     tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     try:
-        fh = open(tmp, "x")  # exclusive create; mode bits follow the umask
+        fh = open(tmp, "xb")  # exclusive create; mode bits follow the umask
         try:
-            with fh:
-                fh.writelines([text] if isinstance(text, str) else text)
+            with fh:  # ``map`` and ``writelines`` hold no chunk past its write
+                fh.writelines(map(lambda c: c.encode() if isinstance(c, str) else c,
+                                  [text] if isinstance(text, (str, bytes)) else text))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -251,31 +304,40 @@ def save_pointset(ps: PointSet, path: str) -> None:
                                                 for c in patch_chunks(len(ps)))))
 
 
-def _int_lines(coords: np.ndarray) -> str:
-    """The lines ``"%d %d"`` (one field per row) of the columns of an int64 array.
+def _int_lines(coords: np.ndarray) -> bytes:
+    """The ASCII lines ``"%d %d"`` (one field per row) of the columns of an int64 array.
 
     The digits come from repeated // 10, on int32 when every |c| < 2^31.  A
     field is a run of byte columns (sign, D digits, separator) with NUL for
     leading zeros and for the sign of a non-negative value; the lines are the
     rows of the stacked columns with the NULs dropped.
     """
-    q = np.abs(coords)
-    top = int(q.max()) if q.size else 0
-    q = q.astype(np.int32 if top < 2 ** 31 else np.int64)
+    top = max(int(coords.max(initial=0)), -int(coords.min(initial=0)))
+    q = coords.astype(np.int32 if top < 2 ** 31 else np.int64)
+    np.abs(q, out=q)
     digits = []  # least significant first
     for j in range(len(str(top))):
         nq = q // 10
-        d = (q - nq * 10).astype(np.uint8) | ord("0")
-        if j:  # the units digit always prints
-            d *= q > 0
+        lead = q == 0  # the NULs of leading zeros; the units digit always prints
+        q -= nq * 10
+        d = q.astype(np.uint8)
+        d |= ord("0")
+        if j:
+            d[lead] = 0
         digits.append(d)
         q = nq
+    del q, nq, lead
     sign = (coords < 0).astype(np.uint8) * ord("-")
     cols = []
     for r, end in enumerate(" " * (len(coords) - 1) + "\n"):
         cols += [sign[r], *(d[r] for d in reversed(digits)),
                  np.full(coords.shape[1], ord(end), np.uint8)]
-    return np.stack(cols, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+    del sign, digits, d
+    table = np.stack(cols, axis=1)
+    del cols
+    lines = table.tobytes()
+    del table
+    return lines.translate(None, b"\0")
 
 
 def _bad_line(path: str, body: str, width: int) -> ParameterError:

@@ -323,8 +323,9 @@ def _physical(coords: np.ndarray) -> np.ndarray:
     return x
 
 
-#: columns per chunk of the patch passes: lattice candidates (in row blocks of
-#: about this many), exact membership and point-file lines
+#: columns per chunk of the patch passes: lattice candidates (in row blocks and
+#: physical blocks of about this many), exact membership, order checks and
+#: point-file lines
 PATCH_CHUNK = 1 << 16
 
 
@@ -334,19 +335,17 @@ def patch_chunks(n: int, width: float = 1):
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
-                     budget: int, advice: str) -> np.ndarray:
-    """Columns (u, v) covering every u+v*tau in the ``phys`` range with u+v*tau' in ``star``.
+def _quad_rows(star: tuple[float, float], phys: tuple[float, float],
+               budget: int, advice: str):
+    """(row blocks, ``rows``) of the enumeration of Z[tau] in a (physical, internal) box.
 
-    This is the one enumeration of Z[tau] in a (physical, internal) box: patches,
-    support differences and dual labels all take their candidates here and
-    cut them with ``_quad_mask``.  The ranges are taken as exact; callers
-    widen floats of exact endpoints by their ``_float_slack``.  Each row v visits
+    ``rows(block)`` gives (v, first u, candidate count) of the rows in one of
+    the blocks, each of about ``PATCH_CHUNK`` candidates.  Each row v visits
     the u where both ranges overlap, the bounds rounded outward by a guard
-    against the float error of w - v*tau' and x - v*tau (at most 1).  Over
-    ``budget`` candidates is a ResourceError that ends with ``advice``.  The
-    rows are bounded in blocks of about ``PATCH_CHUNK`` candidates, once to
-    size the output and once to fill it.
+    against the float error of w - v*tau' and x - v*tau (at most 1).  The
+    ranges are taken as exact; callers widen floats of exact endpoints by
+    their ``_float_slack``.  Over ``budget`` candidates is a ResourceError that
+    ends with ``advice``, raised before anything is allocated.
     """
     (wlo_f, whi_f), (lo, hi) = star, phys
     vmin = math.floor((lo - whi_f) / SQRT5) - 2
@@ -372,8 +371,38 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
         u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU) + g).astype(np.int64) + far
         return vs, u_lo, np.maximum(u_hi - u_lo + 1, 0)
 
-    blocks = list(patch_chunks(vmax - vmin + 1, width))
-    lone = rows(blocks[0]) if len(blocks) == 1 else None  # a lone block is bounded once
+    return list(patch_chunks(vmax - vmin + 1, width)), rows
+
+
+def _block_span(star: tuple[float, float] | None) -> int:
+    """The physical length L (whole units, at least 1) of a patch block: ``PATCH_CHUNK``
+    integers for Z (``star`` None); for Z[tau], a length whose boxes with ``star``
+    ``_quad_rows`` puts in one block, about ``PATCH_CHUNK`` * w/(w + 4) candidates for a
+    star range of width w, and up to ``PATCH_CHUNK`` for a wide one."""
+    if star is None:
+        return PATCH_CHUNK
+    w = star[1] - star[0]
+    # a box has at most (L + w)/sqrt5 + 7 rows and a block PATCH_CHUNK // (min(w, L) + 4);
+    # each of these two lengths keeps the first below the second
+    wide = SQRT5 * (PATCH_CHUNK // (w + 4) - 7) - w
+    a = w / SQRT5 + 8   # (L/sqrt5 + a)(L + 4) <= PATCH_CHUNK, one row left for rounding
+    b = 4 / SQRT5 + a
+    narrow = (math.sqrt(b * b + 4 / SQRT5 * (PATCH_CHUNK - 4 * a)) - b) * SQRT5 / 2
+    return max(1, math.floor(wide), math.floor(narrow))
+
+
+def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
+                     budget: int, advice: str) -> np.ndarray:
+    """Columns (u, v) covering every u+v*tau in the ``phys`` range with u+v*tau' in ``star``.
+
+    This is the one enumeration of Z[tau] in a (physical, internal) box: patches,
+    support differences and dual labels all take their candidates here and
+    cut them with ``_quad_mask``.  The rows are those of :func:`_quad_rows`,
+    bounded once to size the output and once to fill it; a box of one block
+    is bounded once.
+    """
+    blocks, rows = _quad_rows(star, phys, budget, advice)
+    lone = rows(blocks[0]) if len(blocks) == 1 else None
     out = np.empty((2, sum(int((lone or rows(b))[2].sum()) for b in blocks)), dtype=np.int64)
     end = 0
     for b in blocks:

@@ -7,6 +7,7 @@ writer is held to ``%d`` formatting, and the exact-width lattice enumeration
 to the one-unit-margin row loop it replaced.
 """
 
+import hashlib
 import math
 import tempfile
 from fractions import Fraction
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from modelsets import (IntervalUnion, ParameterError, PointSet, ProductWindow,
                        QuadLatticePoint, QuadNum, ResidueSet, correlations, freq_empirical,
-                       generate, load_pointset, make_scheme, parse_window, pointsets,
+                       gap_sequence, generate, load_pointset, make_scheme, parse_window, pointsets,
                        save_pointset, schemes, spectra, support_differences)
 from modelsets.pointsets import _int_lines
 from modelsets.schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
@@ -256,7 +257,7 @@ def coordinate_arrays(draw):
 @example(np.zeros((2, 0), dtype=np.int64))
 @example(np.array([[-2**31, 2**31 - 1, 0], [2**31, -(2**31 - 1), -1]], dtype=np.int64))
 def test_int_lines_match_percent_formatting(coords):
-    assert _int_lines(coords) == percent_lines(coords)
+    assert _int_lines(coords) == percent_lines(coords).encode("ascii")
 
 
 def test_empty_patch_file_is_the_header_line(tmp_path):
@@ -387,7 +388,8 @@ def test_fibonacci_patch_visits_hardly_more_candidates_than_points(monkeypatch):
 
     monkeypatch.setattr(pointsets, "_quad_candidates", counting)
     ps = generate(FIB, W, (-5e5, 5e5))
-    assert visited[0] <= 1.01 * len(ps) + 2
+    # one call a physical block, and hardly a candidate more over all the blocks
+    assert len(visited) > 1 and sum(visited) <= 1.01 * len(ps) + 2
 
 
 # -- chunk boundaries ---------------------------------------------------------------
@@ -443,3 +445,82 @@ FIB_X_A, P7 = PATCHES["fib x A"], PATCHES["periodic"]
 def test_chunk_boundaries_on_known_patches(scheme, w, region, size):
     coords = check_chunk_sizes_agree(scheme, w, region)
     assert coords.shape[1] == size
+
+
+# -- physical blocks -------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(0, 70)), max_size=12),
+       st.sampled_from([1, 3, 32, 2**40]), st.data())
+def test_residue_count_matches_a_loop(rows, N, data):
+    # a modulus above the number of rows (32 or 2^40 here) is counted without a table
+    rs = ResidueSet(N, data.draw(st.lists(st.integers(0, min(N, 40) - 1), max_size=8)))
+    first = np.array([f for f, _ in rows], dtype=np.int64)
+    count = np.array([c for _, c in rows], dtype=np.int64)
+    assert pointsets._residue_count(first, count, rs) == \
+        sum(rs.contains(u) for f, c in rows for u in range(f, f + c))
+    assert pointsets._residue_count(first, count, None) == sum(c for _, c in rows)
+
+
+@pytest.mark.parametrize("n", [42, 45])
+def test_a_point_within_the_float_guard_of_a_cut_is_kept_once(n, monkeypatch):
+    # v = F(n)/2 and F(n+1) odd: v*tau is within tau^-n/2 of the half-integer F(n+1)/2,
+    # below it for even n and above it for odd n, far inside the float error of the
+    # positions there; its star is -F(n-1)/2, within the window of width 1 about it
+    v, half = FIBS[n] // 2, FIBS[n + 1] / 2
+    w = parse_window(f"[{-(FIBS[n - 1] + 1) // 2},{-(FIBS[n - 1] - 1) // 2})")
+    monkeypatch.setattr(schemes, "PATCH_CHUNK", 64)
+    span = schemes._block_span(_float_hull(w))
+    lo, hi = half - span - 0.25, half + 2 * span + 0.3   # cuts at half - span, half, ...
+    ends = []
+
+    def recording(star, phys, *args):
+        ends.append(phys[1])
+        return _quad_candidates(star, phys, *args)
+
+    monkeypatch.setattr(pointsets, "_quad_candidates", recording)
+    ps = generate(FIB, w, (lo, hi))
+    assert half in ends   # a block ends at the cut beside the point
+    pts, p = points(ps), QuadLatticePoint(0, v)
+    assert pts == tuple(brute_force(FIB, w, lo, hi)) and pts.count(p) == 1
+    assert abs(ps.physical()[pts.index(p)] - half) < 1e-6
+
+
+def test_an_out_of_order_pair_across_a_chunk_seam_is_refused(tmp_path, monkeypatch):
+    ps = generate(FIB, W, (-3.0, 6.0))
+    path = tmp_path / "pts.txt"
+    save_pointset(ps, str(path))
+    lines = path.read_text().splitlines()
+    lines[4], lines[5] = lines[5], lines[4]   # points 3 and 4, on either side of a seam
+    path.write_text("\n".join(lines) + "\n")
+    swapped = ps.coords[:, [0, 1, 2, 4, 3, *range(5, len(ps))]]
+    errors = []
+    for chunk in (4, CHUNKS[-1]):
+        monkeypatch.setattr(schemes, "PATCH_CHUNK", chunk)
+        with pytest.raises(ParameterError, match="^physical positions must be strictly "
+                                                 "increasing$"):
+            PointSet(FIB, W, swapped, ps.region)
+        with pytest.raises(ParameterError) as e:
+            load_pointset(str(path))
+        errors.append(str(e.value))
+    assert len(ps) > 5 and errors == 2 * [
+        f"{path}:6: point {tuple(swapped[:, 4].tolist())} is out of order: "
+        "physical positions must be strictly increasing"]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS[1:])
+def test_block_size_changes_no_empirical_frequency_and_no_gap(chunk, monkeypatch):
+    # the values of the patches that a global sort of all candidates made
+    monkeypatch.setattr(schemes, "PATCH_CHUNK", chunk)
+    ps = generate(FIB, W, (-2010.0, 2010.0))
+    gaps = np.array(gap_sequence(ps))
+    assert hashlib.sha256(gaps.tobytes()).hexdigest() == \
+        "e888bf4e866f3600ba5c3868857a3fa681f39fc5bde0ef89512d12a63068ed19"
+    got = [freq_empirical(ps, [QuadLatticePoint(*x) for x in pattern], 4000).hex()
+           for pattern in [[(1, 0)], [(0, 1)], [(1, 1)], [(1, 1), (2, 1)]]]
+    assert got == ["0x1.1b22d0e560419p-2", "0x1.c9fbe76c8b439p-2", "0x1.1b020c49ba5e3p-1",
+                   "0x1.b020c49ba5e35p-4"]
+    set_a = ResidueSet(32, (0, 7, 8, 9, 12, 15, 17, 18, 19, 20, 21, 22, 26, 27, 29, 30))
+    per = generate(make_scheme("periodic", 32), set_a, (-1100.0, 1100.0))
+    assert [freq_empirical(per, pattern, 2000).hex() for pattern in [(3,), (3, 11)]] == \
+        ["0x1.1f3b645a1cac1p-2", "0x1.3e76c8b439581p-3"]

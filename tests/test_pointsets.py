@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from modelsets import (IntervalUnion, ParameterError, PointSet, QuadLatticePoint, QuadNum,
                        ResidueSet, ResourceError, gap_sequence, generate, load_pointset,
                        make_scheme, parse_window, save_pointset, window_measure)
-from modelsets.schemes import TAU
+from modelsets.schemes import TAU, _physical
 
 FIB = make_scheme("fibonacci")
 FIB_WINDOW = parse_window("[-1,1/tau)")
@@ -86,6 +86,14 @@ def test_generate_monotone_in_window():
     ps_small = generate(FIB, small, (0, 300))
     ps_large = generate(FIB, large, (0, 300))
     assert set(zip(*ps_small.coords.tolist())) <= set(zip(*ps_large.coords.tolist()))
+
+
+def test_positions_are_formed_once_on_first_use():
+    ps = generate(FIB, FIB_WINDOW, (-500, 500))
+    assert "_positions" not in vars(ps)   # construction keeps no float array
+    ph = ps.physical()
+    assert ph is ps.physical() and not ph.flags.writeable
+    assert ph.dtype == np.float64 and ph.tobytes() == _physical(ps.coords).tobytes()
 
 
 def test_fibonacci_gaps_take_two_values():

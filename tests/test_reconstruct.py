@@ -271,27 +271,47 @@ def test_roundtrip_at_4096_cells():
     assert peak <= 50e6
 
 
-def test_generate_and_save_traced_peaks(tmp_path):
-    # the patch (150,511 points) is 24 bytes a point: 16 of coordinates, 8 of
-    # positions.  generate peaks at 36.5 bytes a point (the candidates, their
-    # mask, the kept columns and one chunk of the selection), and save_pointset
-    # at 3.3 MB above the patch, one chunk of lines; a patch that copies the
-    # sorted columns (41 bytes a point), bands over all candidates at once (89)
-    # or the whole file as one string (7.5 MB) break these
-    fib, w = make_scheme("fibonacci"), parse_window("[-1,1/tau)")
+def traced_generate_and_save(scheme, window, region, path):
+    """(patch, generate's traced peak, what it leaves held, save_pointset's peak above that)."""
     tracemalloc.start()
     try:
-        ps = generate(fib, w, (-1.04e5, 1.04e5))
+        ps = generate(scheme, window, region)
         gen_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        save_pointset(ps, str(tmp_path / "fib.txt"))
+        save_pointset(ps, str(path))
         save_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert len(ps) == 150_511
-    assert gen_peak <= 39 * len(ps)
-    assert save_peak <= 4.5e6
+    return ps, gen_peak, held, save_peak
+
+
+def test_generate_and_save_traced_peaks(tmp_path):
+    # the patch (723,607 points) is 16 bytes a point of coordinates; its positions
+    # are formed on first use.  generate peaks at 17.5 bytes a point: the patch
+    # array, sized by the region's candidates (one more than the points), and one
+    # physical block's working memory, its candidates and the float temporaries
+    # of the exact cut (1.1 MB).  save_pointset peaks at 2.4 MB above the patch,
+    # one chunk of lines as bytes.  A region-wide candidate array (33.7 bytes a
+    # point), positions held by the patch (+8), or lines decoded to str (3.1 MB)
+    # break these
+    ps, gen_peak, held, save_peak = traced_generate_and_save(
+        make_scheme("fibonacci"), parse_window("[-1,1/tau)"), (-5e5, 5e5), tmp_path / "fib.txt")
+    assert len(ps) == 723_607
+    assert gen_peak <= 20 * len(ps) and gen_peak - held <= 1.2e6
+    assert held <= 16 * len(ps) + 64e3
+    assert save_peak <= 2.5e6
+
+
+def test_generate_traced_peak_where_candidates_outnumber_points(tmp_path):
+    # the residue factor {0}@32 keeps one candidate in 32; the patch array is sized
+    # by the candidates it keeps, so generate holds the patch and one block
+    # (1.0 MB), where a region-wide candidate array peaked at 6.1 MB
+    ps, gen_peak, held, _ = traced_generate_and_save(
+        make_scheme("combined", 32), parse_window("[-1,1/tau)x{0}@32"), (-2e5, 2e5),
+        tmp_path / "fib0.txt")
+    assert len(ps) == 9045
+    assert gen_peak - held <= 1.2e6 and held <= 16 * len(ps) + 64e3
 
 
 def test_roundtrip_checks_each_column_once(monkeypatch):
