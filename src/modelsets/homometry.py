@@ -2,9 +2,8 @@
 
 Centrepiece: a pair of 16-element subsets of Z/32Z that share all 2- and
 3-point pattern counts yet are not related by any rigid motion x -> +-x + t.
-Both sets are generated from factored polynomials and validated against their
-expanded exponent lists at import time.  All residue computations here are
-exact integer arithmetic; no tolerances.
+Both sets are expanded from factored polynomials at import time.  All residue
+computations here are exact integer arithmetic; no tolerances.
 """
 
 from __future__ import annotations
@@ -40,15 +39,12 @@ def _exponent_set(factors: list[list[int]], modulus: int) -> tuple[int, ...]:
 _FACTORS_A = [[1] * 16, [1, 0, 0, -1, 0, 0, 0, 0, 0, 1], [1, -1, 0, 1, -1, 0, 1]]
 _FACTORS_B = [[1] * 16, [1, 0, 0, -1, 0, 0, 0, 0, 0, 1], [1, 0, -1, 1, 0, -1, 1]]
 
-_SET_A = (0, 7, 8, 9, 12, 15, 17, 18, 19, 20, 21, 22, 26, 27, 29, 30)
-_SET_B = (0, 1, 8, 9, 10, 12, 13, 15, 18, 19, 20, 21, 22, 23, 27, 30)
-
-assert _exponent_set(_FACTORS_A, CYCLOTOMIC_MODULUS) == _SET_A
-assert _exponent_set(_FACTORS_B, CYCLOTOMIC_MODULUS) == _SET_B
+_SET_A = _exponent_set(_FACTORS_A, CYCLOTOMIC_MODULUS)
+_SET_B = _exponent_set(_FACTORS_B, CYCLOTOMIC_MODULUS)
 
 
 def cyclotomic_pair() -> tuple[ResidueSet, ResidueSet]:
-    """The homometric pair (A, B) in Z/32Z, validated against its factored form."""
+    """The homometric pair (A, B) in Z/32Z, expanded from its factored form."""
     return (ResidueSet(CYCLOTOMIC_MODULUS, _SET_A),
             ResidueSet(CYCLOTOMIC_MODULUS, _SET_B))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass
 from functools import cached_property
@@ -211,8 +212,8 @@ def generate(scheme: Scheme, w: Window, region: tuple[float, float]) -> PointSet
     else:
         star = _float_hull(iu)
         _check_float_positions(lo, hi, star)
-        blocks, rows = _quad_rows(star, (lo, hi), MAX_CANDIDATES, "shrink the region")
-        cap = sum(_residue_count(u_lo, counts, rs) for _, u_lo, counts in map(rows, blocks))
+        cap = sum(_residue_count(u_lo, counts, rs) for _, u_lo, counts
+                  in _quad_rows(star, (lo, hi), MAX_CANDIDATES, "shrink the region"))
     nrows = 1 if scheme.kind == PERIODIC else 2
     if not cap:
         return PointSet(scheme, w, np.zeros((nrows, 0), dtype=np.int64), (lo, hi))
@@ -341,7 +342,8 @@ def _int_lines(coords: np.ndarray) -> bytes:
 
 
 def _bad_line(path: str, body: str, width: int) -> ParameterError:
-    """The error for the first malformed body line (line numbers count the header)."""
+    """The error for the first malformed body line (line numbers count the header); a token
+    is an integer as ``np.loadtxt`` reads one, a sign and ASCII digits (not ``1_000``)."""
     for lineno, line in enumerate(body.splitlines(), 2):
         fields = line.split()
         if not fields:
@@ -350,25 +352,30 @@ def _bad_line(path: str, body: str, width: int) -> ParameterError:
             return ParameterError(f"{path}:{lineno}: expected {width} integer(s), "
                                   f"got {len(fields)} fields")
         for tok in fields:
-            try:
-                c = int(tok)
-            except ValueError:
+            if not re.fullmatch(r"[+-]?[0-9]+", tok):
                 return ParameterError(f"{path}:{lineno}: {tok!r} is not an integer")
-            if not -COORD_LIMIT < c < COORD_LIMIT:
+            if not -COORD_LIMIT < int(tok) < COORD_LIMIT:
                 return ParameterError(f"{path}:{lineno}: coordinate {tok} is not below "
                                       "2^62 in magnitude")
     return ParameterError(f"{path}: malformed point data")
 
 
 def load_pointset(path: str) -> PointSet:
-    """Read a patch written by :func:`save_pointset`.
+    """Read a patch written by :func:`save_pointset`, as ASCII.
 
     Checks exactly that every point lies in the header's region with its star
-    in the window; an error names the file line of the first point that does not.
+    in the window; an error names the file line of the first point that does
+    not, or of a byte outside ASCII.
     """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        body = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        header, _, body = data.decode("ascii").partition("\n")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise ParameterError(f"{path}:{lineno}: byte {data[e.start]:#04x} is not ASCII") from None
+    del data
+    header = header.strip()
     if not header.startswith(POINTSET_HEADER):
         raise ParameterError(f"{path}: not a modelsets point-set file")
     fields = dict(part.partition("=")[::2] for part in header[len(POINTSET_HEADER):].split(" "))

@@ -31,9 +31,10 @@ canonical without re-sorting.  Whatever ``Fraction`` reads exactly (ints,
 binary floats, decimals, numpy integers, numeric strings) is an exact
 coefficient and anything else a ParameterError.  :func:`_quad_candidates` is
 the one enumeration of the lattice Z[tau]; it visits every lattice point of
-its box and hardly any other.  :func:`_quad_mask` is the one exact cut of
-lattice points by coordinate bounds (windows, cutoffs, averaging intervals,
-dual labels): floats decide only outside a guard band (1e-9 plus ``FLOAT_REL``
+its box and hardly any other, in one pass over the row blocks of
+:func:`_quad_rows`.  :func:`_quad_mask` is the one exact cut of lattice
+points by coordinate bounds (windows, cutoffs, averaging intervals, dual
+labels): floats decide only outside a guard band (1e-9 plus ``FLOAT_REL``
 times the size of the coordinates) around exact values, and Q(tau) inside it.
 """
 
@@ -337,15 +338,15 @@ def patch_chunks(n: int, width: float = 1):
 
 def _quad_rows(star: tuple[float, float], phys: tuple[float, float],
                budget: int, advice: str):
-    """(row blocks, ``rows``) of the enumeration of Z[tau] in a (physical, internal) box.
+    """Yield (v, first u, candidate count) of the rows of the enumeration of Z[tau] in a
+    (physical, internal) box, one block of rows at a time.
 
-    ``rows(block)`` gives (v, first u, candidate count) of the rows in one of
-    the blocks, each of about ``PATCH_CHUNK`` candidates.  Each row v visits
-    the u where both ranges overlap, the bounds rounded outward by a guard
-    against the float error of w - v*tau' and x - v*tau (at most 1).  The
-    ranges are taken as exact; callers widen floats of exact endpoints by
-    their ``_float_slack``.  Over ``budget`` candidates is a ResourceError that
-    ends with ``advice``, raised before anything is allocated.
+    A block holds about ``PATCH_CHUNK`` candidates.  Each row v visits the u
+    where both ranges overlap, the bounds rounded outward by one guard for the
+    whole box against the float error of w - v*tau' and x - v*tau.  The ranges
+    are taken as exact; callers widen floats of exact endpoints by their
+    ``_float_slack``.  Over ``budget`` candidates is a ResourceError that ends
+    with ``advice``, raised before the first block is formed.
     """
     (wlo_f, whi_f), (lo, hi) = star, phys
     vmin = math.floor((lo - whi_f) / SQRT5) - 2
@@ -357,28 +358,22 @@ def _quad_rows(star: tuple[float, float], phys: tuple[float, float],
     # |u| <= |u*| + |v| + 1 with u* in the star range
     if max(-vmin, vmax) + max(-wlo_f, whi_f) + 2 >= COORD_LIMIT:
         raise ParameterError("region or window too far from the origin for int64 coordinates")
-    reach = max(-wlo_f, whi_f, -lo, hi)
-
-    def rows(block):
-        """(v, first u, candidate count) of the rows in ``block``."""
+    g = FLOAT_GUARD + FLOAT_REL * (max(-wlo_f, whi_f, -lo, hi) + max(-vmin, vmax))
+    # where the guard reaches 1 (beyond 2^48) it is one unit on the integer bounds,
+    # as a float y - 1 may round back to y there
+    g, far = (0.0, 1) if g >= 1 else (g, 0)
+    for block in patch_chunks(vmax - vmin + 1, width):
         vs = np.arange(vmin + block.start, vmin + block.stop, dtype=np.int64)
-        g = FLOAT_GUARD + FLOAT_REL * (reach + np.abs(vs))
-        # where the guard reaches 1 (beyond 2^48) it is one unit on the integer bounds,
-        # as a float y - 1 may round back to y there
-        far = g >= 1
-        g[far] = 0
         u_lo = np.ceil(np.maximum(wlo_f - vs * TAU_PRIME, lo - vs * TAU) - g).astype(np.int64) - far
         u_hi = np.floor(np.minimum(whi_f - vs * TAU_PRIME, hi - vs * TAU) + g).astype(np.int64) + far
-        return vs, u_lo, np.maximum(u_hi - u_lo + 1, 0)
-
-    return list(patch_chunks(vmax - vmin + 1, width)), rows
+        yield vs, u_lo, np.maximum(u_hi - u_lo + 1, 0)
 
 
 def _block_span(star: tuple[float, float] | None) -> int:
-    """The physical length L (whole units, at least 1) of a patch block: ``PATCH_CHUNK``
-    integers for Z (``star`` None); for Z[tau], a length whose boxes with ``star``
-    ``_quad_rows`` puts in one block, about ``PATCH_CHUNK`` * w/(w + 4) candidates for a
-    star range of width w, and up to ``PATCH_CHUNK`` for a wide one."""
+    """The physical length L (whole units, at least 1) of a patch block, which bounds only
+    its working memory: ``PATCH_CHUNK`` integers for Z (``star`` None); for Z[tau], about
+    ``PATCH_CHUNK`` * w/(w + 4) candidates for a star range of width w (one row block of
+    ``_quad_rows``), and up to ``PATCH_CHUNK`` for a wide one."""
     if star is None:
         return PATCH_CHUNK
     w = star[1] - star[0]
@@ -397,16 +392,14 @@ def _quad_candidates(star: tuple[float, float], phys: tuple[float, float],
 
     This is the one enumeration of Z[tau] in a (physical, internal) box: patches,
     support differences and dual labels all take their candidates here and
-    cut them with ``_quad_mask``.  The rows are those of :func:`_quad_rows`,
-    bounded once to size the output and once to fill it; a box of one block
-    is bounded once.
+    cut them with ``_quad_mask``.  The row blocks of :func:`_quad_rows` are
+    bounded once, held while the output is sized by their counts, and then
+    written out.
     """
-    blocks, rows = _quad_rows(star, phys, budget, advice)
-    lone = rows(blocks[0]) if len(blocks) == 1 else None
-    out = np.empty((2, sum(int((lone or rows(b))[2].sum()) for b in blocks)), dtype=np.int64)
+    blocks = list(_quad_rows(star, phys, budget, advice))
+    out = np.empty((2, sum(int(counts.sum()) for _, _, counts in blocks)), dtype=np.int64)
     end = 0
-    for b in blocks:
-        vs, u_lo, counts = lone or rows(b)
+    for vs, u_lo, counts in blocks:
         start, end = end, end + int(counts.sum())
         # u runs from u_lo up along each row: the column index minus the row's first column
         np.add(np.repeat(u_lo - (np.cumsum(counts) - counts), counts), np.arange(end - start),
@@ -423,16 +416,15 @@ def _coord_guard(coords: np.ndarray) -> float:
 
 def _bands(x: np.ndarray, bound):
     """(depth, slack, contains) of floats ``x`` in an IntervalUnion or a closed pair.  The
-    depth, max over the intervals of min(x - a, b - x), is within the error of x plus
-    ``slack`` of the exact one, and beyond that decides [a, b) and [a, b] alike."""
+    depth, max over the intervals of min(x - a, b - x) (b - |x| bit for bit where a = -b,
+    as rounding is monotone), is within the error of x plus ``slack`` of the exact one,
+    and beyond that decides [a, b) and [a, b] alike."""
     if isinstance(bound, IntervalUnion):
         pairs, contains = bound.intervals, bound.contains
     else:
         lo, hi = map(QuadNum.coerce, bound)
         pairs, contains = [(lo, hi)], lambda q: lo <= q <= hi
-    # for a = -b, b - |x| is min(x - a, b - x) bit for bit, in one operation less
-    depths = [bf - np.abs(x) if af == -bf else np.minimum(x - af, bf - x)
-              for af, bf in ((float(a), float(b)) for a, b in pairs)]
+    depths = [np.minimum(d := x - float(a), float(b) - x, out=d) for a, b in pairs]
     return (reduce(np.maximum, depths) if depths else np.full(len(x), -np.inf),
             max([_float_slack(e) for ab in pairs for e in ab], default=0.0), contains)
 

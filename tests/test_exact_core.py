@@ -128,6 +128,14 @@ def test_quadnum_hash_matches_int_and_fraction():
     assert QuadNum(1, 1) != 2 and QuadNum(1, 1) == QuadNum(Fraction(2, 2), 1)
 
 
+def test_quadnum_refuses_attribute_assignment():
+    x = QuadNum(1, 2)
+    for name in ("p", "q", "d", "other"):
+        with pytest.raises(AttributeError, match="^QuadNum is immutable$"):
+            setattr(x, name, 3)
+    assert (x.p, x.q, x.d) == (1, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # interval unions stay canonical without re-sorting
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from modelsets import (IntervalUnion, ParameterError, PointSet, ProductWindow,
                        gap_sequence, generate, load_pointset, make_scheme, parse_window, pointsets,
                        save_pointset, schemes, spectra, support_differences)
 from modelsets.pointsets import _int_lines
-from modelsets.schemes import (COMBINED, FIBONACCI, PERIODIC, SQRT5, TAU, TAU_PRIME,
-                               _float_hull, _quad_candidates)
+from modelsets.schemes import (COMBINED, FIBONACCI, FLOAT_GUARD, FLOAT_REL, PERIODIC, SQRT5,
+                               TAU, TAU_PRIME, _bands, _float_hull, _quad_candidates)
 from modelsets.spectra import _golden_dual_labels
 
 FIB = make_scheme("fibonacci")
@@ -281,6 +281,21 @@ def unit_margin_candidates(star, phys, budget, advice) -> np.ndarray:
     return np.array(cols, dtype=np.int64).reshape(-1, 2).T
 
 
+def box_guard_candidates(star, phys) -> np.ndarray:
+    """Oracle: each row's u range widened by one guard for the whole box, one row at a time;
+    a guard of 1 or more is one unit on the integer bounds."""
+    (wlo, whi), (lo, hi) = star, phys
+    vs = range(math.floor((lo - whi) / SQRT5) - 2, math.ceil((hi - wlo) / SQRT5) + 3)
+    g = FLOAT_GUARD + FLOAT_REL * (max(-wlo, whi, -lo, hi) + max(-vs[0], vs[-1]))
+    g, unit = (0.0, 1) if g >= 1 else (g, 0)
+    cols = []
+    for v in vs:
+        u_lo = math.ceil(max(wlo - v * TAU_PRIME, lo - v * TAU) - g) - unit
+        u_hi = math.floor(min(whi - v * TAU_PRIME, hi - v * TAU) + g) + unit
+        cols += [(u, v) for u in range(u_lo, u_hi + 1)]
+    return np.array(cols, dtype=np.int64).reshape(-1, 2).T
+
+
 def with_candidates(enumerate_, f, *args):
     """f(*args) with every caller of the lattice enumeration using ``enumerate_``."""
     with pytest.MonkeyPatch.context() as mp:
@@ -376,6 +391,60 @@ def test_candidates_keep_every_box_point_and_visit_no_more(star, phys):
     (wlo, whi), (lo, hi) = ((QuadNum.coerce(Fraction(x)) for x in r) for r in (star, phys))
     assert {(u, v) for u, v in old
             if wlo <= QuadNum(u + v, -v) <= whi and lo <= QuadNum(u, v) <= hi} <= new
+
+
+@pytest.mark.parametrize("star, phys", [
+    (_float_hull(W), (-300.0, 300.0)),
+    ((-40.0, 40.0), (-3.0, 5.0)),             # rows wider than the region
+    (_float_hull(W), (1e14, 1e14 + 400.0)),   # a guard of about 0.5
+], ids=["fib", "wide-rows", "guard-0.5"])
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_a_box_of_many_row_blocks_is_bounded_once(star, phys, chunk, monkeypatch):
+    monkeypatch.setattr(schemes, "PATCH_CHUNK", chunk)
+    calls, blocks, quad_rows = [], [], schemes._quad_rows
+
+    def recording(*args):
+        calls.append(args)
+        for block in quad_rows(*args):
+            blocks.append(block[0].copy())
+            yield block
+
+    monkeypatch.setattr(schemes, "_quad_rows", recording)
+    cand = _quad_candidates(star, phys, 10**7, "")
+    assert np.array_equal(cand, box_guard_candidates(star, phys))
+    # one pass: each row of the box in exactly one block, each block read once
+    assert len(calls) == 1 and len(blocks) > 1
+    vs = np.concatenate(blocks)
+    assert np.array_equal(vs, np.arange(vs[0], vs[0] + len(vs)))
+
+
+@pytest.mark.parametrize("region", [(2.0**49, 2.0**49 + 400), (-2.0**49 - 400, -2.0**49)],
+                         ids=["positive", "negative"])
+def test_a_box_past_2_48_widens_every_row_by_one_unit(region):
+    # the box's float guard exceeds 1 there: one unit on each row's integer bounds
+    star = _float_hull(W)
+    assert np.array_equal(_quad_candidates(star, region, 10**7, ""),
+                          unit_margin_candidates(star, region, 10**7, ""))
+    ps = generate(FIB, W, region)
+    assert len(ps) > 200 and points(ps) == tuple(brute_force(FIB, W, *region))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 48), st.integers(0, 48), st.lists(st.floats(-1, 1), min_size=1, max_size=8),
+       st.floats(2.0 ** -20, 1), st.floats(-1, 1))
+def test_band_depths_take_one_rule(ex, eb, xs, b, a):
+    x = np.array(xs) * 2.0 ** ex
+    b *= 2.0 ** eb
+    a = a * b + 0.0   # no -0.0: an endpoint is exact, and its float is +0.0
+    assume(-b < a < b)
+    # compared as bytes, in which -0.0 and 0.0 differ
+    depth, _, _ = _bands(x, (Fraction(-b), Fraction(b)))
+    assert depth.tobytes() == (b - np.abs(x)).tobytes()
+    depth, _, _ = _bands(x, (Fraction(a), Fraction(b)))
+    assert depth.tobytes() == np.minimum(x - a, b - x).tobytes()
+    depth, _, _ = _bands(x, IntervalUnion([(Fraction(-b), Fraction(a)), (Fraction(b), 2 * b)]))
+    assert depth.tobytes() == np.maximum(np.minimum(x - -b, a - x),
+                                         np.minimum(x - b, 2 * b - x)).tobytes()
 
 
 def test_fibonacci_patch_visits_hardly_more_candidates_than_points(monkeypatch):

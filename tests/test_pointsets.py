@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from modelsets import (IntervalUnion, ParameterError, PointSet, QuadLatticePoint, QuadNum,
                        ResidueSet, ResourceError, gap_sequence, generate, load_pointset,
-                       make_scheme, parse_window, save_pointset, window_measure)
+                       make_scheme, parse_window, pointsets, save_pointset, window_measure)
 from modelsets.schemes import TAU, _physical
 
 FIB = make_scheme("fibonacci")
@@ -139,6 +139,20 @@ def test_gap_sequence_errors():
         with pytest.raises(ParameterError, match="^the absent-site gap convention needs a "
                                                  "region of one period, exactly 32 integer"):
             gap_sequence(generate(per, SET_A, region), absent_sites=True)
+
+
+@pytest.mark.parametrize("c", [2**62, -2**62])
+def test_pointset_refuses_a_coordinate_of_2_62(c):
+    with pytest.raises(ParameterError, match="^lattice coordinates must stay below 2\\^62 in "
+                                             "magnitude$"):
+        PointSet(FIB, FIB_WINDOW, np.array([[c], [0]], dtype=np.int64), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("region", [(0.0, 2.0**62), (-2.0**62, 0.0)])
+def test_generate_refuses_a_region_endpoint_of_2_62(region):
+    with pytest.raises(ParameterError, match="^region endpoints must stay below 2\\^62 in "
+                                             "magnitude$"):
+        generate(FIB, FIB_WINDOW, region)
 
 
 def test_generate_resource_guard():
@@ -346,12 +360,13 @@ def test_generate_refuses_a_far_narrow_window_rather_than_miss_points():
 @pytest.mark.parametrize("scheme, window, line, why", [
     (FIB, FIB_WINDOW, "1.5 0", "'1.5' is not an integer"),
     (FIB, FIB_WINDOW, "x 0", "'x' is not an integer"),
+    (FIB, FIB_WINDOW, "1_000 0", "'1_000' is not an integer"),   # int() takes it, the reader not
     (FIB, FIB_WINDOW, "3", "expected 2 integer(s), got 1 fields"),
     (FIB, FIB_WINDOW, "1 2 3", "expected 2 integer(s), got 3 fields"),
     (FIB, FIB_WINDOW, "99999999999999999999 0", "is not below 2^62"),  # beyond int64
     (FIB, FIB_WINDOW, "4611686018427387904 0", "is not below 2^62"),   # 2^62
     (make_scheme("periodic", 32), SET_A, "7 8", "expected 1 integer(s), got 2 fields"),
-], ids=["float", "word", "one-column", "three-columns", "beyond-int64", "2^62",
+], ids=["float", "word", "underscore", "one-column", "three-columns", "beyond-int64", "2^62",
         "periodic-two-columns"])
 def test_load_rejects_malformed_line(tmp_path, scheme, window, line, why):
     path = tmp_path / "pts.txt"
@@ -361,3 +376,39 @@ def test_load_rejects_malformed_line(tmp_path, scheme, window, line, why):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParameterError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(why)):
         load_pointset(str(path))
+
+
+def test_load_names_a_malformed_line_after_a_blank_line(tmp_path):
+    path = tmp_path / "pts.txt"
+    save_pointset(generate(FIB, FIB_WINDOW, (0, 31)), str(path))
+    lines = path.read_text().splitlines()
+    lines[2:2] = ["", "x 0"]   # a blank line 3, skipped, then the bad line 4
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}:4: 'x' is not an integer$"):
+        load_pointset(str(path))
+
+
+@pytest.mark.parametrize("line, at", [(0, 79), (0, 0), (1, 3), (3, 0)],
+                         ids=["header", "header-start", "first-point", "third-point"])
+def test_load_names_the_line_of_a_byte_outside_ascii(tmp_path, line, at):
+    path = tmp_path / "pts.txt"
+    save_pointset(generate(FIB, FIB_WINDOW, (0, 31)), str(path))
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = lines[line][:at] + b"\xff" + lines[line][at:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}:{line + 1}: byte 0xff "
+                                             "is not ASCII$"):
+        load_pointset(str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="+-_.0123456789ex", min_size=1, max_size=8))
+def test_a_malformed_token_is_what_the_reader_refuses(tok):
+    # the line check names a token as not an integer exactly where np.loadtxt fails on it
+    try:
+        np.loadtxt([f"{tok} 0"], dtype=np.int64, comments=None, ndmin=2)
+        refused = False
+    except ValueError:
+        refused = True
+    why = str(pointsets._bad_line("pts.txt", f"{tok} 0\n", 2))
+    assert ("is not an integer" in why) == refused

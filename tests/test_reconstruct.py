@@ -76,6 +76,17 @@ def test_phase_quotient_degenerate():
             phase_quotient(dataclasses.replace(deck, I1hat=I1hat))
 
 
+def test_propagation_refuses_a_zero_frequency_below_eps_zero():
+    _, deck = _deck("[0,1)")
+    psi2 = phase_quotient(deck)
+    absF = psi2.absF.copy()
+    absF[0] = psi2.eps_zero / 2
+    degenerate = dataclasses.replace(psi2, absF=absF)
+    with pytest.raises(ParameterError, match="^degenerate input: the zero frequency is "
+                                             "below eps_zero$"):
+        propagate_phase(absF, degenerate)
+
+
 def test_propagation_zero_free_input_knows_everything():
     # a single occupied cell has |F| constant: no extinctions at all
     f = np.zeros(M, dtype=np.int64)
@@ -288,10 +299,10 @@ def traced_generate_and_save(scheme, window, region, path):
 
 def test_generate_and_save_traced_peaks(tmp_path):
     # the patch (723,607 points) is 16 bytes a point of coordinates; its positions
-    # are formed on first use.  generate peaks at 17.5 bytes a point: the patch
+    # are formed on first use.  generate peaks at 17.3 bytes a point: the patch
     # array, sized by the region's candidates (one more than the points), and one
     # physical block's working memory, its candidates and the float temporaries
-    # of the exact cut (1.1 MB).  save_pointset peaks at 2.4 MB above the patch,
+    # of the exact cut (0.93 MB).  save_pointset peaks at 2.4 MB above the patch,
     # one chunk of lines as bytes.  A region-wide candidate array (33.7 bytes a
     # point), positions held by the patch (+8), or lines decoded to str (3.1 MB)
     # break these

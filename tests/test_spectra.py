@@ -462,6 +462,12 @@ def test_zero_condition_refuses_a_large_modulus():
             zero_condition(N, windows, 1)
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_zero_condition_refuses_a_modulus_below_one(N):
+    with pytest.raises(ParameterError, match="^modulus must be positive$"):
+        zero_condition(N, {0: parse_window("[0,1)")}, 1)
+
+
 def test_zero_condition_refusal_names_its_unit():
     with pytest.raises(ResourceError, match=r"^would visit ~1e\+06 cyclotomic steps, over "):
         zero_condition(1_001, {0: parse_window("[0,1)")}, 1)
