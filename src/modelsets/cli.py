@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -184,7 +185,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {' '.join(words)}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call.
+
+    Parsing leaves it unchanged: each call fills a new namespace from the
+    declared defaults.
+    """
     p = _Parser(
         prog="modelsets",
         description="Cut-and-project model sets: patches, correlations, "
@@ -250,9 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``) and return its exit code.
+
+    A usage error exits 2 through SystemExit from the parser.  A refused
+    parameter, an unwritable output, a resource limit or a failed
+    reconstruction prints one ``error:`` line and returns 2, 4 or 3; a
+    failed verification returns 3.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -138,8 +138,9 @@ class CorrelationMeasure:
         if empirical is not None:
             header.append("empirical")
         lines = [",".join(header)]
+        text = {x: _coord_text(x) for x in {x for key in self.entries for x in key}}
         for key in self.support():
-            cells = [_coord_text(x) for x in key] + [f"{self.entries[key]:{FLOAT_FORMAT}}"]
+            cells = [text[x] for x in key] + [f"{self.entries[key]:{FLOAT_FORMAT}}"]
             if empirical is not None:
                 cells.append(f"{empirical[key]:{FLOAT_FORMAT}}")
             lines.append(",".join(cells))

@@ -8,13 +8,14 @@ computations here are exact integer arithmetic; no tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import cached_property
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
-from .correlations import _first_difference
-from .errors import MAX_PATTERN_CELLS, ParameterError, check_budget
+from .errors import MAX_PATTERN_CELLS, ParameterError, check_budget, check_int
 from .pointsets import PointSet, generate
 from .schemes import (COMBINED, IntervalUnion, ProductWindow, ResidueSet, _cyclic_gaps,
                       make_scheme)
@@ -49,20 +50,54 @@ def cyclotomic_pair() -> tuple[ResidueSet, ResidueSet]:
             ResidueSet(CYCLOTOMIC_MODULUS, _SET_B))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatternTable:
     """Exact pattern counts over Z/NZ.
 
-    ``counts`` maps each sorted difference tuple (r1, ..., r_{n-1}) to the
-    number of t in Z/NZ with t, t+r1, ..., t+r_{n-1} all in the set.  The
-    order-2 row sum equals card(S)^2.
+    ``values`` is a read-only int64 array: for each sorted difference tuple
+    (r1, ..., r_{n-1}) of residues, in lexicographic order, the number of t
+    in Z/NZ with t, t+r1, ..., t+r_{n-1} all in the set.  ``counts`` is the
+    same table as a dict from those tuples to ints, built on first use.  The
+    order-2 row sum equals card(S)^2.  Tables compare equal when their order,
+    modulus and values agree.
     """
 
     order: int
     modulus: int
-    counts: dict
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.order not in (2, 3, 4):
+            raise ParameterError("order must be 2, 3 or 4")
+        N = check_int("modulus", self.modulus, 1)
+        v = np.array(self.values, dtype=np.int64)  # a private copy
+        if v.shape != (math.comb(N + self.order - 2, self.order - 1),):
+            raise ParameterError(f"an order-{self.order} table mod {N} needs one count "
+                                 f"per sorted difference tuple, got shape {v.shape}")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+
+    def __eq__(self, other):
+        if not isinstance(other, PatternTable):
+            return NotImplemented
+        return ((self.order, self.modulus) == (other.order, other.modulus)
+                and np.array_equal(self.values, other.values))
+
+    def __reduce__(self):
+        return (PatternTable, (self.order, self.modulus, self.values))
+
+    def _keys(self):
+        """The sorted difference tuples in the order of ``values``."""
+        return combinations_with_replacement(range(self.modulus), self.order - 1)
+
+    @cached_property
+    def counts(self) -> dict:
+        return dict(zip(self._keys(), self.values.tolist()))
 
     def count(self, key: tuple) -> int:
+        if len(key) != self.order - 1:
+            raise ParameterError(f"an order-{self.order} pattern key has {self.order - 1} "
+                                 f"differences, got {len(key)}")
         return self.counts.get(tuple(sorted(r % self.modulus for r in key)), 0)
 
 
@@ -89,14 +124,21 @@ def _pattern_counts(S: ResidueSet, order: int) -> np.ndarray:
 
 
 def pattern_table(S: ResidueSet, order: int) -> PatternTable:
-    """Count every order-n pattern of S exactly (n = 2, 3 or 4); keys are sorted tuples."""
+    """Count every order-n pattern of S exactly (n = 2, 3 or 4).
+
+    The counts of the sorted tuples are read out of the full table through
+    a boolean mask; the C order of the grid is lexicographic.
+    """
     if order not in (2, 3, 4):
         raise ParameterError("order must be 2, 3 or 4")
     N = S.modulus
     full = _pattern_counts(S, order)
-    keys = list(combinations_with_replacement(range(N), order - 1))
-    values = full[tuple(np.array(keys).T)].tolist()
-    return PatternTable(order, N, dict(zip(keys, values)))
+    r = np.arange(N)
+    if order == 3:
+        full = full[r[:, None] <= r]
+    elif order == 4:
+        full = full[(r[:, None, None] <= r[:, None]) & (r[:, None] <= r)]
+    return PatternTable(order, N, full)
 
 
 @dataclass(frozen=True)
@@ -122,10 +164,18 @@ def residue_deck_tables(S: ResidueSet) -> ResidueDeckTables:
 
 
 def tables_equal(t1: PatternTable, t2: PatternTable):
-    """Exact comparison as (equal, witness): the first differing tuple and both counts."""
+    """Exact comparison as (equal, witness): the first differing tuple and both counts.
+
+    The value arrays are compared in one pass; only the first differing
+    index is turned back into its tuple.  Witness entries are Python ints.
+    """
     if t1.order != t2.order or t1.modulus != t2.modulus:
         raise ParameterError("tables differ in order or modulus")
-    return _first_difference(t1.counts, t2.counts)
+    differ = t1.values != t2.values
+    i = int(differ.argmax())
+    if not differ[i]:
+        return True, None
+    return False, (next(islice(t1._keys(), i, None)), int(t1.values[i]), int(t2.values[i]))
 
 
 def rigid_equivalent(S: ResidueSet, T: ResidueSet):

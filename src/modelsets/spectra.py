@@ -247,10 +247,10 @@ class Spectrum:
         if self.scheme.kind == PERIODIC:
             N = self.scheme.modulus
             for j, k in zip(self.labels[:, 0].tolist(), ks):
-                xx = x(k)
-                parts.append(f'<line x1="{xx:.2f}" y1="{mtop + ph}" x2="{xx:.2f}" '
+                xx = f"{x(k):.2f}"
+                parts.append(f'<line x1="{xx}" y1="{mtop + ph}" x2="{xx}" '
                              f'y2="{mtop + ph + 4}" stroke="black" stroke-width="1"/>')
-                parts.append(f'<text x="{xx:.2f}" y="{mtop + ph + 16}" font-size="9" '
+                parts.append(f'<text x="{xx}" y="{mtop + ph + 16}" font-size="9" '
                              f'text-anchor="middle">{j}</text>')
             parts.append(f'<text x="{mleft + pw / 2:.2f}" y="{height - 6}" font-size="11" '
                          f'text-anchor="middle">k/{N}</text>')
@@ -262,8 +262,8 @@ class Spectrum:
             parts.append(f'<text x="{mleft + pw / 2:.2f}" y="{height - 6}" font-size="11" '
                          f'text-anchor="middle">k</text>')
         for k, inten in zip(ks, hs):
-            xx = x(k)
-            parts.append(f'<line x1="{xx:.2f}" y1="{mtop + ph}" x2="{xx:.2f}" '
+            xx = f"{x(k):.2f}"
+            parts.append(f'<line x1="{xx}" y1="{mtop + ph}" x2="{xx}" '
                          f'y2="{y(inten):.2f}" stroke="black" stroke-width="1.5"/>')
         parts.append("</svg>")
         _atomic_write(path, "\n".join(parts) + "\n")

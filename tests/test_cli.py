@@ -12,7 +12,7 @@ import pytest
 import modelsets
 from modelsets import reconstruct
 from modelsets.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY,
-                           expand_window_literal, main)
+                           build_parser, expand_window_literal, main)
 from modelsets.errors import ParameterError, ReconstructionError
 
 
@@ -305,6 +305,35 @@ def test_homometry_same_set(capsys):
     code = run("homometry", "--sets", "A", "A")
     assert code == EXIT_OK
     assert "rigid equivalence: (1, 0)" in capsys.readouterr().out
+
+
+# main() builds its parser once per process; no call may leave a value behind for the next
+
+def test_a_usage_error_after_a_command_is_still_one_line(capsys):
+    assert build_parser() is build_parser()
+    assert run("homometry", "--sets", "A", "A") == EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("homometry", "--order", "5")
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_chosen_order_does_not_carry_over(capsys):
+    assert run("homometry", "--order", "4") == EXIT_OK
+    assert run("homometry") == EXIT_OK
+    orders = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if " tables: " in line]
+    assert orders == ["order-4", "order-2", "order-3", "order-4"]
+
+
+def test_an_empirical_column_does_not_carry_over(tmp_path):
+    argv = ["correlate", "--scheme", "fibonacci", "--window", "fib", "--cutoff", "2", "-o"]
+    assert run(*argv, str(tmp_path / "e.csv"), "--empirical", "50") == EXIT_OK
+    assert run(*argv, str(tmp_path / "c.csv")) == EXIT_OK
+    assert (tmp_path / "e.csv").read_text().split("\n", 1)[0] == "diff1,frequency,empirical"
+    assert (tmp_path / "c.csv").read_text().split("\n", 1)[0] == "diff1,frequency"
 
 
 def test_workers_flag_is_rejected():

@@ -1,5 +1,6 @@
 """The mod-32 homometric pair and the thinned golden-ratio counterexample."""
 
+import pickle
 import random
 import time
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from modelsets import (ParameterError, ResidueSet, cyclotomic_pair, gap_sequence,
                        generate, make_scheme, parse_window, pattern_table,
                        rigid_equivalent, tables_equal, thinned_model_set, window_measure)
+from modelsets.correlations import _first_difference
 SET_A, SET_B = cyclotomic_pair()
 W = parse_window("[-1,1/tau)")
 
@@ -51,6 +53,27 @@ def test_tables_differ_at_order_4():
         got = sum(1 for t in range(32)
                   if t in members and all((t + r) % 32 in members for r in key))
         assert got == expected
+
+
+def test_pattern_table_values_pickle_and_stay_read_only():
+    t = pattern_table(SET_A, 4)
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and back is not t
+    assert back != pattern_table(SET_B, 4) and back != pattern_table(SET_A, 3)
+    assert list(back.counts.values()) == back.values.tolist()
+    for table in (t, back):
+        assert table.values.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[0] = 1
+
+
+def test_pattern_count_refuses_a_key_of_another_length():
+    t3 = pattern_table(SET_A, 3)
+    for key in ((), (1,), (1, 2, 3)):
+        with pytest.raises(ParameterError,
+                           match=f"^an order-3 pattern key has 2 differences, got {len(key)}$"):
+            t3.count(key)
+    assert t3.count((33, -31)) == t3.count((1, 1))
 
 
 def test_tables_equal_modulus_guard():
@@ -115,6 +138,20 @@ def residue_pairs(draw):
 def test_rigid_equivalent_matches_the_full_scan(pair):
     S, T = pair
     assert rigid_equivalent(S, T) == scan_rigid(S, T) == candidate_loop(S, T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_pairs(), st.sampled_from([2, 3, 4]))
+@example((SET_A, SET_B), 4)
+@example((SET_A, SET_B), 3)
+def test_tables_equal_matches_the_key_by_key_comparison(pair, order):
+    t1, t2 = (pattern_table(S, order) for S in pair)
+    got = tables_equal(t1, t2)
+    assert got == _first_difference(t1.counts, t2.counts)
+    if not got[0]:  # Python ints, which print as the pinned homometry report does
+        key, c1, c2 = got[1]
+        assert type(key) is tuple and all(type(r) is int for r in key)
+        assert type(c1) is int and type(c2) is int
 
 
 def test_rigid_equivalent_of_4000_residues():
