@@ -79,7 +79,7 @@ def cmd_correlate(args) -> int:
         ps = generate(scheme, window, (-R / 2 - pad, R / 2 + pad))
         empirical = {key: freq_empirical(ps, key, R) for key in measure.support()}
     measure.to_csv(args.output, empirical)
-    print(f"wrote {len(measure.entries)} correlation entries to {args.output}")
+    print(f"wrote {len(measure.values)} correlation entries to {args.output}")
     return EXIT_OK
 
 

@@ -5,14 +5,20 @@ window with its star-translates (pure window geometry, no point set needed),
 and the empirical route counts occurrences in a generated patch averaged over
 a centred interval.  Their agreement is one of the package's acceptance
 checks.
+
+``freq_exact`` takes one pattern through the window objects and is the oracle
+of ``correlation_measure``, which builds a whole table in integer arrays: the
+real factor's ends and translates as P + Q*tau over one denominator, cut for
+every sorted tuple of differences at once, and the residue factor counted once
+per distinct tuple of residue shifts.  A table holds its keys and values as arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product
+from functools import cached_property
+from itertools import permutations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,8 +26,9 @@ import numpy as np
 from .errors import (MAX_DIFFERENCE_CANDIDATES, MAX_ENTRIES, ParameterError, check_budget,
                      check_real)
 from .pointsets import FLOAT_FORMAT, PointSet, _atomic_write
-from .schemes import (COORD_LIMIT, PERIODIC, QuadLatticePoint, Scheme, Window, _coord_guard,
-                      _float_hull, _physical, _quad_candidates, _quad_mask, star, window_factors,
+from .schemes import (COORD_LIMIT, PERIODIC, SQRT5, TAU, QuadLatticePoint, ResidueSet, Scheme,
+                      Window, _coord_guard, _float_hull, _physical, _product, _quad_candidates,
+                      _quad_mask, _quad_positive, patch_chunks, star, window_factors,
                       window_intersect, window_measure)
 
 
@@ -104,28 +111,70 @@ def freq_empirical(ps: PointSet, pattern: Sequence, R: float) -> float:
     return np.count_nonzero(keep) / R
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMeasure:
     """Sparse (n+1)-point correlation: difference tuples -> frequencies.
 
     ``order`` is n+1; keys are n-tuples of lattice differences with physical
-    length at most ``cutoff``; only strictly positive frequencies are stored.
+    length at most ``cutoff``; a key is stored when its window is non-empty.
+    The table is a set of read-only arrays with one row per key, in sorted key
+    order:
+
+    * ``keys``: int64 of shape (rows, n, 2), the (u, v) of each difference,
+      or (rows, n, 1), the difference itself, on periodic:N;
+    * ``values``: the float64 frequencies;
+    * ``length``: the exact length of the window's real factor, a row (P, Q)
+      meaning (P + Q*tau)/``denominator``; int64, or Python ints where they
+      could overflow; None on periodic:N;
+    * ``count``: the int64 size of the window's residue factor, a count over
+      the modulus; None on fibonacci.
+
+    A frequency is length/sqrt5 times count/N, each factor the scheme has,
+    rounded as ``window_measure`` rounds it.  ``entries`` is the same table as
+    a dict from key tuples (of ``QuadLatticePoint``, or of ints on periodic:N)
+    to frequencies, built on first use.  Tables compare with
+    :func:`correlations_equal`; ``==`` is identity.
     """
 
     scheme: Scheme
     order: int
     cutoff: float
-    entries: dict
+    keys: np.ndarray
+    values: np.ndarray
+    length: np.ndarray | None
+    denominator: int
+    count: np.ndarray | None
+
+    def __post_init__(self):
+        for a in (self.keys, self.values, self.length, self.count):
+            if a is not None:
+                a.flags.writeable = False
+
+    @cached_property
+    def entries(self) -> dict:
+        return dict(zip(self.support(), self.values.tolist()))
+
+    def _cells(self, make) -> np.ndarray:
+        """(rows, n) objects: ``make`` of each key's differences (``QuadLatticePoint``s, or
+        ints on periodic:N), called once per distinct difference."""
+        coords, inv = _distinct_rows(self.keys.reshape(-1, self.keys.shape[2]))
+        points = coords[:, 0].tolist() if self.scheme.kind == PERIODIC else \
+            map(QuadLatticePoint, *coords.T.tolist())
+        return np.fromiter(map(make, points), object, len(coords))[inv.reshape(self.keys.shape[:2])]
 
     def support(self) -> list:
-        return sorted(self.entries)
+        """The keys as tuples, in sorted order."""
+        return list(map(tuple, self._cells(lambda x: x).tolist()))
 
     def entry(self, key: tuple) -> float:
+        if len(key) != self.order - 1:
+            raise ParameterError(f"an order-{self.order} correlation key has "
+                                 f"{self.order - 1} differences, got {len(key)}")
         return self.entries.get(key, 0.0)
 
     def density(self) -> float:
-        zero = 0 if self.scheme.kind == PERIODIC else QuadLatticePoint(0, 0)
-        return self.entries.get((zero,) * (self.order - 1), 0.0)
+        zero = np.flatnonzero(~self.keys.any(axis=(1, 2)))
+        return float(self.values[zero[0]]) if len(zero) else 0.0
 
     def to_csv(self, path: str, empirical: Mapping | None = None) -> None:
         """Deterministic CSV: diff columns then frequency at 15 significant digits.
@@ -133,18 +182,26 @@ class CorrelationMeasure:
         ``empirical`` maps every key of the support to a patch frequency,
         written in an added ``empirical`` column in the same format.
         """
-        n = self.order - 1
-        header = [f"diff{i + 1}" for i in range(n)] + ["frequency"]
+        header = [f"diff{i + 1}" for i in range(self.order - 1)] + ["frequency"]
+        columns = self._cells(_coord_text).T.tolist()
+        columns.append([f"{v:{FLOAT_FORMAT}}" for v in self.values.tolist()])
         if empirical is not None:
             header.append("empirical")
-        lines = [",".join(header)]
-        text = {x: _coord_text(x) for x in {x for key in self.entries for x in key}}
-        for key in self.support():
-            cells = [text[x] for x in key] + [f"{self.entries[key]:{FLOAT_FORMAT}}"]
-            if empirical is not None:
-                cells.append(f"{empirical[key]:{FLOAT_FORMAT}}")
-            lines.append(",".join(cells))
+            columns.append([f"{empirical[key]:{FLOAT_FORMAT}}" for key in self.support()])
+        lines = [",".join(header), *map(",".join, zip(*columns))]
         _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _distinct_rows(rows: np.ndarray):
+    """(the distinct rows of an int64 array in lexicographic order, the index of each row
+    among them), by one lexsort (``np.unique`` with an axis compares rows far slower)."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inv = np.empty(len(rows), np.intp)
+    inv[order] = np.cumsum(first) - 1
+    return ranked[first], inv
 
 
 def _coord_text(x) -> str:
@@ -187,37 +244,148 @@ def support_differences(scheme: Scheme, w: Window, cutoff: float) -> list:
     return out
 
 
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges range(start, start + count), one after another, as one array."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _extend(tuples: np.ndarray, B: int):
+    """Each sorted index tuple (a column) extended by every index from its last one to
+    B - 1, in lexicographic order: (the number of children of each tuple, the children)."""
+    first = tuples[-1] if len(tuples) else np.zeros(tuples.shape[1], np.intp)
+    counts = B - first
+    return counts, np.vstack([np.repeat(tuples, counts, axis=1), _spans(first, counts)])
+
+
+def _real_cuts(ends: np.ndarray, shifts: np.ndarray, n: int, top: int):
+    """The sorted index tuples (i1 <= ... <= in) whose cut W, W + t_i1, ..., W + t_in is
+    non-empty, as columns in lexicographic order, and the exact length of each cut.
+
+    ``ends`` holds W's intervals [a, b) as [a or b][P or Q][interval] and ``shifts``
+    the translates as [P or Q][i], every value P + Q*tau over one denominator, with
+    each coefficient of a translated end at most ``top`` in size; ``_quad_positive``
+    decides each comparison.  A cut is a union of disjoint pieces [max of the a's,
+    min of the b's), one for each choice of one interval of W and of each translate.
+    The tuples grow one index at a time: every piece of a tuple is cut with each
+    interval of the next translate, and only the non-empty pieces, and the tuples
+    that keep one, go on.
+    """
+    B, K = shifts.shape[1], ends.shape[2]
+    tuples, owner, lo, hi = np.zeros((0, 1), np.intp), np.zeros(K, np.intp), ends[0], ends[1]
+    for _ in range(n):
+        counts, children = _extend(tuples, B)
+        start, live = np.cumsum(counts) - counts, np.zeros(children.shape[1], bool)
+        found = [np.zeros(0, np.intp)], [lo[:, :0]], [hi[:, :0]]  # (child, lo, hi) of pieces
+        for block in patch_chunks(len(owner), max(B * K, 1)):
+            # each piece of the block, once per child of its tuple and per interval
+            reps = counts[owner[block]]
+            src = np.repeat(np.arange(block.start, block.stop), reps * K)
+            child = np.repeat(_spans(start[owner[block]], reps), K)
+            k = np.tile(np.arange(K), len(child) // K)
+            t = shifts[:, children[-1, child]]
+            l, h, a, b = lo[:, src], hi[:, src], ends[0][:, k] + t, ends[1][:, k] + t
+            # a difference of two ends has |p| + |q| <= 4 top
+            l = np.where(_quad_positive(l - a, 4 * top), l, a)
+            h = np.where(_quad_positive(b - h, 4 * top), h, b)
+            keep = _quad_positive(h - l, 4 * top)
+            for part, x in zip(found, (child[keep], l[:, keep], h[:, keep])):
+                part.append(x)
+            live[child[keep]] = True
+        tuples = children[:, live]
+        owner = (np.cumsum(live) - 1)[np.concatenate(found[0])]
+        lo, hi = np.hstack(found[1]), np.hstack(found[2])
+    length = np.zeros((2, tuples.shape[1]), lo.dtype)
+    np.add.at(length, (slice(None), owner), hi - lo)
+    return tuples, length
+
+
+def _residue_counts(rs: ResidueSet, shifts: np.ndarray) -> np.ndarray:
+    """card(S cut (S + r1) cut ... cut (S + rn)) for each row (r1, ..., rn) of residue
+    shifts, by membership of e - ri in S for every e in S."""
+    N, elems = rs.modulus, np.array(rs.elems, np.int64)
+    counts = np.zeros(len(shifts), np.int64)
+    for block in patch_chunks(len(shifts), max(len(elems), 1)):
+        hit = np.ones((block.stop - block.start, len(elems)), bool)
+        for r in shifts[block].T:
+            x = (elems - r[:, None]) % N  # in S when the sorted S holds it where it would go
+            hit &= elems[np.searchsorted(elems, x) % len(elems)] == x
+        counts[block] = hit.sum(axis=1)
+    return counts
+
+
 def correlation_measure(scheme: Scheme, w: Window, order: int, cutoff: float) -> CorrelationMeasure:
-    """All difference tuples within the cutoff carrying positive frequency (decided exactly).
+    """All difference tuples within the cutoff whose window is non-empty (decided exactly).
 
     Keys are the ordered tuples of ``support_differences``.  The window of
-    {0, x1, ..., xn} is the intersection of the pair cuts W cut (W - xi*), so
-    each difference is translated once.  Equal cuts share one id, and the memo
-    is keyed on sets of ids: each set of cuts is measured once and its value
-    is shared by every ordered tuple that uses it.
+    {0, x1, ..., xn} is W cut with each translate W - xi*, so each difference
+    is translated once, and the window depends only on the set of differences:
+    each sorted index tuple is evaluated once, in integer arrays, and its value
+    is scattered to every ordering.  The real factor is scaled to integers
+    P + Q*tau over the common denominator D of W's endpoints (int64 while its
+    comparisons fit, Python ints beyond) and cut by :func:`_real_cuts`; the
+    residue factor is counted by :func:`_residue_counts`, once per distinct
+    tuple of residue shifts.  The zero tuple's frequency is checked bit for bit
+    against ``window_measure`` of W.
     """
     if order not in (2, 3, 4):
         raise ParameterError("order must be 2, 3 or 4")
     check_real("cutoff", cutoff, 0)
     base = support_differences(scheme, w, cutoff)
-    n = order - 1
-    check_budget(len(base) ** n, MAX_ENTRIES, "correlation tuples", "reduce the cutoff")
-    # equal cuts share one id; W's id 0 (x = 0, or x = 0 mod N) changes no intersection
-    ids = {w: 0}
-    cut_ids = [ids.setdefault(_pair_cut(scheme, w, x), len(ids)) for x in base]
-    cuts, w_id = list(ids), {0}
-    freqs = {}
-    entries = {}
-    for idx, tup in zip(product(cut_ids, repeat=n), product(base, repeat=n)):
-        key = frozenset(idx) - w_id
-        f = freqs.get(key)
-        if f is None:
-            cut = reduce(window_intersect, [cuts[i] for i in key] or [w])
-            # (non-empty, measure): the float of a cancelling length can read 0
-            f = freqs[key] = (not cut.is_empty(), window_measure(scheme, cut))
-        if f[0]:
-            entries[tup] = f[1]
-    return CorrelationMeasure(scheme, order, cutoff, entries)
+    n, B = order - 1, len(base)
+    check_budget(B ** n, MAX_ENTRIES, "correlation tuples", "reduce the cutoff")
+    iu, rs = window_factors(scheme, w)
+    coords = np.array([(x,) if iu is None else x for x in base], np.int64)
+    coords = coords.reshape(B, 1 if iu is None else 2)
+    perm = np.lexsort(coords.T[::-1])  # the order in which sorted() takes the keys
+    coords, shifts = coords[perm], [star(scheme, -base[i]) for i in perm]
+
+    tuples, length, D, real = np.zeros((0, 1), np.intp), None, 1, None
+    if iu is None:
+        for _ in range(n):
+            tuples = _extend(tuples, B)[1]
+    else:
+        quads = [t if rs is None else t[0] for t in shifts]  # lattice points: d = 1
+        D = math.lcm(*(e.d for ab in iu.intervals for e in ab))
+        ends = np.array([[[e.p * (D // e.d) for e in col], [e.q * (D // e.d) for e in col]]
+                         for col in zip(*iu.intervals)], object).reshape(2, 2, -1)
+        sh = np.array([[x.p * D for x in quads], [x.q * D for x in quads]], object).reshape(2, B)
+        top = max([D, *map(abs, ends.flat)]) + max(map(abs, sh.flat), default=0)
+        # int64 while s = 2p + q of a difference of two ends, |s| <= 6 top, squares below
+        # 2^63, and the at most (n + 1)K pieces of a cut sum below 2^53
+        if top * (n + 1) * ends.shape[2] < 2 ** 28:
+            ends, sh = ends.astype(np.int64), sh.astype(np.int64)
+        tuples, length = _real_cuts(ends, sh, n, top)
+        # float(QuadNum) of each length: p/d rounds alike in lowest terms and over D
+        real = ((length[0] / D).astype(float) + (length[1] / D).astype(float) * TAU) / SQRT5
+    count = residue = None
+    if rs is not None:
+        r = np.array([t if iu is None else t[1] for t in shifts], np.int64).reshape(B)
+        # each distinct tuple of residue shifts is counted once
+        rows, inv = _distinct_rows(r[tuples.T])
+        count = _residue_counts(rs, rows)[inv]
+        nonempty = count > 0
+        tuples, count = tuples[:, nonempty], count[nonempty]
+        if length is not None:
+            length, real = length[:, nonempty], real[nonempty]
+        # count/N as float(Fraction) rounds it, once per distinct count
+        sizes, inv = _distinct_rows(count.reshape(-1, 1))
+        residue = np.array([c / rs.modulus for c in sizes[:, 0].tolist()])[inv]
+    values = _product(real, residue)
+
+    # scatter: each ordered tuple of range(B) takes the column of its sorted form, which
+    # one permutation of the axes carries it to; the rest of the grid holds -1
+    slot = np.full((B,) * n, -1, np.intp)
+    slot[tuple(tuples)] = np.arange(tuples.shape[1])
+    for axes in permutations(range(n)):
+        slot = np.maximum(slot, slot.transpose(axes))
+    ordered = np.nonzero(slot >= 0)  # in lexicographic order
+    col = slot[ordered]
+    measure = CorrelationMeasure(scheme, order, cutoff, coords[np.stack(ordered, axis=1)],
+                                 values[col], None if length is None else length[:, col].T, D,
+                                 None if count is None else count[col])
+    if measure.density() != window_measure(scheme, w):
+        raise AssertionError("the zero tuple's frequency differs from the window measure")
+    return measure
 
 
 def _first_difference(t1: Mapping, t2: Mapping, tol: float = 0):

@@ -106,10 +106,11 @@ def _pattern_counts(S: ResidueSet, order: int) -> np.ndarray:
 
     With the shift matrix sh[r, t] = 1_S(t + r) the count is
     sum_t s[t] sh[r1, t] ... sh[r_{n-1}, t], one exact int64 product over all
-    keys at once.
+    keys at once; at order 4 the N^3 products s[t] sh[r1, t] sh[r2, t] are
+    formed first and multiplied by sh.T.
     """
     N = S.modulus
-    # the N x N shift matrix, or the N^3 counts at order 4
+    # the N x N shift matrix, or the N^3 products and counts at order 4
     check_budget(N ** max(2, order - 1), MAX_PATTERN_CELLS, "pattern cells",
                  "use a smaller modulus or order")
     s = np.zeros(N, dtype=np.int64)
@@ -120,7 +121,7 @@ def _pattern_counts(S: ResidueSet, order: int) -> np.ndarray:
         return based.sum(1)
     if order == 3:
         return based @ sh.T
-    return np.einsum("at,bt,ct->abc", based, sh, sh)
+    return ((based[:, None, :] * sh).reshape(N * N, N) @ sh.T).reshape(N, N, N)
 
 
 def pattern_table(S: ResidueSet, order: int) -> PatternTable:

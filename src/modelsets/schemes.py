@@ -36,6 +36,8 @@ its box and hardly any other, in one pass over the row blocks of
 points by coordinate bounds (windows, cutoffs, averaging intervals, dual
 labels): floats decide only outside a guard band (1e-9 plus ``FLOAT_REL``
 times the size of the coordinates) around exact values, and Q(tau) inside it.
+:func:`_quad_positive` applies the same rule to arrays of exact numbers
+p + q*tau, as the correlation tables compare interval ends.
 """
 
 from __future__ import annotations
@@ -448,6 +450,26 @@ def _quad_mask(iu, coords: np.ndarray, region=None) -> np.ndarray:
         p, q = int(u[i]), int(v[i])
         keep[i] = all(contains(point(p, q)) for point, contains in tests)
     return keep
+
+
+def _quad_positive(d: np.ndarray, top) -> np.ndarray:
+    """Exact mask of p + q*tau > 0 over the columns (p, q) of an integer array (int64, or
+    Python ints) with every |p| + |q| <= ``top``: floats decide beyond the guard band,
+    and inside it the sign of s + q*sqrt5, s = 2p + q, read off s^2 against 5q^2 as
+    :func:`_sgn` reads it."""
+    p, q = d
+    g = FLOAT_GUARD + FLOAT_REL * top
+    f = q.astype(float)
+    f *= TAU
+    f += p.astype(float)
+    out = f > g
+    band = np.flatnonzero(np.abs(f, out=f) <= g)
+    if len(band):
+        p, q = p[band], q[band]
+        s = 2 * p + q
+        big = s * s > 5 * q * q
+        out[band] = (s > 0) & ((q >= 0) | big) | (q > 0) & ((s >= 0) | ~big)
+    return out
 
 
 # ---------------------------------------------------------------------------

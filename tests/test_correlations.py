@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from modelsets import (IntervalUnion, ParameterError, ProductWindow, QuadLattice
                        support_differences, window_intersect, window_measure)
 from modelsets import correlations
 from modelsets.cli import expand_window_literal
-from modelsets.schemes import TAU, TAU_PRIME, QuadNum, parse_scheme
+from modelsets.schemes import FLOAT_GUARD, FLOAT_REL, TAU, TAU_PRIME, QuadNum, parse_scheme
 
 FIB = make_scheme("fibonacci")
 W = parse_window("[-1,1/tau)")
@@ -272,28 +272,47 @@ def test_correlation_measure_matches_ordered_tuple_oracle(scheme_text, window_te
 
 
 def _counting(monkeypatch, name):
-    """Replace correlations.<name> by a wrapper that records its arguments."""
+    """Replace correlations.<name> by a wrapper that records its arguments and result."""
     calls = []
     inner = getattr(correlations, name)
 
     def counting(*args):
-        calls.append(args)
-        return inner(*args)
+        calls.append((args, inner(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(correlations, name, counting)
     return calls
 
 
+def sorted_live_tuples(scheme, w, base, n):
+    """Oracle: the sorted index tuples of ``base``, in (u, v) order, whose window is
+    non-empty, found one pattern at a time through the window objects."""
+    base = sorted(base)
+    out = []
+    for t in combinations_with_replacement(range(len(base)), n):
+        cut = w
+        for i in t:
+            cut = window_intersect(cut, w.translate(star(scheme, -base[i])))
+        if not cut.is_empty():
+            out.append(t)
+    return out
+
+
 def test_correlation_measure_evaluates_each_pattern_once(monkeypatch):
+    # one window_measure call per table, for the check of the zero tuple, and one
+    # evaluation of each sorted tuple: the real cut returns each sorted tuple with a
+    # non-empty window once, in lexicographic order
     w = parse_window("[0,1)u[1.5,2.25)")
     base = support_differences(FIB, w, 4.0)
     monkeypatch.setattr(correlations, "support_differences", lambda *a: base)
-    calls = _counting(monkeypatch, "window_measure")
-    correlation_measure(FIB, w, 4, 4.0)
-    assert len(base) ** 3 == 4913
-    zero = QuadLatticePoint(0, 0)
-    patterns = {frozenset(t) - {zero} for t in product(base, repeat=3)}
-    assert len(calls) == len(patterns) == 697
+    measures = _counting(monkeypatch, "window_measure")
+    cuts = _counting(monkeypatch, "_real_cuts")
+    m = correlation_measure(FIB, w, 4, 4.0)
+    assert len(base) ** 3 == 4913 and math.comb(len(base) + 2, 3) == 969
+    assert len(measures) == 1 and measures[0][1] == m.density()
+    ((_, (tuples, _)),) = cuts
+    assert [tuple(t) for t in tuples.T.tolist()] == sorted_live_tuples(FIB, w, base, 3)
+    assert tuples.shape[1] == 368
 
 
 @pytest.mark.parametrize("scheme_text,window_text", [
@@ -359,19 +378,34 @@ def test_correlation_measure_matches_the_index_keyed_memo_on_random_windows(
 
 
 @pytest.mark.parametrize("scheme_text,window_text,cutoff,differences,cuts,evaluations", [
-    ("fibonacci", "[0,1)u[1.5,2.25)", 25.0, 101, 97, 4657),  # the index key: 5051
-    ("periodic:32", "A", 100.0, 195, 31, 466),               # the index key: 17767
+    ("fibonacci", "[0,1)u[1.5,2.25)", 25.0, 101, 97, 3677),  # sorted pairs, non-empty cut
+    ("periodic:32", "A", 100.0, 195, 31, 961),               # residue pairs
 ])
 def test_correlation_measure_evaluates_each_set_of_distinct_cuts_once(
         monkeypatch, scheme_text, window_text, cutoff, differences, cuts, evaluations):
+    # the real factor is cut once per sorted pair of differences, and the residue
+    # factor counted once per distinct pair of their residues; one window_measure call
     scheme = parse_scheme(scheme_text)
     w = parse_window(expand_window_literal(window_text))
     base = support_differences(scheme, w, cutoff)
     assert len(base) == differences
     assert len({correlations._pair_cut(scheme, w, x) for x in base}) == cuts
-    calls = _counting(monkeypatch, "window_measure")
+    measures = _counting(monkeypatch, "window_measure")
+    real = _counting(monkeypatch, "_real_cuts")
+    residue = _counting(monkeypatch, "_residue_counts")
     correlation_measure(scheme, w, 3, cutoff)
-    assert len(calls) == evaluations
+    assert len(measures) == 1
+    if scheme.kind == "periodic":
+        ((args, _),) = residue
+        evaluated = {tuple(r) for r in args[1].tolist()}
+        residues = [-x % 32 for x in sorted(base)]
+        assert evaluated == {(residues[i], residues[j])
+                             for i, j in combinations_with_replacement(range(len(base)), 2)}
+        assert len(args[1]) == len(evaluated) == evaluations and not real
+    else:
+        ((_, (tuples, _)),) = real
+        assert len({tuple(t) for t in tuples.T.tolist()}) == tuples.shape[1] == evaluations
+        assert (tuples[0] <= tuples[1]).all() and not residue
 
 
 def test_csv_deterministic(tmp_path):
@@ -382,3 +416,83 @@ def test_csv_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "diff1,frequency"
+
+
+def test_entry_refuses_a_key_of_the_wrong_length():
+    m = correlation_measure(FIB, W, 3, 2.0)
+    assert m.entry((TAU_PT, TAU_PT)) == m.entries[(TAU_PT, TAU_PT)]
+    for key in ((TAU_PT,), (TAU_PT,) * 3):
+        with pytest.raises(ParameterError, match=rf"^an order-3 correlation key has 2 "
+                                                 rf"differences, got {len(key)}$"):
+            m.entry(key)
+
+
+def cancelling(k: int) -> QuadNum:
+    """tau'^k = F(k+1) - F(k)*tau exactly: a tiny number with coefficients near tau^k."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return QuadNum(b, -a)
+
+
+def quad_union(ends) -> IntervalUnion:
+    ends = sorted(set(ends))   # QuadNum order and equality are exact
+    return IntervalUnion(zip(ends[::2], ends[1::2]))
+
+
+# ends on the grid Z/8, where lattice translates touch; in two windows of three, one end
+# is moved by a cancelling +-tau'^k whose coefficients exceed 2^31 (k >= 45)
+grid_windows = st.builds(
+    lambda ends, i, tweak: quad_union(QuadNum(Fraction(e, 8)) + (tweak if j == i % len(ends)
+                                                                  else 0)
+                                      for j, e in enumerate(ends)),
+    st.lists(st.integers(-24, 24), min_size=2, max_size=6, unique=True), st.integers(0, 5),
+    st.one_of(st.just(0), st.integers(45, 70).map(cancelling),
+              st.integers(45, 70).map(lambda k: -cancelling(k)))).filter(
+    lambda iu: not iu.is_empty())
+
+
+def exact_oracle(scheme, w, order, cutoff):
+    """Every ordered tuple of the support whose window is non-empty, with the bits of its
+    ``freq_exact`` value."""
+    out = {}
+    for tup in product(support_differences(scheme, w, cutoff), repeat=order - 1):
+        cut = w
+        for x in tup:
+            cut = window_intersect(cut, w.translate(star(scheme, -x)))
+        if not cut.is_empty():
+            out[tup] = freq_exact(scheme, w, tup).hex()
+    return out
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_windows, st.integers(2, 12), st.sets(st.integers(0, 11), min_size=1),
+       st.sampled_from(["fibonacci", "periodic", "combined"]), st.integers(2, 4),
+       st.integers(1, 8).map(lambda i: i / 8))
+def test_correlation_measure_equals_freq_exact_bit_for_bit(iu, N, residues, kind, order, scale):
+    rs = ResidueSet(N, residues)
+    scheme = make_scheme(kind) if kind == "fibonacci" else make_scheme(kind, N)
+    w = {"fibonacci": iu, "periodic": rs, "combined": ProductWindow(iu, rs)}[kind]
+    cutoff = scale * {2: 8.0, 3: 3.0, 4: 1.5}[order]
+    m = correlation_measure(scheme, w, order, cutoff)
+    assert {k: v.hex() for k, v in m.entries.items()} == exact_oracle(scheme, w, order, cutoff)
+
+
+def test_correlation_measure_decides_touching_ends_and_large_coefficients_exactly(monkeypatch):
+    # translates of [0,1)u[2,2.5) by integers touch it: the float band decides in int64;
+    # the end 1 + tau'^60 has coefficients near 2^41, so its table is cut in Python ints
+    bands = []
+    inner = correlations._quad_positive
+
+    def positive(d, top):
+        band = FLOAT_GUARD + FLOAT_REL * top
+        bands.append(np.count_nonzero(abs(d[0].astype(float) + d[1].astype(float) * TAU) <= band))
+        return inner(d, top)
+
+    monkeypatch.setattr(correlations, "_quad_positive", positive)
+    for w, dtype in ((parse_window("[0,1)u[2,2.5)"), np.int64),
+                     (quad_union([QuadNum(0), 1 + cancelling(60)]), object)):
+        bands.clear()
+        m = correlation_measure(FIB, w, 3, 3.0)
+        assert sum(bands) > 0 and m.length.dtype == dtype
+        assert {k: v.hex() for k, v in m.entries.items()} == exact_oracle(FIB, w, 3, 3.0)

@@ -133,6 +133,34 @@ def test_golden_ratio_outputs_golden_bytes(tmp_path, monkeypatch):
     assert got == GOLDEN_RATIO_DIGESTS
 
 
+# exact correlation tables: 7,253, 175, 2,137 and 65 rows; the end 1 + tau'^60 of the last
+# window has coefficients whose squares overflow int64 (its floats are those of float(QuadNum))
+CORRELATION_EXAMPLES = [
+    ["correlate", "--scheme", "fibonacci", "--window", "[0,1)u[1.5,2.25)", "--order", "3",
+     "--cutoff", "25", "-o", "two_o3_c25.csv"],
+    ["correlate", "--scheme", "fibonacci", "--window", "[0,0.4)u[0.6,1.1)", "--order", "4",
+     "--cutoff", "4", "-o", "gap_o4_c4.csv"],
+    ["correlate", "--scheme", "periodic:32", "--window", "A", "--order", "4", "--cutoff", "6",
+     "-o", "A_o4_c6.csv"],
+    ["correlate", "--scheme", "fibonacci", "--window", "[0,1-1548008755920*tau+2504730781961)",
+     "--order", "3", "--cutoff", "5", "-o", "cancel_o3_c5.csv"],
+]
+CORRELATION_DIGESTS = {
+    "two_o3_c25.csv": "e6b712249a4ef6de5d9606f9664e902b483457eba7946a86f9338af9871c59a5",
+    "gap_o4_c4.csv": "d95dadd72acca25457020c061180dcdbc32983285237e46b3122d08deed0d1ca",
+    "A_o4_c6.csv": "b0f6611ac76fe72586d919b3b99555ac79d5c6d87e6b71cfa35b850ac5eec2d9",
+    "cancel_o3_c5.csv": "c0723fa37fe26f42eea69c798215fe3f1bbf73987cc0b8895d43c12fc1d9d590",
+}
+
+
+def test_correlation_outputs_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in CORRELATION_EXAMPLES:
+        assert main(argv) == EXIT_OK, argv
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == CORRELATION_DIGESTS
+
+
 FIB = make_scheme("fibonacci")
 W = parse_window("[-1,1/tau)")
 P32 = parse_scheme("periodic:32")
